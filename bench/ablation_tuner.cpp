@@ -62,14 +62,17 @@ int main() {
 
   // Phase 1: the offline campaign (explicit engines, tuner bypassed).
   const std::pair<const char*, coll::Algorithm> engines[] = {
+      {"fold", coll::Algorithm::fold},
       {"dpml-2l", coll::Algorithm::dpml_two_level},
       {"flat-MA", coll::Algorithm::ma_flat},
       {"socket-MA", coll::Algorithm::ma_socket_aware},
   };
   for (const auto& [name, alg] : engines)
     for (const std::size_t b : sizes)
-      measure_arm(team_static, session, "allreduce", name, bufs,
-                  allreduce_arm(alg), b);
+      // fold runs only where its stage slot holds the message.
+      if (alg != coll::Algorithm::fold || b <= coll::fold_max_bytes(p))
+        measure_arm(team_static, session, "allreduce", name, bufs,
+                    allreduce_arm(alg), b);
 
   // Warm the plan cache from those measurements (the in-process version of
   // `plan_check warm BENCH.json PLAN.json` + $YHCCL_PLAN_FILE).

@@ -10,6 +10,7 @@
 //   -m min:max  message size sweep in bytes (powers of two)
 //   -c          validate results against a reference reduction
 //   -a          auto | ma | socket-ma | dpml-2l   (reductions only)
+//               | fold   (allreduce up to fold_max_bytes(ranks) only)
 //
 // Prints the OSU columns: size, average latency (us), min/max across
 // repetitions.
@@ -62,6 +63,7 @@ Args parse(int argc, char** argv) {
       if (v == "ma") a.algo = coll::Algorithm::ma_flat;
       else if (v == "socket-ma") a.algo = coll::Algorithm::ma_socket_aware;
       else if (v == "dpml-2l") a.algo = coll::Algorithm::dpml_two_level;
+      else if (v == "fold") a.algo = coll::Algorithm::fold;
     }
   }
   return a;

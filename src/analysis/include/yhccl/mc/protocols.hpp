@@ -14,6 +14,8 @@
 //   seqlock        RemoteWindow snapshot consistency (no torn descriptor)
 //   plan           plan-registry claim visibility + commit-after-barrier
 //   ring           trace-ring push/harvest publication
+//   fold           fold-allreduce stage reuse: write, one barrier, read,
+//                  two stages alternating, no trailing barrier
 //
 // The mutation table seeds one memory-order weakening (WeakPoint) at a time
 // into the production code path; tests/test_model_check.cpp asserts the
@@ -38,6 +40,11 @@ bool protocol_supports(const std::string& name, int nthreads);
 /// Build the Spec for one protocol instance (throws yhccl::Error on an
 /// unknown name / unsupported rank count).  The spec owns its shared state.
 Spec protocol_spec(const std::string& name, int nthreads);
+
+/// The fold harness over `nstages` stages (2 = production).  With one
+/// stage the next round's copy-in races the previous round's fold, which
+/// the checker must catch.
+Spec fold_spec(int nthreads, int nstages);
 
 /// Explore one protocol instance.
 Result check_protocol(const std::string& name, int nthreads,

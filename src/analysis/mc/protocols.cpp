@@ -482,17 +482,72 @@ Spec ring_spec(int n) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// fold: the stage protocol of coll::fold_allreduce over the production
+// barrier.  Back-to-back rounds of write-my-slot, one barrier, read every
+// slot — no trailing barrier.  The stage alternates on a per-rank call
+// counter, so round k+2 rewrites round k's stage only after round k+1's
+// barrier, which no rank reaches before it finished reading round k.  The
+// slots are plain memory, as in the fold: a rewrite that can overlap a
+// read is a race even when the values happen to match.
+// ---------------------------------------------------------------------------
+
+Spec fold_spec(int n, int nstages) {
+  YHCCL_REQUIRE(n >= 2 && n <= 3 && (nstages == 1 || nstages == 2),
+                "fold spec: 2..3 ranks over 1 or 2 stages");
+  struct St {
+    rt::BarrierState bar;
+    std::uint32_t sense[3];
+    std::uint64_t fold_seq[3];  // RankCtx::next_fold_stage's counter
+    std::uint64_t stage[2][3];
+  };
+  auto st = std::make_shared<St>();
+  Spec s;
+  s.nthreads = n;
+  s.reset = [st, n] {
+    rt::barrier_init(st->bar, static_cast<std::uint32_t>(n));
+    for (int r = 0; r < 3; ++r) {
+      st->sense[r] = 0;
+      st->fold_seq[r] = 0;
+      st->stage[0][r] = st->stage[1][r] = 0;
+    }
+    set_label(&st->bar.arrived, sizeof st->bar.arrived, "arrived");
+    set_label(&st->bar.sense, sizeof st->bar.sense, "sense");
+    set_label(st->stage, sizeof st->stage, "fold-stage");
+  };
+  // Three rounds at 2 ranks, so the third reuses the first round's stage;
+  // at 3 ranks (a third round exceeds 200 000 executions) two rounds keep
+  // the space within the CI budget while still covering the 3-rank release.
+  const std::uint64_t rounds = n == 2 ? 3 : 2;
+  s.body = [st, n, nstages, rounds](int r) {
+    for (std::uint64_t k = 0; k < rounds; ++k) {
+      std::uint64_t* slots =
+          st->stage[st->fold_seq[r]++ % static_cast<std::uint64_t>(nstages)];
+      hb_write(&slots[r], sizeof slots[r], "fold stage (copy-in)");
+      slots[r] = 100 * k + 10 + static_cast<std::uint64_t>(r);
+      rt::barrier_arrive(st->bar, st->sense[r]);
+      for (int q = 0; q < n; ++q) {
+        hb_read(&slots[q], sizeof slots[q], "fold stage (fold)");
+        require(slots[q] == 100 * k + 10 + static_cast<std::uint64_t>(q),
+                "fold read a slot the next round already rewrote");
+      }
+    }
+  };
+  return s;
+}
+
 const std::vector<std::string>& protocol_names() {
   static const std::vector<std::string> names = {
-      "flags", "barrier", "dissemination", "fifo",       "rndv",
-      "pagelock", "seqlock", "plan",        "quarantine", "ring"};
+      "flags",    "barrier", "dissemination", "fifo",       "rndv",
+      "pagelock", "seqlock", "plan",          "quarantine", "ring",
+      "fold"};
   return names;
 }
 
 bool protocol_supports(const std::string& name, int nthreads) {
   if (nthreads < 2) return false;
   if (name == "fifo" || name == "rndv" || name == "ring" || name == "plan" ||
-      name == "seqlock" || name == "quarantine")
+      name == "seqlock" || name == "quarantine" || name == "fold")
     return nthreads <= 3;
   return nthreads <= 4;
 }
@@ -509,6 +564,7 @@ Spec protocol_spec(const std::string& name, int nthreads) {
   if (name == "seqlock") return seqlock_spec(nthreads);
   if (name == "plan") return plan_spec(nthreads);
   if (name == "quarantine") return quarantine_spec(nthreads);
+  if (name == "fold") return fold_spec(nthreads, 2);
   return ring_spec(nthreads);
 }
 

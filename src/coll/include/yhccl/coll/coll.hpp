@@ -2,10 +2,11 @@
 //
 // Generic entry points (allreduce, reduce, reduce_scatter, broadcast,
 // allgather) pick an algorithm per the paper's switching rules (§5.1):
-// two-level DPML for small messages, socket-aware movement-avoiding (MA)
-// reduction otherwise, flat MA when the topology has one socket.  Every
-// slice copy goes through the adaptive non-temporal policy (§4) unless the
-// caller forces a policy arm for experiments.
+// two-level DPML for small messages (the one-barrier fold for allreduces
+// small enough that p·s fits the team's 16 KB fold stage), socket-aware
+// movement-avoiding (MA) reduction otherwise, flat MA when the topology has
+// one socket.  Every slice copy goes through the adaptive non-temporal
+// policy (§4) unless the caller forces a policy arm for experiments.
 //
 // Buffer semantics follow MPI:
 //   reduce_scatter — `send` holds nranks*count elements; rank i receives
@@ -22,6 +23,7 @@
 // (same count/dtype/op/root/options), in the same order.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 
 #include "yhccl/common/types.hpp"
@@ -32,12 +34,33 @@ namespace yhccl::coll {
 
 using rt::RankCtx;
 
+enum class CollKind : int {
+  allreduce,
+  reduce,
+  reduce_scatter,
+  broadcast,
+  allgather,
+  kCount_,
+};
+
+constexpr const char* coll_kind_name(CollKind k) noexcept {
+  switch (k) {
+    case CollKind::allreduce: return "allreduce";
+    case CollKind::reduce: return "reduce";
+    case CollKind::reduce_scatter: return "reduce_scatter";
+    case CollKind::broadcast: return "broadcast";
+    case CollKind::allgather: return "allgather";
+    default: return "?";
+  }
+}
+
 enum class Algorithm : int {
   automatic,        ///< paper §5.1 switching rules (tuner-eligible)
   ma_flat,          ///< movement-avoiding reduction, single level (§3.3)
   ma_socket_aware,  ///< two-level socket-aware MA (§3.3, Fig. 7)
   dpml_two_level,   ///< hierarchical parallel reduction for small messages
   pipelined,        ///< sliced pipeline (broadcast/allgather only, §3.4)
+  fold,             ///< one-barrier staged fold (small allreduce only)
 };
 
 constexpr const char* algorithm_name(Algorithm a) noexcept {
@@ -47,8 +70,17 @@ constexpr const char* algorithm_name(Algorithm a) noexcept {
     case Algorithm::ma_socket_aware: return "socket-ma";
     case Algorithm::dpml_two_level: return "dpml-2l";
     case Algorithm::pipelined: return "pipelined";
+    case Algorithm::fold: return "fold";
   }
   return "?";
+}
+
+/// Largest allreduce message the fold arm serves on a p-rank team: each
+/// rank owns one power-of-two slot of the team's fold stage, so p·s never
+/// exceeds rt::kFoldStageBytes (4 KB at p = 4).
+constexpr std::size_t fold_max_bytes(int p) noexcept {
+  return std::bit_floor(rt::kFoldStageBytes /
+                        static_cast<std::size_t>(p < 1 ? 1 : p));
 }
 
 struct CollOpts {
@@ -82,8 +114,9 @@ void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
 void allgather(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, const CollOpts& opts = {});
 
-/// The switching rule itself (exposed for tests/benches).
-Algorithm choose_reduction_algorithm(const RankCtx& ctx,
+/// The switching rule itself (exposed for tests/benches): `msg_bytes` is
+/// the §5.1 message size of a `kind` call (total input for reduce_scatter).
+Algorithm choose_reduction_algorithm(const RankCtx& ctx, CollKind kind,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts);
 
@@ -117,6 +150,12 @@ void dpml_two_level_allreduce(RankCtx& ctx, const void* send, void* recv,
 void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
                            std::size_t count, Datatype d, ReduceOp op,
                            int root, const CollOpts& opts = {});
+
+/// One barrier per call: stage my s bytes, sync once, fold all p slots in
+/// rank order into `recv`.  Requires s <= fold_max_bytes(p).
+void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
+                    std::size_t count, Datatype d, ReduceOp op,
+                    const CollOpts& opts = {});
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts = {});

@@ -23,6 +23,8 @@ constexpr std::uint8_t trace_coll_id(CollKind k) noexcept {
 
 /// Algorithm id for the trace's coll-span variant byte.
 constexpr std::uint8_t trace_alg_id(Algorithm a) noexcept {
+  static_assert(static_cast<int>(Algorithm::fold) < trace::kMaxAlgIds,
+                "trace alg-id table cannot hold every Algorithm");
   return static_cast<std::uint8_t>(a);
 }
 

@@ -129,8 +129,9 @@ struct Plan {
 // ---- analytic prior ---------------------------------------------------------
 
 /// Pure §5.1 switching rule over a topology (no RankCtx needed, so the
-/// prior is computable parent-side and in offline tools).
-Algorithm choose_reduction_algorithm(const rt::Topology& topo,
+/// prior is computable parent-side and in offline tools).  Allreduces of
+/// at most fold_max_bytes(p) take the one-barrier fold arm.
+Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts) noexcept;
 
@@ -149,7 +150,9 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
 // ---- candidate arms ---------------------------------------------------------
 
 /// Candidate schedules the online mode explores for a key: for reductions
-/// the three algorithm arms (socket-aware only on valid topologies) plus
+/// the prior's algorithm and the DPML/MA arms (socket-aware only on valid
+/// topologies; fold is only ever arm 0, because the buckets it may serve
+/// are exactly those whose prior picks it) plus
 /// pinned-NT variants of the prior's choice; for broadcast/allgather
 /// alternative pipeline slice sizes plus pinned-NT variants.  Arm 0 is
 /// always the analytic prior.  Pure function of (key, opts, topo), so all

@@ -21,26 +21,6 @@
 
 namespace yhccl::coll {
 
-enum class CollKind : int {
-  allreduce,
-  reduce,
-  reduce_scatter,
-  broadcast,
-  allgather,
-  kCount_,
-};
-
-constexpr const char* coll_kind_name(CollKind k) noexcept {
-  switch (k) {
-    case CollKind::allreduce: return "allreduce";
-    case CollKind::reduce: return "reduce";
-    case CollKind::reduce_scatter: return "reduce_scatter";
-    case CollKind::broadcast: return "broadcast";
-    case CollKind::allgather: return "allgather";
-    default: return "?";
-  }
-}
-
 class CollProfiler {
  public:
   struct Record {

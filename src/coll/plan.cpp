@@ -184,11 +184,18 @@ void Plan::apply(CollOpts& o) const noexcept {
 
 // ---- analytic prior ---------------------------------------------------------
 
-Algorithm choose_reduction_algorithm(const rt::Topology& topo,
+Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts) noexcept {
   if (opts.algorithm != Algorithm::automatic) return opts.algorithm;
-  if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
+  if (msg_bytes <= opts.small_msg_threshold) {
+    // fold_max_bytes is a power of two, so this cut never splits a size
+    // bucket and the prior stays exact.
+    if (kind == CollKind::allreduce &&
+        msg_bytes <= fold_max_bytes(topo.nranks()))
+      return Algorithm::fold;
+    return Algorithm::dpml_two_level;
+  }
   if (socket_topology(topo)) return Algorithm::ma_socket_aware;
   return Algorithm::ma_flat;
 }
@@ -230,7 +237,7 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
   Plan p;
   const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, opts);
   p.algorithm = is_reduction(key.kind)
-                    ? choose_reduction_algorithm(topo, rep, opts)
+                    ? choose_reduction_algorithm(key.kind, topo, rep, opts)
                     : Algorithm::pipelined;
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 — the legacy behavior
   p.nt_prior = prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,

@@ -79,7 +79,7 @@ bool op_from_name(const std::string& s, ReduceOp* out) {
 bool alg_from_name(const std::string& s, Algorithm* out) {
   for (const auto a :
        {Algorithm::automatic, Algorithm::ma_flat, Algorithm::ma_socket_aware,
-        Algorithm::dpml_two_level, Algorithm::pipelined})
+        Algorithm::dpml_two_level, Algorithm::pipelined, Algorithm::fold})
     if (s == algorithm_name(a)) {
       *out = a;
       return true;
@@ -139,7 +139,21 @@ bool normalize_bench_arm(std::string name, Algorithm* out) {
     *out = Algorithm::pipelined;
     return true;
   }
+  if (name == "fold" || name == "yhccl-fold") {
+    *out = Algorithm::fold;
+    return true;
+  }
   return false;
+}
+
+/// Fold may serve a key only where the default-option prior picks it:
+/// there every call of the size bucket fits its fold-stage slot.
+bool fold_serves(const PlanKey& key) {
+  const CollOpts defaults{};
+  return choose_reduction_algorithm(
+             key.kind, rt::Topology(key.ranks, key.sockets),
+             bucket_rep_bytes(key.kind, key.bucket, defaults),
+             defaults) == Algorithm::fold;
 }
 
 Json entry_to_json(std::uint64_t sig, const PlanKey& key, const Plan& p) {
@@ -204,6 +218,8 @@ void validate_plan_json(const Json& doc) {
     check(alg_from_name(e["algorithm"].as_string(), &alg) &&
               alg != Algorithm::automatic,
           "unknown algorithm", i);
+    check(alg != Algorithm::fold || kind == CollKind::allreduce,
+          "the fold algorithm serves allreduce only", i);
     check(nt_from_name(e["nt"].as_string(), &nt), "unknown nt", i);
     check(e["ranks"].as_int() >= 1 && e["sockets"].as_int() >= 1 &&
               e["sockets"].as_int() <= e["ranks"].as_int(),
@@ -290,6 +306,7 @@ int load_plans(rt::Team& team, const Json& doc) {
     p.source = source_from_name(e["source"].as_string());
     if (is_reduction(key.kind) && p.algorithm == Algorithm::pipelined)
       continue;
+    if (p.algorithm == Algorithm::fold && !fold_serves(key)) continue;
     if (!is_reduction(key.kind)) p.algorithm = Algorithm::pipelined;
     auto* slot = reg->acquire(key.hash(team.plan_signature(), dsig),
                               key.packed_fields());
@@ -379,6 +396,7 @@ Json warm_from_bench(const Json& report) {
     key.bucket = bucket_of(kind, s["bytes"].as_uint(), defaults);
     key.ranks = ranks;
     key.sockets = sockets;
+    if (alg == Algorithm::fold && !fold_serves(key)) continue;
     auto& b = best[key.packed_fields()];
     if (b.median == 0 || median < b.median) b = {median, alg};
   }

@@ -3,7 +3,8 @@
 // for (collective, size bucket, shape) and dispatch on its algorithm.
 // With the tuner at its default (prior mode) the served plans reproduce
 // the paper's static rules bit for bit — small reductions go to the
-// two-level DPML parallel reduction (cheap synchronization), everything
+// two-level DPML parallel reduction (cheap synchronization), or to the
+// one-barrier fold when an allreduce is small enough, everything
 // else to the socket-aware MA reduction (minimal data movement), falling
 // back to flat MA on single-socket teams — while warmed or online-refined
 // plans can override the choice per size class.  Callers forcing an
@@ -15,10 +16,15 @@
 
 namespace yhccl::coll {
 
-Algorithm choose_reduction_algorithm(const RankCtx& ctx,
+// Metrics cells are indexed by 1 + Algorithm (0 = unknown).
+static_assert(1 + static_cast<int>(Algorithm::fold) < metrics::kAlgSlots,
+              "metrics algorithm slots cannot hold every Algorithm");
+
+Algorithm choose_reduction_algorithm(const RankCtx& ctx, CollKind kind,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts) {
-  return plan::choose_reduction_algorithm(ctx.team().topo(), msg_bytes, opts);
+  return plan::choose_reduction_algorithm(kind, ctx.team().topo(), msg_bytes,
+                                          opts);
 }
 
 namespace {
@@ -26,12 +32,15 @@ namespace {
 /// Decision for one reduction call: the tuned plan when the tuner is
 /// active, the static §5.1 rule otherwise (tuner off / explicit arm).
 Algorithm reduction_algorithm(const plan::TunedCall& tc, RankCtx& ctx,
-                              std::size_t total, const CollOpts& opts) {
+                              CollKind kind, std::size_t total,
+                              const CollOpts& opts) {
   const Algorithm a = tc.active()
                           ? tc.plan().algorithm
-                          : choose_reduction_algorithm(ctx, total, opts);
+                          : choose_reduction_algorithm(ctx, kind, total, opts);
   YHCCL_REQUIRE(a != Algorithm::pipelined,
                 "the pipelined algorithm serves broadcast/allgather only");
+  YHCCL_REQUIRE(a != Algorithm::fold || kind == CollKind::allreduce,
+                "the fold algorithm serves allreduce only");
   return a;
 }
 
@@ -45,7 +54,8 @@ void reduce_scatter(RankCtx& ctx, const void* send, void* recv,
       count * dtype_size(d) * static_cast<std::size_t>(ctx.nranks());
   plan::TunedCall tc(ctx, CollKind::reduce_scatter, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
-  const Algorithm a = reduction_algorithm(tc, ctx, total, opts);
+  const Algorithm a =
+      reduction_algorithm(tc, ctx, CollKind::reduce_scatter, total, opts);
   metrics::CollSample ms(1 + static_cast<int>(CollKind::reduce_scatter),
                          total);
   ms.set_alg(1 + static_cast<int>(a));
@@ -68,10 +78,14 @@ void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
   const std::size_t total = count * dtype_size(d);
   plan::TunedCall tc(ctx, CollKind::allreduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
-  const Algorithm a = reduction_algorithm(tc, ctx, total, opts);
+  const Algorithm a =
+      reduction_algorithm(tc, ctx, CollKind::allreduce, total, opts);
   metrics::CollSample ms(1 + static_cast<int>(CollKind::allreduce), total);
   ms.set_alg(1 + static_cast<int>(a));
   switch (a) {
+    case Algorithm::fold:
+      fold_allreduce(ctx, send, recv, count, d, op, o);
+      break;
     case Algorithm::dpml_two_level:
       dpml_two_level_allreduce(ctx, send, recv, count, d, op, o);
       break;
@@ -90,7 +104,8 @@ void reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
   const std::size_t total = count * dtype_size(d);
   plan::TunedCall tc(ctx, CollKind::reduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
-  const Algorithm a = reduction_algorithm(tc, ctx, total, opts);
+  const Algorithm a =
+      reduction_algorithm(tc, ctx, CollKind::reduce, total, opts);
   metrics::CollSample ms(1 + static_cast<int>(CollKind::reduce), total);
   ms.set_alg(1 + static_cast<int>(a));
   switch (a) {

@@ -62,7 +62,7 @@ int interval_ms_from_env();
 /// the same convention as trace::coll_id_name (test_metrics pins them).
 inline constexpr int kCollSlots = 6;
 /// Algorithm ids: 0 = unknown, 1 + coll::Algorithm otherwise.
-inline constexpr int kAlgSlots = 6;
+inline constexpr int kAlgSlots = 7;
 /// log2 size classes over payload bytes (covers 0 .. >8 GiB).
 inline constexpr int kSizeBuckets = 34;
 /// log2 latency histogram buckets over TSC ticks.

@@ -597,6 +597,20 @@ OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g) {
   return sim.c;
 }
 
+OpCounts fold_allreduce_ops(std::size_t s, const OpGeometry& g) {
+  Sim sim;
+  const int p = g.p;
+  if (s == 0) return sim.c;
+  if (p == 1) {
+    sim.copy(s);
+    return sim.c;
+  }
+  for (int r = 0; r < p; ++r) sim.copy(s);  // stage my slot
+  sim.barrier(p);
+  for (int r = 0; r < p; ++r) sim.reduce_multi(p, s);  // fold all p slots
+  return sim.c;
+}
+
 }  // namespace impl
 
 std::size_t nt_switch_point(std::size_t cache_capacity, int p,

@@ -118,6 +118,9 @@ OpCounts dpml_reduce_ops(std::size_t s, const OpGeometry& g);
 OpCounts pipelined_broadcast_ops(std::size_t s, const OpGeometry& g);
 OpCounts pipelined_allgather_ops(std::size_t s, const OpGeometry& g);
 OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g);
+/// One-barrier fold (coll::fold_allreduce): per rank copy-in 2s plus a
+/// (p+1)s fused fold, so DAV p(p+3)·s, p barrier arrivals, no flags.
+OpCounts fold_allreduce_ops(std::size_t s, const OpGeometry& g);
 
 }  // namespace impl
 

@@ -40,6 +40,9 @@ namespace yhccl::rt {
 inline constexpr int kMaxRanks = 256;
 inline constexpr int kMaxSockets = 16;
 inline constexpr int kRegistrySlots = 4;
+/// Bytes of one fold stage (coll::Algorithm::fold).  Every team reserves
+/// two, on top of TeamConfig::shared_heap_bytes, at construction.
+inline constexpr std::size_t kFoldStageBytes = 16u << 10;
 
 // The barriers in sync.hpp and the fault subsystem size their per-rank
 // arrays independently (header cycle); a team must never exceed either.
@@ -123,6 +126,7 @@ struct TeamShared {
   struct alignas(kCacheline) Persist {
     std::uint64_t coll_seq = 0;
     std::uint64_t tune_seq = 0;  ///< tuner resolve counter (docs/tuning.md)
+    std::uint64_t fold_seq = 0;  ///< fold allreduce calls (stage parity)
     std::uint32_t node_sense = 0;
     std::uint32_t sock_sense = 0;
   };
@@ -226,6 +230,12 @@ class Team {
   /// in all ranks of both backends; never freed until the Team dies.
   std::byte* shared_alloc(std::size_t bytes, std::size_t align = kCacheline);
 
+  /// Fold stage `parity` (0 or 1): kFoldStageBytes of the shared heap,
+  /// reserved at construction.
+  std::byte* fold_stage(std::uint64_t parity) noexcept {
+    return fold_stage_[parity & 1];
+  }
+
   copy::Dav last_dav(int rank) const { return shared_->dav_out[rank]; }
   double last_time(int rank) const { return shared_->time_out[rank]; }
   copy::KernelCounts last_kernels(int rank) const {
@@ -324,6 +334,8 @@ class Team {
   std::size_t off_trace_ = 0;
   std::size_t off_plans_ = 0;
   std::size_t off_metrics_ = 0;
+  std::size_t heap_bytes_ = 0;  ///< shared heap incl. the fold stages
+  std::byte* fold_stage_[2] = {};
   TeamShared* shared_ = nullptr;
   analysis::HbChecker* hb_ = nullptr;
   trace::TraceBuffer* trace_ = nullptr;
@@ -413,6 +425,14 @@ class RankCtx {
   /// next_seq(); the online explore schedule hashes it so every rank takes
   /// the same exploration step without communicating (docs/tuning.md).
   std::uint64_t next_tune_seq() { return ++persist_->tune_seq; }
+
+  /// The fold stage of this rank's next fold allreduce.  The two stages
+  /// alternate on a per-rank call counter — identical across ranks, like
+  /// next_seq() — so call k+2 rewrites call k's stage only after every
+  /// rank crossed call k+1's barrier, i.e. after every read of call k.
+  std::byte* next_fold_stage() {
+    return team_->fold_stage(persist_->fold_seq++);
+  }
 
   /// Publish my pipeline progress (release) / wait on a peer's (acquire).
   /// Values must be strictly increasing within a team epoch; collectives

@@ -30,6 +30,10 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
   auto& fs = shared().fault;
   const std::uint64_t epoch = fs.team_epoch.load(std::memory_order_acquire);
 
+  // Flush the parent's stdio buffers first: children inherit them, and
+  // each child's exit flush would otherwise write the parent's pending
+  // output once more per rank.
+  std::fflush(nullptr);
   std::vector<pid_t> children(static_cast<std::size_t>(nranks()), -1);
   for (int r = 0; r < nranks(); ++r) {
     const pid_t pid = fork();

@@ -105,11 +105,15 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
                  cfg_.nranks, analysis::HbChecker::kMaxHbRanks);
     with_hb = false;
   }
+  // The shared heap holds the caller's shared_heap_bytes plus the two fold
+  // stages reserved from it below.
+  heap_bytes_ = checked_add(cfg_.shared_heap_bytes, 2 * kFoldStageBytes,
+                            "shared heap");
   // The checker shadows the two regions collective data flows through:
   // the scratch arena (slice buffers) and the persistent shared heap.
   const std::size_t hb_cells =
       analysis::HbChecker::ncells_for(cfg_.scratch_bytes) +
-      analysis::HbChecker::ncells_for(cfg_.shared_heap_bytes);
+      analysis::HbChecker::ncells_for(heap_bytes_);
   const std::size_t hb_bytes =
       with_hb ? analysis::HbChecker::required_bytes(hb_cells) : 0;
 
@@ -150,7 +154,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
   off_chan_data_ = off;
   off = section(off, checked_mul(nchan, chan_data, "channel arenas"));
   off_heap_ = off;
-  off = section(off, cfg_.shared_heap_bytes);
+  off = section(off, heap_bytes_);
   off_scratch_ = off;
   off = section(off, cfg_.scratch_bytes);
   off_hb_ = off;
@@ -176,8 +180,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
                                       cfg_.nranks, hb_cells);
     hb_->add_region(region_.data() + off_scratch_, cfg_.scratch_bytes,
                     "coll-scratch");
-    hb_->add_region(region_.data() + off_heap_, cfg_.shared_heap_bytes,
-                    "shared-heap");
+    hb_->add_region(region_.data() + off_heap_, heap_bytes_, "shared-heap");
   }
   if (trace_mode_ != trace::Mode::off)
     trace_ = trace::TraceBuffer::create(region_.data() + off_trace_,
@@ -193,6 +196,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
     metrics_fold_team();
   }
 
+  for (auto*& stage : fold_stage_) stage = shared_alloc(kFoldStageBytes);
   stamp_sections();
 
   // Register the corrupt@<section> injection targets: pointers at the
@@ -313,7 +317,7 @@ std::byte* Team::shared_alloc(std::size_t bytes, std::size_t align) {
   do {
     base = (old + align - 1) & ~(static_cast<std::uint64_t>(align) - 1);
     YHCCL_REQUIRE(checked_add(base, bytes, "shared heap reservation") <=
-                      cfg_.shared_heap_bytes,
+                      heap_bytes_,
                   "shared heap exhausted");
   } while (!cur.compare_exchange_weak(old, base + bytes,
                                       std::memory_order_relaxed));

@@ -45,6 +45,7 @@ bench::Json rec_args(const Rec& rec) {
     case Phase::coll:
       a.set("payload_bytes", rec.arg);
       a.set("alg", static_cast<std::int64_t>(rec.variant));
+      a.set("algorithm", alg_id_name(rec.variant));
       break;
     case Phase::copy_in:
     case Phase::copy_out:
@@ -265,6 +266,14 @@ bool validate_chrome(const bench::Json& j, std::string* err) {
       if (!e["dur"].is_number() || e["dur"].as_double() < 0)
         return fail(err, at + "X event without non-negative dur");
       ++spans;
+    }
+    if (e["name"].as_string() == phase_name(Phase::coll)) {
+      const bench::Json& alg = e["args"]["alg"];
+      if (!alg.is_integer() || alg.as_int() < 0 ||
+          alg.as_int() >= kMaxAlgIds ||
+          std::string(alg_id_name(static_cast<std::uint8_t>(alg.as_int()))) ==
+              "?")
+        return fail(err, at + "coll span without a known alg id");
     }
   }
   if (spans == 0) return fail(err, "no complete (X) span events");

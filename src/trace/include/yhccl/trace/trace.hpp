@@ -98,6 +98,12 @@ constexpr bool is_wait_phase(Phase p) noexcept {
 inline constexpr int kMaxCollIds = 8;
 const char* coll_id_name(std::uint8_t id) noexcept;
 
+/// Algorithm ids in the variant byte of Phase::coll records: coll::Algorithm
+/// (0 = auto).  The name table mirrors coll::algorithm_name (pinned by
+/// test_phase_trace); the Chrome export and trace_check use it.
+inline constexpr int kMaxAlgIds = 8;
+const char* alg_id_name(std::uint8_t id) noexcept;
+
 /// Where a fault was raised/injected (variant byte of Phase::fault records).
 enum class Site : std::uint8_t {
   unknown = 0,

@@ -92,6 +92,18 @@ const char* coll_id_name(std::uint8_t id) noexcept {
   }
 }
 
+const char* alg_id_name(std::uint8_t id) noexcept {
+  switch (id) {
+    case 0: return "auto";
+    case 1: return "ma";
+    case 2: return "socket-ma";
+    case 3: return "dpml-2l";
+    case 4: return "pipelined";
+    case 5: return "fold";
+    default: return "?";
+  }
+}
+
 const char* site_name(Site s) noexcept {
   switch (s) {
     case Site::unknown: return "unknown";

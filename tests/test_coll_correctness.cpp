@@ -293,22 +293,69 @@ TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
   auto& team2 = cached_team(4, 2);
   team2.run([&](RankCtx& ctx) {
     CollOpts o;
-    if (choose_reduction_algorithm(ctx, 1024, o) !=
+    if (choose_reduction_algorithm(ctx, CollKind::reduce, 1024, o) !=
         Algorithm::dpml_two_level)
       throw Error("small message should pick dpml_two_level");
-    if (choose_reduction_algorithm(ctx, 10u << 20, o) !=
+    // Allreduces up to the fold cut (4 KB at p = 4) take the fold arm.
+    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 1024, o) !=
+            Algorithm::fold ||
+        choose_reduction_algorithm(ctx, CollKind::allreduce, 4096, o) !=
+            Algorithm::fold)
+      throw Error("small allreduce should pick fold");
+    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 4097, o) !=
+        Algorithm::dpml_two_level)
+      throw Error("allreduce past the fold cut should pick dpml_two_level");
+    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 10u << 20, o) !=
         Algorithm::ma_socket_aware)
       throw Error("large message on 2 sockets should pick socket-MA");
     o.algorithm = Algorithm::ma_flat;
-    if (choose_reduction_algorithm(ctx, 10, o) != Algorithm::ma_flat)
+    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 10, o) !=
+        Algorithm::ma_flat)
       throw Error("forced algorithm must be honoured");
   });
   auto& team1 = cached_team(4, 1);
   team1.run([&](RankCtx& ctx) {
     CollOpts o;
-    if (choose_reduction_algorithm(ctx, 10u << 20, o) != Algorithm::ma_flat)
+    if (choose_reduction_algorithm(ctx, CollKind::reduce_scatter, 10u << 20,
+                                   o) != Algorithm::ma_flat)
       throw Error("single socket should pick flat MA");
   });
+}
+
+// The fold arm across every team shape, at its cut, a ragged size and a
+// single element, over the dtype/op matrix (explicitly selected, so the
+// sweep holds whatever the tuner would serve).
+TEST(CollEdge, FoldArmMatchesReferenceUpToItsCut) {
+  const std::pair<Datatype, ReduceOp> dtops[] = {
+      {Datatype::f32, ReduceOp::sum}, {Datatype::f64, ReduceOp::prod},
+      {Datatype::i32, ReduceOp::min}, {Datatype::i64, ReduceOp::max},
+      {Datatype::u8, ReduceOp::bor},  {Datatype::i32, ReduceOp::band}};
+  CollOpts o;
+  o.algorithm = Algorithm::fold;
+  for (const auto& shape : kShapes) {
+    auto& team = cached_team(shape.p, shape.m);
+    for (const auto& [d, op] : dtops) {
+      const std::size_t e = dtype_size(d);
+      const std::size_t cut = fold_max_bytes(shape.p) / e;
+      for (const std::size_t count : {cut, cut / 3 + 1, std::size_t{1}}) {
+        std::vector<std::vector<std::uint8_t>> send(shape.p), recv(shape.p);
+        for (int r = 0; r < shape.p; ++r) {
+          send[r].resize(count * e);
+          recv[r].assign(count * e, 0xcd);
+          fill_buffer(send[r].data(), count, d, r, op);
+        }
+        team.run([&](RankCtx& ctx) {
+          allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(),
+                    count, d, op, o);
+        });
+        for (int r = 0; r < shape.p; ++r)
+          EXPECT_TRUE(check_reduced(recv[r].data(), count, d, shape.p, op))
+              << "p=" << shape.p << " m=" << shape.m << " "
+              << dtype_name(d) << " " << op_name(op) << " count=" << count
+              << " rank " << r;
+      }
+    }
+  }
 }
 
 TEST(CollEdge, DpmlFlatModeMatchesReference) {

@@ -12,6 +12,7 @@
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/runtime/process_team.hpp"
+#include "yhccl/runtime/thread_team.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -142,6 +143,66 @@ TEST(ProcessColl, ReduceScatterBroadcastAllgather) {
       for (std::size_t i = 0; i < count; i += 1111)
         ASSERT_EQ(ag_out[(r * 4 + a) * count + i], 100.0 + a)
             << "ag rank " << r << " block " << a;
+  }
+}
+
+/// Three back-to-back explicit fold allreduces (both fold stages, then the
+/// first again) of random non-integer f32 inputs; returns every rank's
+/// result bits of every call, in (call, rank, element) order.
+std::vector<std::uint32_t> fold_bits(rt::Team& team, std::size_t count) {
+  const int p = team.nranks();
+  const auto pn = static_cast<std::size_t>(p);
+  constexpr int kCalls = 3;
+  auto* in = reinterpret_cast<float*>(team.shared_alloc(pn * count * 4));
+  auto* out = reinterpret_cast<float*>(
+      team.shared_alloc(kCalls * pn * count * 4));
+  std::uint64_t x = 0x2545f4914f6cdd1dull;
+  for (std::size_t i = 0; i < pn * count; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    in[i] = static_cast<float>(static_cast<std::int64_t>(x % 2000001) -
+                               1000000) /
+            997.0f;
+  }
+  coll::CollOpts o;
+  o.algorithm = coll::Algorithm::fold;
+  team.run([&](rt::RankCtx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    std::vector<float> recv(count);
+    for (int c = 0; c < kCalls; ++c) {
+      coll::allreduce(ctx, in + r * count, recv.data(), count, Datatype::f32,
+                      ReduceOp::sum, o);
+      std::memcpy(out + (static_cast<std::size_t>(c) * pn + r) * count,
+                  recv.data(), count * 4);
+    }
+  });
+  // Scalar reference: fold the ranks' operands in rank order 0..p-1.
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    float acc = in[i];
+    for (std::size_t q = 1; q < pn; ++q) acc += in[q * count + i];
+    for (std::size_t k = 0; k < kCalls * pn; ++k)
+      mismatches += std::memcmp(&out[k * count + i], &acc, 4) != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u) << "p=" << p;
+  std::vector<std::uint32_t> bits(kCalls * pn * count);
+  std::memcpy(bits.data(), out, bits.size() * 4);
+  return bits;
+}
+
+TEST(ProcessColl, FoldAllreduceIsBitwiseRankOrderedOnBothBackends) {
+  for (auto [p, m] : {std::pair{4, 2}, {5, 2}}) {
+    const std::size_t count = coll::fold_max_bytes(p) / 4 - 3;  // ragged
+    rt::TeamConfig cfg;
+    cfg.nranks = p;
+    cfg.nsockets = m;
+    cfg.scratch_bytes = 1u << 20;
+    cfg.shared_heap_bytes = 1u << 20;
+    rt::ThreadTeam threads(cfg);
+    rt::ProcessTeam procs(cfg);
+    EXPECT_EQ(fold_bits(threads, count), fold_bits(procs, count))
+        << "p=" << p << " m=" << m;
   }
 }
 

@@ -175,6 +175,39 @@ TEST(DavModel, DpmlAllreduceMatchesFusedModelAndBeatsPaperTable) {
   }
 }
 
+TEST(DavModel, FoldAllreduceIsExactlyPTimesPPlus3S) {
+  // Copy-in 2s plus a (p+1)s fused fold on every rank: p(p+3)s per node,
+  // one barrier and no flags.  More bytes than DPML's s(5p+1) for p > 2,
+  // which is why the arm stops at fold_max_bytes(p).
+  for (int p : {2, 4, 8}) {
+    const std::size_t count = fold_max_bytes(p) / 8;
+    std::vector<std::vector<double>> send(p), recv(p);
+    for (int r = 0; r < p; ++r) {
+      send[r].resize(count);
+      recv[r].resize(count);
+      fill_buffer(send[r].data(), count, Datatype::f64, r, ReduceOp::sum);
+    }
+    auto& team = cached_team(p, 1);
+    const auto dav = measure(team, [&](rt::RankCtx& ctx) {
+      fold_allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(),
+                     count, Datatype::f64, ReduceOp::sum);
+    });
+    const std::size_t s = count * 8;
+    const auto pp = static_cast<std::uint64_t>(p);
+    EXPECT_EQ(dav, pp * (pp + 3) * s) << "p=" << p;
+    md::impl::OpGeometry g;
+    g.p = p;
+    const auto ops = md::impl::fold_allreduce_ops(s, g);
+    EXPECT_EQ(ops.dav(), pp * (pp + 3) * s) << "p=" << p;
+    EXPECT_EQ(ops.barriers, pp) << "p=" << p;
+    EXPECT_EQ(ops.flag_posts + ops.flag_waits, 0u) << "p=" << p;
+    for (int r = 0; r < p; ++r)
+      EXPECT_TRUE(test::check_reduced(recv[r].data(), count, Datatype::f64, p,
+                                      ReduceOp::sum))
+          << "p=" << p << " rank " << r;
+  }
+}
+
 TEST(DavModel, RingMatchesTable1And2ExactlyWithSingleCopy) {
   for (int p : {2, 4, 8}) {
     Fixture f(p, 1, 8192);
@@ -360,6 +393,7 @@ struct ParityArm {
   OpCounts (*model)(std::size_t, const OpGeometry&);
   void (*run)(rt::RankCtx&, std::size_t count, const CollOpts&);
   bool thread_only = false;  ///< xpmem needs a shared address space
+  bool fold_sized = false;   ///< runs only counts within fold_max_bytes(p)
 };
 
 const ParityArm kParityArms[] = {
@@ -461,6 +495,15 @@ const ParityArm kParityArms[] = {
                        ReduceOp::sum);
      },
      /*thread_only=*/true},
+    {"fold_allreduce", false, md::impl::fold_allreduce_ops,
+     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
+       std::vector<double> send(count), recv(count);
+       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
+                   ReduceOp::sum);
+       fold_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                      ReduceOp::sum, o);
+     },
+     /*thread_only=*/false, /*fold_sized=*/true},
 };
 
 /// Shapes: flat even/odd, even p over even sockets, and the ragged p=3
@@ -470,6 +513,8 @@ constexpr std::pair<int, int> kParityShapes[] = {
 
 /// Element counts: slice-divisible, ragged tail, and sub-slice tiny.
 constexpr std::size_t kParityCounts[] = {4096, 3003, 17};
+/// Fold-sized counts: the 4 KB cut of p <= 4, an odd size, and tiny.
+constexpr std::size_t kFoldParityCounts[] = {512, 301, 17};
 
 void run_parity_matrix(rt::Team& team, int p, int m,
                        bool is_thread_team = true) {
@@ -485,7 +530,8 @@ void run_parity_matrix(rt::Team& team, int p, int m,
   g.dpml_flat = o.dpml_flat;
   for (const auto& arm : kParityArms) {
     if (arm.thread_only && !is_thread_team) continue;
-    for (std::size_t count : kParityCounts) {
+    for (std::size_t count :
+         arm.fold_sized ? kFoldParityCounts : kParityCounts) {
       team.run([&](rt::RankCtx& ctx) { arm.run(ctx, count, o); });
       const std::size_t s =
           count * 8 * (arm.scatter_shaped ? static_cast<std::size_t>(p) : 1);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <functional>
@@ -209,6 +210,42 @@ TEST_P(FaultRecovery, DieMidPipelineStage) {
                    });
   expect_membership_after_recovery(*team, GetParam(), 1);
   run_matrix(*team);
+}
+
+TEST_P(FaultRecovery, DieAtFoldBarrierThenFoldAgain) {
+  auto team = make_team(GetParam(), 4, 2);
+  const std::size_t n = 256;  // 2 KB: within fold_max_bytes at p = 4 and 3
+  std::vector<double*> sb(4), rb(4);
+  for (int r = 0; r < 4; ++r) {
+    sb[r] = alloc_f64(*team, n);
+    rb[r] = alloc_f64(*team, n);
+    test::fill_buffer(sb[r], n, Datatype::f64, r, ReduceOp::sum);
+  }
+  CollOpts fold;
+  fold.algorithm = Algorithm::fold;
+  // iter=1: the second fold call's only barrier, with its stage staged.
+  kill_and_recover(*team, "die@barrier:rank=2:iter=1", 2,
+                   [&](rt::RankCtx& ctx) {
+                     for (int c = 0; c < 2; ++c)
+                       allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
+                                 Datatype::f64, ReduceOp::sum, fold);
+                   });
+  expect_membership_after_recovery(*team, GetParam(), 2);
+  // recover() resets every rank's fold-stage parity to 0: back-to-back fold
+  // calls alternate the stages in lockstep again and stay correct.
+  auto* bad = reinterpret_cast<int*>(team->shared_alloc(4 * sizeof(int)));
+  team->run([&](rt::RankCtx& ctx) {
+    const int r = ctx.rank();
+    for (int c = 0; c < 5; ++c) {
+      std::fill(rb[r], rb[r] + n, -1.0);
+      allreduce(ctx, sb[r], rb[r], n, Datatype::f64, ReduceOp::sum, fold);
+      if (!test::check_reduced(rb[r], n, Datatype::f64, ctx.nranks(),
+                               ReduceOp::sum))
+        ++bad[r];
+    }
+  });
+  for (int r = 0; r < team->nranks(); ++r)
+    EXPECT_EQ(bad[r], 0) << "rank " << r;
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FaultRecovery,

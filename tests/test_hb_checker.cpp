@@ -187,6 +187,37 @@ TEST(HbChecker, AllCollectivesRunCleanProcessTeam) {
   EXPECT_TRUE(check_reduced(out, count, Datatype::f64, 4, ReduceOp::sum));
 }
 
+// The fold arm has no trailing barrier: back-to-back calls reuse each of
+// its two stages, and only the next call's barrier orders a rank's rewrite
+// after every peer's fold.  The checker must see that edge on both backends.
+TEST(HbChecker, FoldStageReuseRunsCleanOnBothBackends) {
+  for (int backend = 0; backend < 2; ++backend) {
+    std::unique_ptr<rt::Team> team;
+    if (backend == 0)
+      team = std::make_unique<rt::ThreadTeam>(checked_cfg(4, 2));
+    else
+      team = std::make_unique<rt::ProcessTeam>(checked_cfg(4, 2));
+    const std::size_t count = 500;  // 4000 B, within fold_max_bytes(4)
+    auto* out =
+        reinterpret_cast<double*>(team->shared_alloc(4 * count * 8));
+    coll::CollOpts fold;
+    fold.algorithm = coll::Algorithm::fold;
+    team->run([&](rt::RankCtx& ctx) {
+      std::vector<double> s(count), r(count);
+      fill_buffer(s.data(), count, Datatype::f64, ctx.rank(), ReduceOp::sum);
+      for (int c = 0; c < 5; ++c)
+        coll::allreduce(ctx, s.data(), r.data(), count, Datatype::f64,
+                        ReduceOp::sum, fold);
+      std::memcpy(out + ctx.rank() * count, r.data(), count * 8);
+    });
+    EXPECT_EQ(team->hb_races(), 0u) << team->hb_report();
+    for (int r = 0; r < 4; ++r)
+      EXPECT_TRUE(check_reduced(out + r * count, count, Datatype::f64, 4,
+                                ReduceOp::sum))
+          << "backend " << backend << " rank " << r;
+  }
+}
+
 TEST(HbChecker, Pt2PtAndRendezvousRunClean) {
   for (int backend = 0; backend < 2; ++backend) {
     std::unique_ptr<rt::Team> team;

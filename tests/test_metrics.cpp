@@ -410,6 +410,33 @@ TEST(MetricsExport, MirrorSeqlockRoundTrips) {
   EXPECT_EQ(out, payload);
 }
 
+// 1 + Algorithm::fold must fit kAlgSlots: a clamped id would merge fold's
+// calls into pipelined's cell, and the JSON validator must know its name.
+TEST(MetricsCells, FoldAllreduceGetsItsOwnAlgorithmCell) {
+  const int fold_id = 1 + static_cast<int>(Algorithm::fold);
+  EXPECT_STREQ(ym::alg_slot_name(fold_id), "fold");
+  auto team = make_team(Backend::threads, 4, 2, ym::Mode::on);
+  CollOpts fold;
+  fold.algorithm = Algorithm::fold;
+  team->run([&](rt::RankCtx& ctx) {
+    double in = 1, out = 0;
+    allreduce(ctx, &in, &out, 1, Datatype::f64, ReduceOp::sum, fold);
+    broadcast(ctx, &out, 1, Datatype::f64, 0);
+  });
+  const ym::Snapshot s = ym::Snapshot::capture(*team->metrics_buffer());
+  for (const auto& r : s.ranks) {
+    ASSERT_EQ(r.cells.size(), 2u) << "rank " << r.rank;
+    for (const auto& c : r.cells)
+      EXPECT_EQ(c.alg, c.coll == 1 ? fold_id
+                                   : 1 + static_cast<int>(Algorithm::pipelined))
+          << "rank " << r.rank << " coll " << c.coll;
+  }
+  std::string err;
+  EXPECT_TRUE(ym::validate_metrics_json(s.to_json(), &err)) << err;
+  EXPECT_EQ(ym::Snapshot::from_json(s.to_json()).to_json().dump(),
+            s.to_json().dump());
+}
+
 // ---- straggler detection ----------------------------------------------------
 
 TEST(MetricsStraggler, DetectorFlagsInjectedStall) {

@@ -248,6 +248,26 @@ TEST(McMutationTable, CoversEveryWeakPoint) {
   }
 }
 
+// The fold allreduce skips the trailing barrier only because its stage
+// alternates: with a single stage the next round's copy-in overlaps the
+// previous round's fold, and the checker must produce a counterexample
+// that replays deterministically.
+TEST(McFold, SingleStageFoldIsCaughtWithReplayableCounterexample) {
+  mc::clear_labels();
+  const mc::Result found = mc::explore(mc::fold_spec(2, 1), budget());
+  ASSERT_TRUE(found.caught()) << found.execs << " execs, complete="
+                              << found.complete;
+  const mc::Violation& v = found.violations.front();
+  ASSERT_FALSE(v.schedule.empty());
+  for (int round = 0; round < 2; ++round) {
+    const mc::Result rep =
+        mc::replay(mc::fold_spec(2, 1), v.schedule, budget());
+    ASSERT_TRUE(rep.caught()) << "replay round " << round << " was clean";
+    EXPECT_EQ(rep.violations.front().kind, v.kind);
+  }
+  mc::clear_labels();
+}
+
 // The counterexample replay with the flight recorder attached must not
 // perturb the schedule (same violation) and must emit the PR-5 flight JSON.
 TEST(McFlight, CounterexampleReplayYieldsFlightDump) {

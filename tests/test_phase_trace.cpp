@@ -77,6 +77,15 @@ TEST(PhaseTrace, CollIdNamesMirrorProfilerKinds) {
   }
 }
 
+TEST(PhaseTrace, AlgIdNamesMirrorAlgorithmNames) {
+  for (int a = 0; a <= static_cast<int>(Algorithm::fold); ++a) {
+    const auto alg = static_cast<Algorithm>(a);
+    EXPECT_STREQ(trace::alg_id_name(coll::detail::trace_alg_id(alg)),
+                 algorithm_name(alg));
+  }
+  EXPECT_STREQ(trace::alg_id_name(trace::kMaxAlgIds), "?");
+}
+
 TEST(PhaseTrace, OffModeAllocatesNoRingsAndKeepsCountersExact) {
   auto off = make_team(Backend::threads, 4, 2, trace::Mode::off);
   auto on = make_team(Backend::threads, 4, 2, trace::Mode::spans);

@@ -114,20 +114,59 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
                                           ReduceOp::sum, topo, opts);
           const auto p = plan::prior_plan(key, opts, topo, cache);
           EXPECT_EQ(p.algorithm,
-                    plan::choose_reduction_algorithm(topo, bytes, opts))
+                    plan::choose_reduction_algorithm(kind, topo, bytes, opts))
               << coll::coll_kind_name(kind) << " bytes=" << bytes
               << " threshold=" << threshold;
         }
       }
     }
   }
+  // The fold cut: allreduces up to fold_max_bytes(p) take the fold arm.
+  // The cut is a power of two, so the prior must match the static rule at
+  // the cap and one byte past it for every team size, under every
+  // threshold (including ones below the cap).
+  for (const int ranks : {2, 3, 4, 5, 8}) {
+    const rt::Topology shape(ranks, ranks >= 4 ? 2 : 1);
+    const std::size_t cap = coll::fold_max_bytes(ranks);
+    for (const std::size_t threshold :
+         {std::size_t{256} << 10, cap, cap - 100, cap + 1}) {
+      CollOpts opts;
+      opts.small_msg_threshold = threshold;
+      for (const auto kind :
+           {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter})
+        for (const std::size_t bytes : {cap - 1, cap, cap + 1}) {
+          const auto key = plan::make_key(kind, bytes, Datatype::f32,
+                                          ReduceOp::sum, shape, opts);
+          EXPECT_EQ(plan::prior_plan(key, opts, shape, cache).algorithm,
+                    plan::choose_reduction_algorithm(kind, shape, bytes, opts))
+              << coll::coll_kind_name(kind) << " p=" << ranks
+              << " bytes=" << bytes << " threshold=" << threshold;
+        }
+    }
+    const CollOpts opts;
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, shape,
+                                               cap, opts),
+              Algorithm::fold)
+        << "p=" << ranks;
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, shape,
+                                               cap + 1, opts),
+              Algorithm::dpml_two_level)
+        << "p=" << ranks;
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, shape, cap,
+                                               opts),
+              Algorithm::dpml_two_level)
+        << "p=" << ranks;
+  }
+
   // Single-socket and ragged topologies fall back to flat MA above the
   // threshold.
   const rt::Topology flat(6, 1), ragged(7, 2);
   CollOpts opts;
-  EXPECT_EQ(plan::choose_reduction_algorithm(flat, 1u << 20, opts),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, flat,
+                                             1u << 20, opts),
             Algorithm::ma_flat);
-  EXPECT_EQ(plan::choose_reduction_algorithm(ragged, 1u << 20, opts),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, ragged,
+                                             1u << 20, opts),
             Algorithm::ma_flat);
 }
 
@@ -225,6 +264,11 @@ TEST(PlanCache, QueryServesPriorUntilACommitExists) {
                                  Datatype::f64, ReduceOp::sum, opts);
   EXPECT_EQ(small.algorithm, Algorithm::dpml_two_level);
   EXPECT_EQ(small.source, plan::PlanSource::prior);
+  // 2 KB is fold_max_bytes(8): the fold arm's bucket.
+  EXPECT_EQ(plan::query(team, CollKind::allreduce, 2u << 10, Datatype::f64,
+                        ReduceOp::sum, opts)
+                .algorithm,
+            Algorithm::fold);
   const auto large = plan::query(team, CollKind::allreduce, 4u << 20,
                                  Datatype::f64, ReduceOp::sum, opts);
   EXPECT_EQ(large.algorithm, Algorithm::ma_socket_aware);
@@ -348,16 +392,50 @@ TEST(PlanBypass, ExplicitAlgorithmsBypassTheTunerAndAreHonored) {
     coll::allreduce(ctx, &in, &out, 1, Datatype::f64, ReduceOp::sum, opts);
   }),
                Error);
+
+  // The fold arm serves allreduce only, and only up to its stage slot.
+  for (const std::size_t bytes :
+       {coll::fold_max_bytes(2), coll::fold_max_bytes(2) + 8}) {
+    const bool fits = bytes <= coll::fold_max_bytes(2);
+    bool threw = false;
+    try {
+      single.run([&](rt::RankCtx& ctx) {
+        std::vector<double> in(bytes / 8, 1.0), out(bytes / 8);
+        CollOpts opts;
+        opts.algorithm = Algorithm::fold;
+        coll::allreduce(ctx, in.data(), out.data(), in.size(), Datatype::f64,
+                        ReduceOp::sum, opts);
+        for (double v : out)
+          if (v != 2.0) throw Error("fold allreduce computed a wrong sum");
+      });
+    } catch (const Error&) {
+      threw = true;
+    }
+    EXPECT_EQ(threw, !fits) << bytes << " bytes";
+  }
+  EXPECT_THROW(single.run([&](rt::RankCtx& ctx) {
+    double in = 1, out = 0;
+    CollOpts opts;
+    opts.algorithm = Algorithm::fold;
+    coll::reduce(ctx, &in, &out, 1, Datatype::f64, ReduceOp::sum, 0, opts);
+  }),
+               Error);
 }
 
 // ---- persistence -------------------------------------------------------------
 
 namespace {
 
-/// A minimal bench report with two arms per size for allreduce: flat MA
-/// "wins" on the large size, dpml on the small one.
-bench::Json fake_bench_report(int ranks, int sockets,
-                              const copy::CacheConfig& cache) {
+struct FakeCell {
+  const char* alg;
+  std::size_t bytes;
+  double median;
+};
+
+/// A minimal bench report: one allreduce series per cell.
+bench::Json bench_report(int ranks, int sockets,
+                         const copy::CacheConfig& cache,
+                         const std::vector<FakeCell>& cells) {
   bench::Json doc = bench::Json::object();
   doc.set("schema", "yhccl-bench/1");
   bench::Json machine = bench::Json::object();
@@ -379,13 +457,22 @@ bench::Json fake_bench_report(int ranks, int sockets,
     s.set("time", t);
     series.push_back(s);
   };
-  cell("flat-MA", 4u << 20, 1e-3);    // beats the socket-aware prior
-  cell("socket-MA", 4u << 20, 2e-3);
-  cell("dpml-2l", 4u << 10, 1e-5);
-  cell("flat-MA", 4u << 10, 9e-5);
-  cell("mpi-baseline", 4u << 20, 1e-9);  // unknown arm: must be skipped
+  for (const auto& c : cells) cell(c.alg, c.bytes, c.median);
   doc.set("series", series);
   return doc;
+}
+
+/// Two arms per size for allreduce: flat MA "wins" on the large size, dpml
+/// on the small one.
+bench::Json fake_bench_report(int ranks, int sockets,
+                              const copy::CacheConfig& cache) {
+  return bench_report(ranks, sockets, cache,
+                      {{"flat-MA", 4u << 20, 1e-3},  // beats socket-aware
+                       {"socket-MA", 4u << 20, 2e-3},
+                       {"dpml-2l", 4u << 10, 1e-5},
+                       {"flat-MA", 4u << 10, 9e-5},
+                       // unknown arm: must be skipped
+                       {"mpi-baseline", 4u << 20, 1e-9}});
 }
 
 }  // namespace
@@ -428,6 +515,47 @@ TEST(PlanPersistence, WarmFromBenchThenLoadOverridesThePrior) {
     words[ctx.rank()] = plan::last_plan_word();
   });
   EXPECT_EQ(plan::Plan::unpack(words[0]).algorithm, Algorithm::ma_flat);
+}
+
+TEST(PlanPersistence, FoldPlansLandOnlyWhereTheStageFits) {
+  const int p = 8, m = 2;  // fold_max_bytes(8) = 2 KB
+  rt::ThreadTeam team(tuned_cfg(p, m, rt::TuneMode::prior));
+  // The bench data "prefers" fold on both sizes; past the cut it cannot run.
+  const auto plans = plan::warm_from_bench(
+      bench_report(p, m, team.config().cache,
+                   {{"fold", 1u << 10, 1e-6},
+                    {"dpml-2l", 1u << 10, 2e-6},
+                    {"fold", 4u << 10, 1e-7},
+                    {"dpml-2l", 4u << 10, 1e-5}}));
+  plan::validate_plan_json(plans);
+  ASSERT_EQ(plan::load_plans(team, plans), 2);
+  const auto at = [&](std::size_t bytes) {
+    return plan::query(team, CollKind::allreduce, bytes, Datatype::f64,
+                       ReduceOp::sum);
+  };
+  EXPECT_EQ(at(1u << 10).algorithm, Algorithm::fold);
+  EXPECT_EQ(at(1u << 10).source, plan::PlanSource::bench);
+  EXPECT_EQ(at(4u << 10).algorithm, Algorithm::dpml_two_level);
+
+  // A hand-edited file naming fold past the cut loads nothing for that
+  // entry, and fold on a non-allreduce fails validation outright.
+  bench::Json doc = plan::save_plans(team);
+  bench::Json edited = bench::Json::array();
+  for (const auto& e : doc["plans"].items()) {
+    bench::Json f = e;
+    f.set("algorithm", "fold");
+    edited.push_back(f);
+  }
+  doc.set("plans", edited);
+  rt::ThreadTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
+  EXPECT_EQ(plan::load_plans(fresh, doc), 1);
+  bench::Json bad = doc;
+  bench::Json entry = doc["plans"].items().front();
+  entry.set("collective", "reduce");
+  bench::Json arr = bench::Json::array();
+  arr.push_back(entry);
+  bad.set("plans", arr);
+  EXPECT_THROW(plan::validate_plan_json(bad), Error);
 }
 
 TEST(PlanPersistence, SaveLoadSaveIsAFixpointWithIdenticalDecisions) {

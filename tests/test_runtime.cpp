@@ -3,11 +3,14 @@
 // transfers, the remote-buffer registry, and the fork()-backed team.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "yhccl/copy/kernels.hpp"
@@ -289,6 +292,49 @@ TEST(ProcessTeam, BarrierAndPt2PtAcrossProcesses) {
     ctx.barrier();
   });
   EXPECT_EQ(sink[12345], 42);
+}
+
+// Regression: a line buffered on a piped stream before run() used to be
+// written once by the parent and once more by every forked rank.
+TEST(ProcessTeam, OutputBufferedBeforeRunIsWrittenOnce) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  std::fflush(nullptr);  // the probe child must not inherit our buffers
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(fds[0]);
+    FILE* out = fdopen(fds[1], "w");  // a pipe: fully buffered
+    std::fputs("before-run marker\n", out);
+    rt::TeamConfig cfg;
+    cfg.nranks = 4;
+    cfg.scratch_bytes = 1 << 20;
+    cfg.shared_heap_bytes = 1 << 20;
+    int code = 0;
+    try {
+      ProcessTeam team(cfg);
+      team.run([](RankCtx&) {});
+    } catch (...) {
+      code = 1;
+    }
+    std::fclose(out);
+    _exit(code);
+  }
+  close(fds[1]);
+  std::string got;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = read(fds[0], buf, sizeof buf)) > 0)
+    got.append(buf, static_cast<std::size_t>(n));
+  close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  std::size_t lines = 0;
+  for (std::size_t at = 0;
+       (at = got.find("before-run marker", at)) != std::string::npos; ++at)
+    ++lines;
+  EXPECT_EQ(lines, 1u) << got;
 }
 
 TEST(ProcessTeam, FailedRankSurfacesAsError) {
