@@ -1,12 +1,12 @@
 // Ablation (ours): the plan-caching auto-tuner (docs/tuning.md).
 //
-// Phase 1 measures the explicit all-reduce engines on a tuner-off team —
-// exactly the offline campaign a user would feed to `plan_check warm`.
-// The session report is converted in-process with plan::warm_from_bench
-// and loaded into a prior-mode team, then phase 2 runs the automatic
-// switch on both teams over the same sizes:
+// Phase 1 measures the explicit all-reduce engines (which bypass the plan
+// cache) — exactly the offline campaign a user would feed to
+// `plan_check warm`.  The session report is converted in-process with
+// plan::warm_from_bench and loaded into one of two prior-mode teams, then
+// phase 2 runs the automatic switch on both teams over the same sizes:
 //
-//   switch-static — tuner off, the paper's §5.1 rules
+//   switch-static — un-warmed prior: the paper's §5.1 rules, byte for byte
 //   switch-tuned  — plan cache warmed from the phase-1 measurements
 //
 // `bench_compare tuned` pairs the two series per size cell and fails when
@@ -21,20 +21,21 @@ using namespace yhccl::bench;
 
 namespace {
 
-rt::ThreadTeam& tuner_team(rt::TuneMode mode) {
-  static std::map<int, std::unique_ptr<rt::ThreadTeam>> cache;
-  const int key = static_cast<int>(mode);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
+/// Both teams run in prior mode; `warmed` picks the one the phase-1 plans
+/// are loaded into, so the other keeps serving the analytic prior.
+rt::ThreadTeam& tuner_team(bool warmed) {
+  static std::unique_ptr<rt::ThreadTeam> cache[2];
+  auto& team = cache[warmed ? 1 : 0];
+  if (!team) {
     rt::TeamConfig cfg;
     cfg.nranks = bench_ranks();
     cfg.nsockets = bench_sockets();
     cfg.scratch_bytes = 96u << 20;
     cfg.shared_heap_bytes = 1u << 20;
-    cfg.tune = mode;
-    it = cache.emplace(key, std::make_unique<rt::ThreadTeam>(cfg)).first;
+    cfg.tune = rt::TuneMode::prior;
+    team = std::make_unique<rt::ThreadTeam>(cfg);
   }
-  return *it->second;
+  return *team;
 }
 
 CollArm allreduce_arm(coll::Algorithm a) {
@@ -50,8 +51,8 @@ CollArm allreduce_arm(coll::Algorithm a) {
 
 int main() {
   const int p = bench_ranks(), m = bench_sockets();
-  auto& team_static = tuner_team(rt::TuneMode::off);
-  auto& team_tuned = tuner_team(rt::TuneMode::prior);
+  auto& team_static = tuner_team(/*warmed=*/false);
+  auto& team_tuned = tuner_team(/*warmed=*/true);
   const auto sizes = default_sizes(4u << 10, 16u << 20);
   const std::size_t hi = sizes.back();
 

@@ -114,12 +114,6 @@ void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
 void allgather(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, const CollOpts& opts = {});
 
-/// The switching rule itself (exposed for tests/benches): `msg_bytes` is
-/// the §5.1 message size of a `kind` call (total input for reduce_scatter).
-Algorithm choose_reduction_algorithm(const RankCtx& ctx, CollKind kind,
-                                     std::size_t msg_bytes,
-                                     const CollOpts& opts);
-
 // ---- explicit algorithm arms (benchmarks compare these directly) ----------
 
 void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,

@@ -128,9 +128,17 @@ struct Plan {
 
 // ---- analytic prior ---------------------------------------------------------
 
-/// Pure §5.1 switching rule over a topology (no RankCtx needed, so the
+/// True for the collectives the §5.1 rule switches (allreduce, reduce,
+/// reduce_scatter); broadcast and allgather always run the pipeline.
+constexpr bool is_reduction(CollKind k) noexcept {
+  return k == CollKind::allreduce || k == CollKind::reduce ||
+         k == CollKind::reduce_scatter;
+}
+
+/// The §5.1 switching rule over a topology (no RankCtx needed, so the
 /// prior is computable parent-side and in offline tools).  Allreduces of
-/// at most fold_max_bytes(p) take the one-barrier fold arm.
+/// at most fold_max_bytes(p) take the one-barrier fold arm; an explicit
+/// opts.algorithm is returned as is.
 Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts) noexcept;
@@ -172,6 +180,9 @@ Plan arm_plan(int arm, const PlanKey& key, const CollOpts& opts,
 ///   ... dispatch on tc.plan().algorithm with tc.opts() ...
 ///   tc.finish(ctx);   // success path only: never from unwinding
 ///
+/// An explicit opts.algorithm or an empty payload never touches the
+/// registry: the plan then carries the caller's arm (pipelined for
+/// broadcast/allgather) and opts() the caller's options verbatim.
 /// finish() is deliberately not run by the destructor: it arrives at a
 /// barrier, which must not happen while peers are aborting.
 class TunedCall {
@@ -182,9 +193,6 @@ class TunedCall {
   /// Caller options with the plan folded in (slice/policy overrides).
   const CollOpts& opts() const noexcept { return opts_; }
   const Plan& plan() const noexcept { return plan_; }
-  /// False when the tuner is bypassed (mode off, explicit algorithm,
-  /// empty payload): the caller should run the legacy static path.
-  bool active() const noexcept { return active_; }
 
   void finish(rt::RankCtx& ctx);
 
@@ -196,9 +204,8 @@ class TunedCall {
   rt::PlanSlot* slot_ = nullptr;
   double t0_ = 0;
   int narms_ = 1;
-  bool active_ = false;
   bool online_ = false;
-  bool finished_ = true;
+  bool finished_ = true;  ///< also set for calls that bypass the registry
   bool degraded_ = false;     ///< retry engine pinned the conservative lane
   bool quarantined_ = false;  ///< this key is pinned out of rotation
 };

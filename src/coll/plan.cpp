@@ -11,11 +11,6 @@ namespace yhccl::coll::plan {
 
 namespace {
 
-bool is_reduction(CollKind k) noexcept {
-  return k == CollKind::allreduce || k == CollKind::reduce ||
-         k == CollKind::reduce_scatter;
-}
-
 bool socket_topology(const rt::Topology& topo) noexcept {
   return topo.nsockets() > 1 && topo.nranks() % topo.nsockets() == 0;
 }
@@ -239,7 +234,7 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
   p.algorithm = is_reduction(key.kind)
                     ? choose_reduction_algorithm(key.kind, topo, rep, opts)
                     : Algorithm::pipelined;
-  p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 — the legacy behavior
+  p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 (§4.2)
   p.nt_prior = prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,
                         opts.slice_max);
   p.source = PlanSource::prior;

@@ -24,10 +24,16 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
                      Datatype d, ReduceOp op, const CollOpts& opts)
     : opts_(opts), base_opts_(opts) {
   rt::Team& team = ctx.team();
+  if (msg_bytes == 0 || opts.algorithm != Algorithm::automatic) {
+    // Bypass: the caller's arm (the §5.1 rule for an empty automatic
+    // reduction) with the caller's options, and no registry access.
+    plan_.algorithm =
+        is_reduction(kind)
+            ? choose_reduction_algorithm(kind, team.topo(), msg_bytes, opts)
+            : Algorithm::pipelined;
+    return;
+  }
   auto* reg = team.plan_registry();
-  if (reg == nullptr || msg_bytes == 0 ||
-      opts.algorithm != Algorithm::automatic)
-    return;  // bypass: the caller runs the legacy static path
 
   // One-time $YHCCL_PLAN_FILE handshake; a warm registry costs one load.
   warm_now(team);
@@ -109,7 +115,6 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
 
   plan_.apply(opts_);
   slot_ = slot;
-  active_ = true;
   finished_ = false;
   if (online_) t0_ = wall_seconds();
   tl_last_plan = plan_.pack();
@@ -123,7 +128,7 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
 }
 
 void TunedCall::finish(rt::RankCtx& ctx) {
-  if (!active_ || finished_) return;
+  if (finished_) return;
   finished_ = true;
   // Success path: clear the in-flight attribution the retry engine would
   // have charged this key with had the collective aborted.
@@ -171,24 +176,21 @@ void TunedCall::finish(rt::RankCtx& ctx) {
 Plan query(const rt::Team& team, CollKind kind, std::size_t msg_bytes,
            Datatype d, ReduceOp op, const CollOpts& opts) {
   const PlanKey key = make_key(kind, msg_bytes, d, op, team.topo(), opts);
-  if (const auto* reg = team.plan_registry()) {
-    const auto* slot =
-        reg->find(key.hash(team.plan_signature(), opts_signature(opts)));
-    if (slot != nullptr) {
-      const std::uint64_t w = slot->plan.load(std::memory_order_acquire);
-      if (!rt::plan_word_sane(w))
-        rt::fault_raise_corruption("plan cache: stored plan word failed "
-                                   "structural validation");
-      if (w != 0 && !rt::PlanRegistry::quarantined(*slot, team.team_epoch()))
-        return Plan::unpack(w);
-    }
+  const auto* slot = team.plan_registry()->find(
+      key.hash(team.plan_signature(), opts_signature(opts)));
+  if (slot != nullptr) {
+    const std::uint64_t w = slot->plan.load(std::memory_order_acquire);
+    if (!rt::plan_word_sane(w))
+      rt::fault_raise_corruption("plan cache: stored plan word failed "
+                                 "structural validation");
+    if (w != 0 && !rt::PlanRegistry::quarantined(*slot, team.team_epoch()))
+      return Plan::unpack(w);
   }
   return prior_plan(key, opts, team.topo(), team.config().cache);
 }
 
 rt::PlanRegistryStats tune_stats(const rt::Team& team) {
-  const auto* reg = team.plan_registry();
-  return reg != nullptr ? reg->stats() : rt::PlanRegistryStats{};
+  return team.plan_registry()->stats();
 }
 
 }  // namespace yhccl::coll::plan

@@ -42,11 +42,6 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-bool is_reduction(CollKind k) noexcept {
-  return k == CollKind::allreduce || k == CollKind::reduce ||
-         k == CollKind::reduce_scatter;
-}
-
 bool kind_from_name(const std::string& s, CollKind* out) {
   for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k)
     if (s == coll_kind_name(static_cast<CollKind>(k))) {
@@ -248,21 +243,20 @@ Json save_plans(const rt::Team& team) {
 
   Json arr = Json::array();
   const std::uint64_t dsig = opts_signature(CollOpts{});
-  if (const auto* reg = team.plan_registry()) {
-    for (std::uint32_t i = 0; i < reg->capacity(); ++i) {
-      const auto& s = reg->slot(i);
-      const std::uint64_t h = s.hash.load(std::memory_order_acquire);
-      if (h == 0) continue;
-      const std::uint64_t w = s.plan.load(std::memory_order_acquire);
-      if ((w >> 63) == 0) continue;  // nothing committed: prior-only slot
-      const PlanKey key = PlanKey::from_fields(
-          s.fields.load(std::memory_order_acquire));
-      // Only default-option plans for this team's shape are portable;
-      // recomputing the hash filters everything else (and stale slots
-      // from a pre-recovery membership) in one comparison.
-      if (key.hash(team.plan_signature(), dsig) != h) continue;
-      arr.push_back(entry_to_json(team.plan_signature(), key, Plan::unpack(w)));
-    }
+  const auto* reg = team.plan_registry();
+  for (std::uint32_t i = 0; i < reg->capacity(); ++i) {
+    const auto& s = reg->slot(i);
+    const std::uint64_t h = s.hash.load(std::memory_order_acquire);
+    if (h == 0) continue;
+    const std::uint64_t w = s.plan.load(std::memory_order_acquire);
+    if ((w >> 63) == 0) continue;  // nothing committed: prior-only slot
+    const PlanKey key = PlanKey::from_fields(
+        s.fields.load(std::memory_order_acquire));
+    // Only default-option plans for this team's shape are portable;
+    // recomputing the hash filters everything else (and stale slots
+    // from a pre-recovery membership) in one comparison.
+    if (key.hash(team.plan_signature(), dsig) != h) continue;
+    arr.push_back(entry_to_json(team.plan_signature(), key, Plan::unpack(w)));
   }
   doc.set("plans", std::move(arr));
   return doc;
@@ -279,8 +273,6 @@ void save_plans_file(const rt::Team& team, const std::string& path) {
 int load_plans(rt::Team& team, const Json& doc) {
   validate_plan_json(doc);
   auto* reg = team.plan_registry();
-  YHCCL_REQUIRE(reg != nullptr,
-                "plan load: the tuner is off (YHCCL_TUNE=off)");
   const auto& topo = team.topo();
   const std::string mysig = hex64(team.plan_signature());
   const std::uint64_t dsig = opts_signature(CollOpts{});
@@ -327,9 +319,7 @@ int load_plans_file(rt::Team& team, const std::string& path) {
 }
 
 void warm_now(rt::Team& team) {
-  auto* reg = team.plan_registry();
-  if (reg == nullptr) return;
-  auto& w = reg->warm_word();
+  auto& w = team.plan_registry()->warm_word();
   if (w.load(std::memory_order_acquire) == 2) return;
   std::uint32_t expect = 0;
   if (w.compare_exchange_strong(expect, 1, std::memory_order_acq_rel)) {
@@ -435,7 +425,6 @@ Json warm_from_bench(const Json& report) {
 
 void note_profile(rt::Team& team, const CollProfiler& prof) {
   auto* reg = team.plan_registry();
-  if (reg == nullptr) return;
   for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k) {
     const auto& r = prof.get(static_cast<CollKind>(k));
     if (r.calls == 0 || r.seconds <= 0) continue;

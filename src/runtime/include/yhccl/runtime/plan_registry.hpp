@@ -29,14 +29,12 @@ namespace yhccl::rt {
 /// Auto-tuner activation (TeamConfig::tune; docs/tuning.md).
 enum class TuneMode : std::uint8_t {
   env,     ///< defer to $YHCCL_TUNE at construction (default: prior)
-  off,     ///< legacy static switching; no registry is allocated
   prior,   ///< serve cached plans (analytic prior + warmed files), no updates
   online,  ///< prior + epsilon-greedy exploration and rank-0 refinement
 };
 
-/// Resolve `env` against $YHCCL_TUNE (off|prior|online; unset -> prior).
+/// Resolve `env` against $YHCCL_TUNE (prior|online; unset -> prior).
 TuneMode resolve_tune_mode(TuneMode cfg);
-const char* tune_mode_name(TuneMode m) noexcept;
 
 /// Exploration rate for TuneMode::online, per mille.  $YHCCL_TUNE_EPS is a
 /// probability in [0, 1]; unset -> 0.1.

@@ -261,9 +261,9 @@ class Team {
   trace::Mode trace_mode() const noexcept { return trace_mode_; }
 
   // ---- auto-tuner plan cache (YHCCL_TUNE, docs/tuning.md) ------------------
-  /// Non-null when the tuner is active (mode prior or online).  Lives in
-  /// the shared mapping: every rank of both backends sees the same table,
-  /// and cached plans survive across run() calls.
+  /// Never null: every team maps the plan table.  Lives in the shared
+  /// mapping: every rank of both backends sees the same table, and cached
+  /// plans survive across run() calls.
   PlanRegistry* plan_registry() noexcept { return plans_; }
   const PlanRegistry* plan_registry() const noexcept { return plans_; }
   TuneMode tune_mode() const noexcept { return tune_mode_; }
@@ -341,7 +341,7 @@ class Team {
   trace::TraceBuffer* trace_ = nullptr;
   trace::Mode trace_mode_ = trace::Mode::off;
   PlanRegistry* plans_ = nullptr;
-  TuneMode tune_mode_ = TuneMode::off;
+  TuneMode tune_mode_ = TuneMode::prior;
   std::uint64_t plan_sig_ = 0;
   bool flight_dumped_ = false;  ///< one flight dump per fault, not per retry
   metrics::MetricsBuffer* metrics_ = nullptr;

@@ -14,21 +14,10 @@ TuneMode resolve_tune_mode(TuneMode cfg) {
   if (cfg != TuneMode::env) return cfg;
   const char* e = std::getenv("YHCCL_TUNE");
   if (e == nullptr || *e == '\0') return TuneMode::prior;
-  if (std::strcmp(e, "off") == 0) return TuneMode::off;
   if (std::strcmp(e, "prior") == 0) return TuneMode::prior;
   if (std::strcmp(e, "online") == 0) return TuneMode::online;
   raise(std::string("YHCCL_TUNE: unknown mode '") + e +
-        "' (off|prior|online)");
-}
-
-const char* tune_mode_name(TuneMode m) noexcept {
-  switch (m) {
-    case TuneMode::env: return "env";
-    case TuneMode::off: return "off";
-    case TuneMode::prior: return "prior";
-    case TuneMode::online: return "online";
-  }
-  return "?";
+        "' (prior|online)");
 }
 
 std::uint32_t tune_eps_mille_from_env() {

@@ -131,9 +131,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
   // backends resolves collectives to the same cached plan (docs/tuning.md).
   tune_mode_ = resolve_tune_mode(cfg_.tune);
   plan_sig_ = rt::plan_signature(topo_, cfg_.cache);
-  const std::size_t plan_bytes =
-      tune_mode_ == TuneMode::off ? 0
-                                  : PlanRegistry::required_bytes(kPlanSlots);
+  const std::size_t plan_bytes = PlanRegistry::required_bytes(kPlanSlots);
 
   // Always-on metrics registry: per-rank counter/histogram slots in the
   // shared mapping, live-readable by the serve-mode sampler and yhccl_top
@@ -186,9 +184,8 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
     trace_ = trace::TraceBuffer::create(region_.data() + off_trace_,
                                         trace_bytes, cfg_.nranks, trace_slots,
                                         trace_mode_);
-  if (plan_bytes != 0)
-    plans_ = PlanRegistry::create(region_.data() + off_plans_, plan_bytes,
-                                  kPlanSlots, tune_eps_mille_from_env());
+  plans_ = PlanRegistry::create(region_.data() + off_plans_, plan_bytes,
+                                kPlanSlots, tune_eps_mille_from_env());
   if (metrics_bytes != 0) {
     metrics_ = metrics::MetricsBuffer::create(region_.data() + off_metrics_,
                                               metrics_bytes, cfg_.nranks,
@@ -209,8 +206,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
         CorruptTarget{name, static_cast<unsigned char*>(base), bytes};
   };
   add_target("arena", shared_->sections, sizeof(shared_->sections));
-  if (plans_ != nullptr)
-    add_target("plans", &plans_->slot(0).plan, sizeof(std::uint64_t));
+  add_target("plans", &plans_->slot(0).plan, sizeof(std::uint64_t));
   add_target("fifo", &channel(0, cfg_.nranks > 1 ? 1 : 0).head,
              sizeof(std::uint64_t));
 
@@ -336,7 +332,7 @@ void Team::run(const std::function<void(RankCtx&)>& fn) {
     try {
       run_once(fn);
       if (attempt > 0) ++rstats_.heals;
-      if (plans_ != nullptr) fail_streak_ = 0;
+      fail_streak_ = 0;
       degraded_ = false;
       return;
     } catch (const Error& e) {
@@ -344,8 +340,7 @@ void Team::run(const std::function<void(RankCtx&)>& fn) {
       // (kind none) means a bug, not a fault — hand it straight back.
       if (e.fault_kind() == FaultKind::none) throw;
       ++rstats_.faults;
-      const std::uint64_t bad_plan =
-          plans_ != nullptr ? plans_->inflight() : 0;
+      const std::uint64_t bad_plan = plans_->inflight();
       if (attempt >= resilience_.max_retries) {
         ++rstats_.giveups;
         throw;
@@ -557,7 +552,7 @@ void Team::stamp_sections() {
 }
 
 void Team::note_failed_plan(std::uint64_t hash) {
-  if (plans_ == nullptr || hash == 0) {
+  if (hash == 0) {
     fail_streak_ = 0;
     return;
   }
@@ -609,18 +604,16 @@ void Team::metrics_fold_team() {
   st(tg.rs_corruptions, rstats_.corruptions);
   st(tg.rs_giveups, rstats_.giveups);
   st(tg.rs_heals, rstats_.heals);
-  if (plans_ != nullptr) {
-    const PlanRegistryStats ps = plans_->stats();
-    st(tg.plan_lookups, ps.lookups);
-    st(tg.plan_hits, ps.hits);
-    st(tg.plan_misses, ps.misses);
-    st(tg.plan_inserts, ps.inserts);
-    st(tg.plan_explores, ps.explores);
-    st(tg.plan_commits, ps.commits);
-    st(tg.plan_loaded, ps.loaded);
-    st(tg.plan_entries, ps.entries);
-    st(tg.plan_quarantines, ps.quarantines);
-  }
+  const PlanRegistryStats ps = plans_->stats();
+  st(tg.plan_lookups, ps.lookups);
+  st(tg.plan_hits, ps.hits);
+  st(tg.plan_misses, ps.misses);
+  st(tg.plan_inserts, ps.inserts);
+  st(tg.plan_explores, ps.explores);
+  st(tg.plan_commits, ps.commits);
+  st(tg.plan_loaded, ps.loaded);
+  st(tg.plan_entries, ps.entries);
+  st(tg.plan_quarantines, ps.quarantines);
 }
 
 metrics::StragglerReport Team::straggler_check() {
@@ -644,7 +637,7 @@ metrics::StragglerReport Team::straggler_check() {
     metrics::bump(metrics_->team().straggler_flags);
     control_instant(trace::Phase::straggler, static_cast<std::uint64_t>(r));
   }
-  if (!fresh.empty() && plans_ != nullptr) {
+  if (!fresh.empty()) {
     // A flagged straggler means the team is wait-bound right now: feed a
     // saturated wait fraction into the tuner's per-class profile for every
     // collective kind this team actually ran (note_profile's channel).
@@ -739,45 +732,43 @@ Team::IntegrityReport Team::verify_integrity(bool repair) {
   }
 
   // --- plan slots -----------------------------------------------------------
-  if (plans_ != nullptr) {
-    for (std::uint32_t i = 0; i < plans_->capacity(); ++i) {
-      PlanSlot& s = plans_->slot(i);
-      ++rep.plan_slots_checked;
-      const std::uint64_t h = s.hash.load(std::memory_order_acquire);
-      const std::uint64_t f = s.fields.load(std::memory_order_relaxed);
-      const std::uint64_t w = s.plan.load(std::memory_order_relaxed);
-      const std::string who = "plan slot " + std::to_string(i);
-      bool bad = false;
-      if (h == 0) {
-        if (f != 0 || w != 0) {
-          note(who + ": residue in an empty slot");
-          bad = true;
-        }
-      } else {
-        if (!plan_fields_sane(f)) {
-          note(who + ": reserved key-field bits set");
-          bad = true;
-        }
-        if (!plan_word_sane(w)) {
-          note(who + ": plan word failed structural validation");
-          bad = true;
-        }
+  for (std::uint32_t i = 0; i < plans_->capacity(); ++i) {
+    PlanSlot& s = plans_->slot(i);
+    ++rep.plan_slots_checked;
+    const std::uint64_t h = s.hash.load(std::memory_order_acquire);
+    const std::uint64_t f = s.fields.load(std::memory_order_relaxed);
+    const std::uint64_t w = s.plan.load(std::memory_order_relaxed);
+    const std::string who = "plan slot " + std::to_string(i);
+    bool bad = false;
+    if (h == 0) {
+      if (f != 0 || w != 0) {
+        note(who + ": residue in an empty slot");
+        bad = true;
       }
-      if (bad && repair) {
-        // Wipe the slot: readers fall back to the analytic prior, and the
-        // probe hole at worst hides later slots of the same window (they
-        // regenerate on the next resolve).
-        s.plan.store(0, std::memory_order_relaxed);
-        s.fields.store(0, std::memory_order_relaxed);
-        s.quar.store(0, std::memory_order_relaxed);
-        s.hits.store(0, std::memory_order_relaxed);
-        s.wait_ewma.store(0, std::memory_order_relaxed);
-        for (int a = 0; a < kPlanMaxArms; ++a) {
-          s.arm_ewma[a].store(0, std::memory_order_relaxed);
-          s.arm_n[a].store(0, std::memory_order_relaxed);
-        }
-        s.hash.store(0, std::memory_order_release);
+    } else {
+      if (!plan_fields_sane(f)) {
+        note(who + ": reserved key-field bits set");
+        bad = true;
       }
+      if (!plan_word_sane(w)) {
+        note(who + ": plan word failed structural validation");
+        bad = true;
+      }
+    }
+    if (bad && repair) {
+      // Wipe the slot: readers fall back to the analytic prior, and the
+      // probe hole at worst hides later slots of the same window (they
+      // regenerate on the next resolve).
+      s.plan.store(0, std::memory_order_relaxed);
+      s.fields.store(0, std::memory_order_relaxed);
+      s.quar.store(0, std::memory_order_relaxed);
+      s.hits.store(0, std::memory_order_relaxed);
+      s.wait_ewma.store(0, std::memory_order_relaxed);
+      for (int a = 0; a < kPlanMaxArms; ++a) {
+        s.arm_ewma[a].store(0, std::memory_order_relaxed);
+        s.arm_n[a].store(0, std::memory_order_relaxed);
+      }
+      s.hash.store(0, std::memory_order_release);
     }
   }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -290,36 +291,37 @@ TEST(CollEdge, BackToBackCollectivesReuseScratchSafely) {
 }
 
 TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
-  auto& team2 = cached_team(4, 2);
-  team2.run([&](RankCtx& ctx) {
-    CollOpts o;
-    if (choose_reduction_algorithm(ctx, CollKind::reduce, 1024, o) !=
-        Algorithm::dpml_two_level)
-      throw Error("small message should pick dpml_two_level");
-    // Allreduces up to the fold cut (4 KB at p = 4) take the fold arm.
-    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 1024, o) !=
-            Algorithm::fold ||
-        choose_reduction_algorithm(ctx, CollKind::allreduce, 4096, o) !=
-            Algorithm::fold)
-      throw Error("small allreduce should pick fold");
-    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 4097, o) !=
-        Algorithm::dpml_two_level)
-      throw Error("allreduce past the fold cut should pick dpml_two_level");
-    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 10u << 20, o) !=
-        Algorithm::ma_socket_aware)
-      throw Error("large message on 2 sockets should pick socket-MA");
-    o.algorithm = Algorithm::ma_flat;
-    if (choose_reduction_algorithm(ctx, CollKind::allreduce, 10, o) !=
-        Algorithm::ma_flat)
-      throw Error("forced algorithm must be honoured");
-  });
-  auto& team1 = cached_team(4, 1);
-  team1.run([&](RankCtx& ctx) {
-    CollOpts o;
-    if (choose_reduction_algorithm(ctx, CollKind::reduce_scatter, 10u << 20,
-                                   o) != Algorithm::ma_flat)
-      throw Error("single socket should pick flat MA");
-  });
+  const rt::Topology& two = cached_team(4, 2).topo();
+  CollOpts o;
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, two, 1024, o),
+            Algorithm::dpml_two_level)
+      << "small message should pick dpml_two_level";
+  // Allreduces up to the fold cut (4 KB at p = 4) take the fold arm.
+  EXPECT_EQ(
+      plan::choose_reduction_algorithm(CollKind::allreduce, two, 1024, o),
+      Algorithm::fold)
+      << "small allreduce should pick fold";
+  EXPECT_EQ(
+      plan::choose_reduction_algorithm(CollKind::allreduce, two, 4096, o),
+      Algorithm::fold)
+      << "small allreduce should pick fold";
+  EXPECT_EQ(
+      plan::choose_reduction_algorithm(CollKind::allreduce, two, 4097, o),
+      Algorithm::dpml_two_level)
+      << "allreduce past the fold cut should pick dpml_two_level";
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, two,
+                                             10u << 20, o),
+            Algorithm::ma_socket_aware)
+      << "large message on 2 sockets should pick socket-MA";
+  o.algorithm = Algorithm::ma_flat;
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, two, 10, o),
+            Algorithm::ma_flat)
+      << "forced algorithm must be honoured";
+  EXPECT_EQ(plan::choose_reduction_algorithm(
+                CollKind::reduce_scatter, cached_team(4, 1).topo(),
+                10u << 20, CollOpts{}),
+            Algorithm::ma_flat)
+      << "single socket should pick flat MA";
 }
 
 // The fold arm across every team shape, at its cut, a ragged size and a

@@ -250,11 +250,6 @@ TEST(PlanCache, HitMissAccountingAndCorrectResults) {
   // A different size class gets its own slot.
   run_logged_allreduce(team, 1, count * 64, words);
   EXPECT_EQ(plan::tune_stats(team).entries, 2u);
-
-  // Tuner off: no registry, stats all zero.
-  rt::ThreadTeam off(tuned_cfg(4, 2, rt::TuneMode::off));
-  EXPECT_EQ(off.plan_registry(), nullptr);
-  EXPECT_EQ(plan::tune_stats(off).lookups, 0u);
 }
 
 TEST(PlanCache, QueryServesPriorUntilACommitExists) {
@@ -275,6 +270,29 @@ TEST(PlanCache, QueryServesPriorUntilACommitExists) {
   const auto bcast = plan::query(team, CollKind::broadcast, 1u << 20,
                                  Datatype::f64, ReduceOp::sum, opts);
   EXPECT_EQ(bcast.algorithm, Algorithm::pipelined);
+}
+
+// ---- tuner modes -------------------------------------------------------------
+
+TEST(PlanModes, ResolveTuneModeAcceptsOnlyPriorAndOnline) {
+  EXPECT_EQ(rt::resolve_tune_mode(rt::TuneMode::online), rt::TuneMode::online);
+  EXPECT_EQ(rt::resolve_tune_mode(rt::TuneMode::prior), rt::TuneMode::prior);
+  for (const char* unset : {static_cast<const char*>(nullptr), ""}) {
+    EnvGuard g("YHCCL_TUNE", unset);
+    EXPECT_EQ(rt::resolve_tune_mode(rt::TuneMode::env), rt::TuneMode::prior);
+  }
+  {
+    EnvGuard g("YHCCL_TUNE", "prior");
+    EXPECT_EQ(rt::resolve_tune_mode(rt::TuneMode::env), rt::TuneMode::prior);
+  }
+  {
+    EnvGuard g("YHCCL_TUNE", "online");
+    EXPECT_EQ(rt::resolve_tune_mode(rt::TuneMode::env), rt::TuneMode::online);
+  }
+  for (const char* bad : {"off", "bogus"}) {
+    EnvGuard g("YHCCL_TUNE", bad);
+    EXPECT_THROW(rt::resolve_tune_mode(rt::TuneMode::env), Error) << bad;
+  }
 }
 
 // ---- cross-rank agreement ----------------------------------------------------
@@ -384,7 +402,7 @@ TEST(PlanBypass, ExplicitAlgorithmsBypassTheTunerAndAreHonored) {
   EXPECT_EQ(plan::tune_stats(team).lookups, 0u);
 
   // The pipeline arm is rejected by the reductions.
-  rt::ThreadTeam single(tuned_cfg(2, 1, rt::TuneMode::off));
+  rt::ThreadTeam single(tuned_cfg(2, 1, rt::TuneMode::prior));
   EXPECT_THROW(single.run([&](rt::RankCtx& ctx) {
     double in = 1, out = 0;
     CollOpts opts;
@@ -476,6 +494,32 @@ bench::Json fake_bench_report(int ranks, int sockets,
 }
 
 }  // namespace
+
+/// Every team maps the plan table, so a bench-warmed plan always has a
+/// registry to land in and is what query() serves afterwards.
+template <typename TeamT>
+static void default_team_loads_warmed_plans() {
+  const int p = 4, m = 2;
+  TeamT team(tuned_cfg(p, m, rt::TuneMode::env));  // the default mode
+  ASSERT_NE(team.plan_registry(), nullptr);
+  const auto plans = plan::warm_from_bench(bench_report(
+      p, m, team.config().cache,
+      {{"flat-MA", 4u << 20, 1e-3}, {"socket-MA", 4u << 20, 2e-3}}));
+  ASSERT_EQ(plan::load_plans(team, plans), 1);
+  EXPECT_EQ(plan::tune_stats(team).loaded, 1u);
+  const auto served = plan::query(team, CollKind::allreduce, 4u << 20,
+                                  Datatype::f64, ReduceOp::sum);
+  EXPECT_EQ(served.algorithm, Algorithm::ma_flat);
+  EXPECT_EQ(served.source, plan::PlanSource::bench);
+}
+
+TEST(PlanPersistence, DefaultTeamHasARegistryAndLoadsWarmedPlans_Threads) {
+  default_team_loads_warmed_plans<rt::ThreadTeam>();
+}
+
+TEST(PlanPersistence, DefaultTeamHasARegistryAndLoadsWarmedPlans_Processes) {
+  default_team_loads_warmed_plans<rt::ProcessTeam>();
+}
 
 TEST(PlanPersistence, WarmFromBenchThenLoadOverridesThePrior) {
   const int p = 8, m = 2;
