@@ -6,7 +6,8 @@
 // plan::warm_from_bench and loaded into one of two prior-mode teams, then
 // phase 2 runs the automatic switch on both teams over the same sizes:
 //
-//   switch-static — un-warmed prior: the paper's §5.1 rules, byte for byte
+//   switch-static — un-warmed prior: the paper's §5.1 rules with the fold
+//                   and (thread team) direct arms
 //   switch-tuned  — plan cache warmed from the phase-1 measurements
 //
 // `bench_compare tuned` pairs the two series per size cell and fails when
@@ -67,6 +68,7 @@ int main() {
       {"dpml-2l", coll::Algorithm::dpml_two_level},
       {"flat-MA", coll::Algorithm::ma_flat},
       {"socket-MA", coll::Algorithm::ma_socket_aware},
+      {"direct", coll::Algorithm::direct},
   };
   for (const auto& [name, alg] : engines)
     for (const std::size_t b : sizes)

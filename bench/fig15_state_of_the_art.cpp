@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 
 using namespace yhccl;
 using namespace yhccl::bench;
@@ -106,7 +107,17 @@ int main() {
   // ---- (c) all-reduce ----------------------------------------------------------
   {
     std::vector<std::pair<std::string, CollArm>> arms = {
+        // YHCCL is the paper's §5.1 rule, which a process team serves; a
+        // thread team's automatic call runs the single-copy direct arm,
+        // shown on its own.
         {"YHCCL",
+         [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
+           coll::CollOpts o;
+           o.algorithm = coll::plan::choose_reduction_algorithm(
+               coll::CollKind::allreduce, c.team().topo(), cnt(b) * 8, o);
+           coll::allreduce(c, s, r, cnt(b), Datatype::f64, ReduceOp::sum, o);
+         }},
+        {"YHCCL-direct",
          [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
            coll::allreduce(c, s, r, cnt(b), Datatype::f64, ReduceOp::sum);
          }},

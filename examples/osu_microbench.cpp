@@ -11,6 +11,7 @@
 //   -c          validate results against a reference reduction
 //   -a          auto | ma | socket-ma | dpml-2l   (reductions only)
 //               | fold   (allreduce up to fold_max_bytes(ranks) only)
+//               | direct (allreduce only; ranks are threads here)
 //
 // Prints the OSU columns: size, average latency (us), min/max across
 // repetitions.
@@ -64,6 +65,7 @@ Args parse(int argc, char** argv) {
       else if (v == "socket-ma") a.algo = coll::Algorithm::ma_socket_aware;
       else if (v == "dpml-2l") a.algo = coll::Algorithm::dpml_two_level;
       else if (v == "fold") a.algo = coll::Algorithm::fold;
+      else if (v == "direct") a.algo = coll::Algorithm::direct;
     }
   }
   return a;

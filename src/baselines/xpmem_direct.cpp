@@ -14,7 +14,8 @@
 //
 // Requires an address space shared with the peers: the thread backend (the
 // XPMEM analogue), since fork()ed siblings cannot dereference each other's
-// private pointers.
+// private pointers.  The allreduce is the library's own single-copy arm
+// (coll::Algorithm::direct) run with these baseline copy semantics.
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/copy/kernels.hpp"
@@ -92,32 +93,12 @@ void xpmem_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 
 void xpmem_allreduce(RankCtx& ctx, const void* send, void* recv,
                      std::size_t count, Datatype d, ReduceOp op) {
-  coll::detail::check_reduction_args(ctx, send, count, d, op);
-  if (count == 0) return;
-  const int p = ctx.nranks();
-  const std::size_t total = count * dtype_size(d);
-  auto* rb = static_cast<std::byte*>(recv);
-  if (p == 1) {
-    copy::t_copy(rb, send, total);
-    return;
-  }
-  const Blocks blk = partition(total, p);
-  ctx.publish_buffer(kSendSlot, send, total);
-  ctx.publish_buffer(kRecvSlot, recv, total);
-  ctx.barrier();
-  // Phase 1: each rank reduces its block straight into its receive buffer.
-  reduce_block_direct(ctx, blk, ctx.rank(), rb + blk.off(ctx.rank()), d, op);
-  ctx.barrier();
-  // Phase 2: gather the other blocks from the owners' receive buffers with
-  // memmove-style copies of s/p bytes each.
-  for (int b = 0; b < p; ++b) {
-    if (b == ctx.rank()) continue;
-    const std::size_t len = blk.len(b);
-    if (len > 0)
-      copy::memmove_model_copy(rb + blk.off(b),
-                               mapped(ctx, b, kRecvSlot) + blk.off(b), len);
-  }
-  ctx.barrier();
+  // The library's direct arm with the baseline's copy semantics:
+  // memmove-threshold gathers and a temporal reduce store.
+  coll::CollOpts opts;
+  opts.policy = copy::CopyPolicy::memmove_model;
+  coll::detail::direct_allreduce(ctx, send, recv, count, d, op, opts,
+                                 /*nt_reduce=*/false);
 }
 
 void xpmem_reduce(RankCtx& ctx, const void* send, void* recv,

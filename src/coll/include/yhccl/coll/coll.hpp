@@ -5,8 +5,10 @@
 // two-level DPML for small messages (the one-barrier fold for allreduces
 // small enough that p·s fits the team's 16 KB fold stage), socket-aware
 // movement-avoiding (MA) reduction otherwise, flat MA when the topology has
-// one socket.  Every slice copy goes through the adaptive non-temporal
-// policy (§4) unless the caller forces a policy arm for experiments.
+// one socket.  On teams whose ranks share an address space, allreduces
+// above the fold cut take the single-copy direct arm instead.  Every slice
+// copy goes through the adaptive non-temporal policy (§4) unless the
+// caller forces a policy arm for experiments.
 //
 // Buffer semantics follow MPI:
 //   reduce_scatter — `send` holds nranks*count elements; rank i receives
@@ -61,6 +63,7 @@ enum class Algorithm : int {
   dpml_two_level,   ///< hierarchical parallel reduction for small messages
   pipelined,        ///< sliced pipeline (broadcast/allgather only, §3.4)
   fold,             ///< one-barrier staged fold (small allreduce only)
+  direct,           ///< single-copy allreduce (shared address space only)
 };
 
 constexpr const char* algorithm_name(Algorithm a) noexcept {
@@ -71,6 +74,7 @@ constexpr const char* algorithm_name(Algorithm a) noexcept {
     case Algorithm::dpml_two_level: return "dpml-2l";
     case Algorithm::pipelined: return "pipelined";
     case Algorithm::fold: return "fold";
+    case Algorithm::direct: return "direct";
   }
   return "?";
 }
@@ -150,6 +154,14 @@ void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
 void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
                     std::size_t count, Datatype d, ReduceOp op,
                     const CollOpts& opts = {});
+
+/// Single-copy allreduce over peers' own buffers: rank r reduces block r
+/// of every send buffer, in rank order, into its recv, then copies the
+/// other blocks from their owners' recv buffers.  Three barriers, DAV
+/// s(3p-1).  Requires ctx.team().shares_address_space().
+void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
+                      std::size_t count, Datatype d, ReduceOp op,
+                      const CollOpts& opts = {});
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts = {});

@@ -23,7 +23,7 @@ constexpr std::uint8_t trace_coll_id(CollKind k) noexcept {
 
 /// Algorithm id for the trace's coll-span variant byte.
 constexpr std::uint8_t trace_alg_id(Algorithm a) noexcept {
-  static_assert(static_cast<int>(Algorithm::fold) < trace::kMaxAlgIds,
+  static_assert(static_cast<int>(Algorithm::direct) < trace::kMaxAlgIds,
                 "trace alg-id table cannot hold every Algorithm");
   return static_cast<std::uint8_t>(a);
 }
@@ -115,7 +115,19 @@ struct WorkSet {
     const auto pp = static_cast<std::size_t>(p);
     return s * pp + s * pp * pp + 2 * pp * I;
   }
+  /// Single-copy allreduce: p send buffers plus p receive buffers, no
+  /// shared-memory slices.
+  static std::size_t direct_allreduce(std::size_t s, int p) {
+    return 2 * s * static_cast<std::size_t>(p);
+  }
 };
+
+/// The direct allreduce (coll::direct_allreduce).  `nt_reduce` = false
+/// pins the reduce store temporal whatever opts.policy says; with
+/// CopyPolicy::memmove_model that is the XPMEM baseline's semantics.
+void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
+                      std::size_t count, Datatype d, ReduceOp op,
+                      const CollOpts& opts, bool nt_reduce);
 
 /// Validate buffers/args shared by every reduction collective.
 inline void check_reduction_args(RankCtx& ctx, const void* send,

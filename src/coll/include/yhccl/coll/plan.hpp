@@ -137,11 +137,14 @@ constexpr bool is_reduction(CollKind k) noexcept {
 
 /// The §5.1 switching rule over a topology (no RankCtx needed, so the
 /// prior is computable parent-side and in offline tools).  Allreduces of
-/// at most fold_max_bytes(p) take the one-barrier fold arm; an explicit
+/// at most fold_max_bytes(p) take the one-barrier fold arm; larger ones
+/// take the single-copy direct arm when `shared_address_space` (thread
+/// teams).  The default is the paper's process setting.  An explicit
 /// opts.algorithm is returned as is.
 Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
                                      std::size_t msg_bytes,
-                                     const CollOpts& opts) noexcept;
+                                     const CollOpts& opts,
+                                     bool shared_address_space = false) noexcept;
 
 /// §5.4 NT prediction: does the collective's work-data-set W (§4.3
 /// formulas) exceed the cache capacity available to p cores?  For
@@ -149,27 +152,30 @@ Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
 bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
               const copy::CacheConfig& cache, std::size_t slice_max) noexcept;
 
-/// The full analytic prior for a key: §5.1 algorithm + §5.4 NT advisory,
-/// caller's slice schedule untouched.  Deterministic, allocation-free.
+/// The full analytic prior for a key: §5.1 algorithm + §5.4 NT advisory
+/// (the direct arm's own W = 2ps when it is served), caller's slice
+/// schedule untouched.  Deterministic, allocation-free.
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
-                const rt::Topology& topo,
-                const copy::CacheConfig& cache) noexcept;
+                const rt::Topology& topo, const copy::CacheConfig& cache,
+                bool shared_address_space = false) noexcept;
 
 // ---- candidate arms ---------------------------------------------------------
 
 /// Candidate schedules the online mode explores for a key: for reductions
 /// the prior's algorithm and the DPML/MA arms (socket-aware only on valid
 /// topologies; fold is only ever arm 0, because the buckets it may serve
-/// are exactly those whose prior picks it) plus
+/// are exactly those whose prior picks it; direct only for allreduce on
+/// shared-address-space teams, above the fold cut) plus
 /// pinned-NT variants of the prior's choice; for broadcast/allgather
 /// alternative pipeline slice sizes plus pinned-NT variants.  Arm 0 is
-/// always the analytic prior.  Pure function of (key, opts, topo), so all
-/// ranks enumerate identical tables.
+/// always the analytic prior.  Pure function of (key, opts, topo,
+/// backend), so all ranks enumerate identical tables.
 int arm_count(const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo) noexcept;
-Plan arm_plan(int arm, const PlanKey& key, const CollOpts& opts,
               const rt::Topology& topo,
-              const copy::CacheConfig& cache) noexcept;
+              bool shared_address_space = false) noexcept;
+Plan arm_plan(int arm, const PlanKey& key, const CollOpts& opts,
+              const rt::Topology& topo, const copy::CacheConfig& cache,
+              bool shared_address_space = false) noexcept;
 
 // ---- the per-call engine ----------------------------------------------------
 
@@ -248,8 +254,12 @@ void validate_plan_json(const bench::Json& doc);
 /// Offline warming: pick the fastest measured algorithm arm per
 /// (collective, shape, size bucket) from a merged yhccl-bench/1 report and
 /// emit a plan document (source "bench").  Series whose arm name does not
-/// map to a schedulable algorithm (baselines, "auto") are skipped.
-bench::Json warm_from_bench(const bench::Json& bench_report);
+/// map to a schedulable algorithm (baselines, "auto") are skipped.  The
+/// plans are signed for teams whose ranks share an address space (the
+/// bench binaries run thread teams) unless `shared_address_space` is
+/// false, which also drops direct series.
+bench::Json warm_from_bench(const bench::Json& bench_report,
+                            bool shared_address_space = true);
 
 // ---- profiler feedback ------------------------------------------------------
 

@@ -181,16 +181,18 @@ void Plan::apply(CollOpts& o) const noexcept {
 
 Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
                                      std::size_t msg_bytes,
-                                     const CollOpts& opts) noexcept {
+                                     const CollOpts& opts,
+                                     bool shared_address_space) noexcept {
   if (opts.algorithm != Algorithm::automatic) return opts.algorithm;
-  if (msg_bytes <= opts.small_msg_threshold) {
-    // fold_max_bytes is a power of two, so this cut never splits a size
-    // bucket and the prior stays exact.
-    if (kind == CollKind::allreduce &&
-        msg_bytes <= fold_max_bytes(topo.nranks()))
-      return Algorithm::fold;
-    return Algorithm::dpml_two_level;
-  }
+  // fold_max_bytes is a power of two, so the fold cut never splits a size
+  // bucket and the prior stays exact.
+  const bool fold_sized = kind == CollKind::allreduce &&
+                          msg_bytes <= opts.small_msg_threshold &&
+                          msg_bytes <= fold_max_bytes(topo.nranks());
+  if (fold_sized) return Algorithm::fold;
+  if (kind == CollKind::allreduce && shared_address_space)
+    return Algorithm::direct;
+  if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
   if (socket_topology(topo)) return Algorithm::ma_socket_aware;
   return Algorithm::ma_flat;
 }
@@ -227,16 +229,22 @@ bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
 }
 
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
-                const rt::Topology& topo,
-                const copy::CacheConfig& cache) noexcept {
+                const rt::Topology& topo, const copy::CacheConfig& cache,
+                bool shared_address_space) noexcept {
   Plan p;
   const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, opts);
   p.algorithm = is_reduction(key.kind)
-                    ? choose_reduction_algorithm(key.kind, topo, rep, opts)
+                    ? choose_reduction_algorithm(key.kind, topo, rep, opts,
+                                                 shared_address_space)
                     : Algorithm::pipelined;
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 (§4.2)
-  p.nt_prior = prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,
-                        opts.slice_max);
+  // The direct arm stages nothing, so its work set is W = 2ps alone.
+  p.nt_prior =
+      p.algorithm == Algorithm::direct
+          ? detail::WorkSet::direct_allreduce(rep, topo.nranks()) >
+                cache.available(topo.nranks())
+          : prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,
+                     opts.slice_max);
   p.source = PlanSource::prior;
   p.arm = 0;
   return p;
@@ -248,16 +256,24 @@ namespace {
 
 int build_arms(const PlanKey& key, const CollOpts& opts,
                const rt::Topology& topo, const copy::CacheConfig& cache,
+               bool shared_address_space,
                Plan out[rt::kPlanMaxArms]) noexcept {
-  const Plan prior = prior_plan(key, opts, topo, cache);
+  const Plan prior =
+      prior_plan(key, opts, topo, cache, shared_address_space);
   int n = 0;
   out[n++] = prior;
   if (is_reduction(key.kind)) {
+    // Direct only where its prior could serve it: fold buckets keep the
+    // table both backends share (fold's one barrier beats direct's three).
+    const bool direct_ok = key.kind == CollKind::allreduce &&
+                           shared_address_space &&
+                           prior.algorithm != Algorithm::fold;
     const Algorithm alts[] = {Algorithm::dpml_two_level, Algorithm::ma_flat,
-                              Algorithm::ma_socket_aware};
+                              Algorithm::ma_socket_aware, Algorithm::direct};
     for (const Algorithm a : alts) {
       if (a == prior.algorithm) continue;
       if (a == Algorithm::ma_socket_aware && !socket_topology(topo)) continue;
+      if (a == Algorithm::direct && !direct_ok) continue;
       Plan p = prior;
       p.algorithm = a;
       out[n++] = p;
@@ -291,16 +307,18 @@ int build_arms(const PlanKey& key, const CollOpts& opts,
 }  // namespace
 
 int arm_count(const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo) noexcept {
+              const rt::Topology& topo, bool shared_address_space) noexcept {
   Plan arms[rt::kPlanMaxArms];
-  return build_arms(key, opts, topo, copy::CacheConfig{}, arms);
+  return build_arms(key, opts, topo, copy::CacheConfig{},
+                    shared_address_space, arms);
 }
 
 Plan arm_plan(int arm, const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo,
-              const copy::CacheConfig& cache) noexcept {
+              const rt::Topology& topo, const copy::CacheConfig& cache,
+              bool shared_address_space) noexcept {
   Plan arms[rt::kPlanMaxArms];
-  const int n = build_arms(key, opts, topo, cache, arms);
+  const int n =
+      build_arms(key, opts, topo, cache, shared_address_space, arms);
   return arms[arm >= 0 && arm < n ? arm : 0];
 }
 

@@ -29,7 +29,8 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     // reduction) with the caller's options, and no registry access.
     plan_.algorithm =
         is_reduction(kind)
-            ? choose_reduction_algorithm(kind, team.topo(), msg_bytes, opts)
+            ? choose_reduction_algorithm(kind, team.topo(), msg_bytes, opts,
+                                         team.shares_address_space())
             : Algorithm::pipelined;
     return;
   }
@@ -39,8 +40,8 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
   warm_now(team);
 
   key_ = make_key(kind, msg_bytes, d, op, team.topo(), opts);
-  const std::uint64_t hash =
-      key_.hash(team.plan_signature(), opts_signature(opts));
+  const std::uint64_t osig = opts_signature(opts);
+  const std::uint64_t hash = key_.hash(team.plan_signature(), osig);
   online_ = team.tune_mode() == rt::TuneMode::online;
 
   rt::PlanSlot* slot = nullptr;
@@ -76,29 +77,34 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
   // Degraded lane / quarantine: ignore the cached word and serve the
   // deterministic analytic prior.
   if (degraded_ || quarantined_) word = 0;
+  const bool shared = team.shares_address_space();
   if (word != 0)
     plan_ = Plan::unpack(word);
   else
-    plan_ = prior_plan(key_, base_opts_, team.topo(), ctx.cache());
-  narms_ = arm_count(key_, base_opts_, team.topo());
+    plan_ = prior_plan(key_, base_opts_, team.topo(), ctx.cache(), shared);
+  narms_ = arm_count(key_, base_opts_, team.topo(), shared);
 
   if (online_ && slot != nullptr && narms_ > 1 && !degraded_ &&
       !quarantined_) {
     // Epsilon-greedy exploration.  The schedule is a pure function of
-    // (key hash, shared tune_seq), so every rank flips the same coin and
-    // picks the same arm with no communication.  tune_seq advances
-    // identically everywhere because collectives are called in the same
-    // order on every rank (MPI semantics).
+    // (key, machine signature, shared tune_seq), so every rank flips the
+    // same coin and picks the same arm with no communication.  tune_seq
+    // advances identically everywhere because collectives are called in
+    // the same order on every rank (MPI semantics).  The coin skips the
+    // backend bit of the slot hash: where both backends enumerate the same
+    // arm table they explore it in the same order.
     const std::uint64_t seq = ctx.next_tune_seq();
     std::uint32_t eps = reg->eps_mille();
     const auto wait = reg->class_wait(static_cast<int>(kind));
     if (wait > 0.5) eps = eps * 2 > 1000 ? 1000 : eps * 2;
+    const std::uint64_t coin = key_.hash(team.machine_signature(), osig);
     const std::uint64_t mix =
-        rt::plan_mix64(hash ^ seq * 0x9e3779b97f4a7c15ull);
+        rt::plan_mix64(coin ^ seq * 0x9e3779b97f4a7c15ull);
     if (mix % 1000 < eps) {
       const int arm = static_cast<int>(
           (mix >> 32) % static_cast<std::uint64_t>(narms_));
-      plan_ = arm_plan(arm, key_, base_opts_, team.topo(), ctx.cache());
+      plan_ = arm_plan(arm, key_, base_opts_, team.topo(), ctx.cache(),
+                       shared);
       if (ctx.rank() == 0) reg->note_explore();
     }
   }
@@ -167,7 +173,8 @@ void TunedCall::finish(rt::RankCtx& ctx) {
   if (slot_->arm_n[cur].load(std::memory_order_relaxed) == 0) return;
   if (best_t >= 0.97 * slot_->ewma_seconds(cur)) return;
 
-  Plan p = arm_plan(best, key_, base_opts_, ctx.team().topo(), ctx.cache());
+  Plan p = arm_plan(best, key_, base_opts_, ctx.team().topo(), ctx.cache(),
+                    ctx.team().shares_address_space());
   p.source = PlanSource::online;
   slot_->plan.store(p.pack(), std::memory_order_release);
   ctx.team().plan_registry()->note_commit();
@@ -186,7 +193,8 @@ Plan query(const rt::Team& team, CollKind kind, std::size_t msg_bytes,
     if (w != 0 && !rt::PlanRegistry::quarantined(*slot, team.team_epoch()))
       return Plan::unpack(w);
   }
-  return prior_plan(key, opts, team.topo(), team.config().cache);
+  return prior_plan(key, opts, team.topo(), team.config().cache,
+                    team.shares_address_space());
 }
 
 rt::PlanRegistryStats tune_stats(const rt::Team& team) {

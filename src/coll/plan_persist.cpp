@@ -74,7 +74,8 @@ bool op_from_name(const std::string& s, ReduceOp* out) {
 bool alg_from_name(const std::string& s, Algorithm* out) {
   for (const auto a :
        {Algorithm::automatic, Algorithm::ma_flat, Algorithm::ma_socket_aware,
-        Algorithm::dpml_two_level, Algorithm::pipelined, Algorithm::fold})
+        Algorithm::dpml_two_level, Algorithm::pipelined, Algorithm::fold,
+        Algorithm::direct})
     if (s == algorithm_name(a)) {
       *out = a;
       return true;
@@ -136,6 +137,10 @@ bool normalize_bench_arm(std::string name, Algorithm* out) {
   }
   if (name == "fold" || name == "yhccl-fold") {
     *out = Algorithm::fold;
+    return true;
+  }
+  if (name == "direct" || name == "yhccl-direct") {
+    *out = Algorithm::direct;
     return true;
   }
   return false;
@@ -215,6 +220,8 @@ void validate_plan_json(const Json& doc) {
           "unknown algorithm", i);
     check(alg != Algorithm::fold || kind == CollKind::allreduce,
           "the fold algorithm serves allreduce only", i);
+    check(alg != Algorithm::direct || kind == CollKind::allreduce,
+          "the direct algorithm serves allreduce only", i);
     check(nt_from_name(e["nt"].as_string(), &nt), "unknown nt", i);
     check(e["ranks"].as_int() >= 1 && e["sockets"].as_int() >= 1 &&
               e["sockets"].as_int() <= e["ranks"].as_int(),
@@ -299,6 +306,10 @@ int load_plans(rt::Team& team, const Json& doc) {
     if (is_reduction(key.kind) && p.algorithm == Algorithm::pipelined)
       continue;
     if (p.algorithm == Algorithm::fold && !fold_serves(key)) continue;
+    // The signature already keeps thread-warmed plans off forked teams;
+    // this also drops a hand-edited direct entry there.
+    if (p.algorithm == Algorithm::direct && !team.shares_address_space())
+      continue;
     if (!is_reduction(key.kind)) p.algorithm = Algorithm::pipelined;
     auto* slot = reg->acquire(key.hash(team.plan_signature(), dsig),
                               key.packed_fields());
@@ -350,7 +361,7 @@ void warm_now(rt::Team& team) {
   while (w.load(std::memory_order_acquire) != 2) guard.relax();
 }
 
-Json warm_from_bench(const Json& report) {
+Json warm_from_bench(const Json& report, bool shared_address_space) {
   check(report.is_object() && report["schema"].is_string() &&
             report["schema"].as_string() == kBenchSchema,
         "warm_from_bench: input is not a yhccl-bench/1 report");
@@ -387,6 +398,7 @@ Json warm_from_bench(const Json& report) {
     key.ranks = ranks;
     key.sockets = sockets;
     if (alg == Algorithm::fold && !fold_serves(key)) continue;
+    if (alg == Algorithm::direct && !shared_address_space) continue;
     auto& b = best[key.packed_fields()];
     if (b.median == 0 || median < b.median) b = {median, alg};
   }
@@ -402,15 +414,17 @@ Json warm_from_bench(const Json& report) {
   for (const auto& [fields, b] : best) {
     const PlanKey key = PlanKey::from_fields(fields);
     const rt::Topology topo(key.ranks, key.sockets);
-    const std::uint64_t sig = rt::plan_signature(topo, cache);
-    Plan p = prior_plan(key, defaults, topo, cache);
+    const std::uint64_t sig =
+        rt::plan_signature(topo, cache, shared_address_space);
+    Plan p = prior_plan(key, defaults, topo, cache, shared_address_space);
     p.algorithm = b.alg;
     p.source = PlanSource::bench;
     // Align the persisted arm index with this key's arm table so online
     // refinement attributes samples to the right arm after loading.
-    const int narms = arm_count(key, defaults, topo);
+    const int narms = arm_count(key, defaults, topo, shared_address_space);
     for (int a = 0; a < narms; ++a) {
-      const Plan cand = arm_plan(a, key, defaults, topo, cache);
+      const Plan cand =
+          arm_plan(a, key, defaults, topo, cache, shared_address_space);
       if (cand.algorithm == p.algorithm && cand.nt == p.nt &&
           cand.slice_log2 == p.slice_log2) {
         p.arm = static_cast<std::uint8_t>(a);

@@ -6,7 +6,9 @@
 // two-level DPML parallel reduction (cheap synchronization), or to the
 // one-barrier fold when an allreduce is small enough, everything
 // else to the socket-aware MA reduction (minimal data movement), falling
-// back to flat MA on single-socket teams — while warmed or online-refined
+// back to flat MA on single-socket teams; allreduces above the fold cut on
+// teams whose ranks share an address space take the single-copy direct
+// arm — while warmed or online-refined
 // plans can override the choice per size class.  Callers forcing an
 // explicit opts.algorithm bypass the plan cache entirely.
 #include "yhccl/coll/coll.hpp"
@@ -17,7 +19,7 @@
 namespace yhccl::coll {
 
 // Metrics cells are indexed by 1 + Algorithm (0 = unknown).
-static_assert(1 + static_cast<int>(Algorithm::fold) < metrics::kAlgSlots,
+static_assert(1 + static_cast<int>(Algorithm::direct) < metrics::kAlgSlots,
               "metrics algorithm slots cannot hold every Algorithm");
 
 namespace {
@@ -35,6 +37,8 @@ void dispatch(RankCtx& ctx, CollKind kind, std::size_t bytes, Datatype d,
                 "the pipelined algorithm serves broadcast/allgather only");
   YHCCL_REQUIRE(a != Algorithm::fold || kind == CollKind::allreduce,
                 "the fold algorithm serves allreduce only");
+  YHCCL_REQUIRE(a != Algorithm::direct || kind == CollKind::allreduce,
+                "the direct algorithm serves allreduce only");
   metrics::CollSample ms(1 + static_cast<int>(kind), bytes);
   ms.set_alg(1 + static_cast<int>(a));
   body(a, tc.opts());
@@ -72,6 +76,9 @@ void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
              switch (a) {
                case Algorithm::fold:
                  fold_allreduce(ctx, send, recv, count, d, op, o);
+                 break;
+               case Algorithm::direct:
+                 direct_allreduce(ctx, send, recv, count, d, op, o);
                  break;
                case Algorithm::dpml_two_level:
                  dpml_two_level_allreduce(ctx, send, recv, count, d, op, o);

@@ -35,10 +35,12 @@ void reduce_out(void* out, const void* a, const void* b, std::size_t n,
 
 /// out[i] = op over m buffers:  srcs[0][i] op srcs[1][i] op ...  (m >= 1),
 /// in one pass: (m+1)·n bytes of traffic instead of a pairwise chain's
-/// ~3n·(m-1).  `out` may alias srcs[0] exactly (and no other source).
-/// Used wherever a rank combines several partials at once: the socket-
-/// combination stage of the socket-aware MA reduction, DPML's partitioned
-/// stages, the RG tree's child fold and the XPMEM direct reduction.
+/// ~3n·(m-1).  `out` may alias any one source exactly (same address, same
+/// length): every element is stored only after all m operands of it were
+/// loaded.  Partial overlaps are not allowed.  Used wherever a rank
+/// combines several partials at once: the socket-combination stage of the
+/// socket-aware MA reduction, DPML's partitioned stages, the RG tree's
+/// child fold and the direct allreduce (in place, in rank order).
 void reduce_out_multi(void* out, const void* const* srcs, int m,
                       std::size_t n, Datatype d, ReduceOp op,
                       bool nt_store);

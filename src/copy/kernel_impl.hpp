@@ -67,7 +67,8 @@ inline T fold_at(const T* const* p, std::size_t i) noexcept {
   return acc;
 }
 
-/// Temporal fixed-m: one auto-vectorizable loop, `out` may alias srcs[0].
+/// Temporal fixed-m: one auto-vectorizable loop; `out` may alias any one
+/// source exactly (out[i] is stored after every operand of i is loaded).
 template <class SP, typename T, class Op, int M>
 void rom_t(T* out, const T* const* srcs, std::size_t cnt) {
   const T* p[M];

@@ -87,6 +87,7 @@ const char* alg_slot_name(int id) noexcept {
     case 4: return "dpml_two_level";
     case 5: return "pipelined";
     case 6: return "fold";
+    case 7: return "direct";
     default: return "?";
   }
 }

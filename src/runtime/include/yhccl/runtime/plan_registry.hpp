@@ -62,6 +62,14 @@ constexpr std::uint64_t plan_mix64(std::uint64_t x) noexcept {
 std::uint64_t plan_signature(const Topology& topo,
                              const copy::CacheConfig& cache) noexcept;
 
+/// The machine signature plus the team's backend: plans of teams whose
+/// ranks share an address space may run the single-copy direct arm, so
+/// they live in their own key space.  Forked teams (the paper's process
+/// setting) keep the machine signature unchanged.
+std::uint64_t plan_signature(const Topology& topo,
+                             const copy::CacheConfig& cache,
+                             bool shared_address_space) noexcept;
+
 // ---- packed-word structural invariants -------------------------------------
 // The *meaning* of key/plan bits is owned by yhccl/coll/plan.hpp, but their
 // reserved-bit skeleton is contracted here so the runtime's integrity sweep

@@ -17,13 +17,12 @@ namespace yhccl::rt {
 
 class ProcessTeam final : public Team {
  public:
-  explicit ProcessTeam(TeamConfig cfg) : Team(cfg) {}
+  /// Ranks are processes: enables pid probing, reap bookkeeping, and
+  /// _exit-based `die` injection; recover() shrinks the active-rank map.
+  explicit ProcessTeam(TeamConfig cfg) : Team(cfg, /*forked_ranks=*/true) {}
 
  protected:
   void run_ranks(const std::function<void(int)>& wrapped) override;
-  /// Ranks are processes: enables pid probing, reap bookkeeping, and
-  /// _exit-based `die` injection; recover() shrinks the active-rank map.
-  bool forked_ranks() const noexcept override { return true; }
 };
 
 }  // namespace yhccl::rt

@@ -143,7 +143,6 @@ class RankCtx;
 
 class Team {
  public:
-  explicit Team(TeamConfig cfg);
   virtual ~Team();
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;
@@ -162,6 +161,10 @@ class Team {
 
   const TeamConfig& config() const noexcept { return cfg_; }
   const Topology& topo() const noexcept { return topo_; }
+  /// Can every rank load every other rank's private buffers?  True for
+  /// thread-backed ranks (XPMEM semantics for free), false for fork()ed
+  /// ones; decides whether the single-copy direct allreduce may run.
+  bool shares_address_space() const noexcept { return !forked_; }
   /// Current (active) membership; shrinks when recover() excludes dead
   /// ranks on a process-backed team.
   int nranks() const noexcept { return nranks_; }
@@ -267,10 +270,15 @@ class Team {
   PlanRegistry* plan_registry() noexcept { return plans_; }
   const PlanRegistry* plan_registry() const noexcept { return plans_; }
   TuneMode tune_mode() const noexcept { return tune_mode_; }
-  /// Identity cached plans are valid for (topology layout + cache model);
-  /// recomputed when recovery shrinks the membership, so stale plans from
-  /// the old shape simply stop matching.
+  /// Identity cached plans are valid for (topology layout + cache model +
+  /// whether ranks share an address space); recomputed when recovery
+  /// shrinks the membership, so stale plans from the old shape simply stop
+  /// matching.
   std::uint64_t plan_signature() const noexcept { return plan_sig_; }
+  /// The backend-neutral part of plan_signature() (topology + cache only):
+  /// the online explore schedule hashes it, so both backends of a machine
+  /// walk a shared arm table in the same order.
+  std::uint64_t machine_signature() const noexcept { return machine_sig_; }
 
   // ---- always-on metrics (YHCCL_METRICS, docs/observability.md §6) ---------
   /// Non-null when this team meters (mode on or serve).  Lives in the
@@ -306,12 +314,14 @@ class Team {
   std::byte* channel_data(int src, int dst) noexcept;
 
  protected:
+  /// `forked_ranks`: the backend runs each rank in its own fork()ed process.
+  Team(TeamConfig cfg, bool forked_ranks);
   /// Backend hook: execute `wrapped(rank)` once per rank, concurrently.
   virtual void run_ranks(const std::function<void(int)>& wrapped) = 0;
-  /// Ranks are fork()ed processes (enables pid probing and rank exclusion).
-  virtual bool forked_ranks() const noexcept { return false; }
 
   TeamConfig cfg_;
+  /// Ranks are fork()ed processes (enables pid probing and rank exclusion).
+  bool forked_ = false;
   int nranks_ = 0;           ///< active membership (≤ cfg_.nranks)
   std::vector<int> active_;  ///< logical rank -> original rank id
   FaultPlan fault_plan_;     ///< parsed from $YHCCL_FAULT at construction
@@ -343,6 +353,7 @@ class Team {
   PlanRegistry* plans_ = nullptr;
   TuneMode tune_mode_ = TuneMode::prior;
   std::uint64_t plan_sig_ = 0;
+  std::uint64_t machine_sig_ = 0;
   bool flight_dumped_ = false;  ///< one flight dump per fault, not per retry
   metrics::MetricsBuffer* metrics_ = nullptr;
   metrics::Mode metrics_mode_ = metrics::Mode::off;

@@ -12,7 +12,7 @@ namespace yhccl::rt {
 
 class ThreadTeam final : public Team {
  public:
-  explicit ThreadTeam(TeamConfig cfg) : Team(cfg) {}
+  explicit ThreadTeam(TeamConfig cfg) : Team(cfg, /*forked_ranks=*/false) {}
 
  protected:
   void run_ranks(const std::function<void(int)>& wrapped) override;

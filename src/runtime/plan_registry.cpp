@@ -44,6 +44,15 @@ std::uint64_t plan_signature(const Topology& topo,
   return h != 0 ? h : 1;
 }
 
+std::uint64_t plan_signature(const Topology& topo,
+                             const copy::CacheConfig& cache,
+                             bool shared_address_space) noexcept {
+  const std::uint64_t machine = plan_signature(topo, cache);
+  if (!shared_address_space) return machine;
+  const std::uint64_t h = plan_mix64(machine ^ plan_mix64(1));  // backend bit
+  return h != 0 ? h : 1;
+}
+
 double PlanSlot::ewma_seconds(int arm) const noexcept {
   return std::bit_cast<double>(
       arm_ewma[arm].load(std::memory_order_relaxed));

@@ -76,7 +76,8 @@ class HbRunScope {
 
 }  // namespace
 
-Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
+Team::Team(TeamConfig cfg, bool forked_ranks)
+    : cfg_(cfg), forked_(forked_ranks), topo_(cfg.nranks, cfg.nsockets) {
   YHCCL_REQUIRE(cfg_.nranks >= 1 && cfg_.nranks <= kMaxRanks,
                 "nranks out of range");
   YHCCL_REQUIRE(cfg_.nsockets >= 1 && cfg_.nsockets <= kMaxSockets,
@@ -130,7 +131,8 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
   // Auto-tuner plan cache: one shared table per team so every rank of both
   // backends resolves collectives to the same cached plan (docs/tuning.md).
   tune_mode_ = resolve_tune_mode(cfg_.tune);
-  plan_sig_ = rt::plan_signature(topo_, cfg_.cache);
+  machine_sig_ = rt::plan_signature(topo_, cfg_.cache);
+  plan_sig_ = rt::plan_signature(topo_, cfg_.cache, shares_address_space());
   const std::size_t plan_bytes = PlanRegistry::required_bytes(kPlanSlots);
 
   // Always-on metrics registry: per-rank counter/histogram slots in the
@@ -381,7 +383,7 @@ void Team::run_once(const std::function<void(RankCtx&)>& fn) {
     run_ranks([&, epoch, rseq](int rank) {
       RankCtx ctx(*this, rank);
       FaultRunScope fault_scope(shared_->fault, fault_plan_, rank, nranks_,
-                                epoch, forked_ranks(), corrupt_targets_,
+                                epoch, forked_, corrupt_targets_,
                                 n_corrupt_targets_);
       HbRunScope hb_scope(hb_, rank);
       // The rank's trace ring is indexed by *original* rank id so harvests
@@ -448,7 +450,7 @@ FaultInfo Team::recover() {
   // thread-backed rank's death is only a modelling device — the thread is
   // joined and a fresh one can take its place — so thread teams always
   // recover to full membership.
-  if (forked_ranks()) {
+  if (forked_) {
     std::vector<int> survivors;
     for (int r = 0; r < nranks_; ++r)
       if (fs.hb[r].dead.load(std::memory_order_acquire) == 0)
@@ -463,7 +465,8 @@ FaultInfo Team::recover() {
   // atomics, so an abort cannot tear them); the refreshed signature keys
   // the shrunken topology into its own plan space, so plans cached for the
   // old shape simply stop matching.
-  plan_sig_ = rt::plan_signature(topo_, cfg_.cache);
+  machine_sig_ = rt::plan_signature(topo_, cfg_.cache);
+  plan_sig_ = rt::plan_signature(topo_, cfg_.cache, shares_address_space());
 
   // Re-initialize every piece of shared synchronization state the aborted
   // collective may have left torn.

@@ -100,6 +100,7 @@ const char* alg_id_name(std::uint8_t id) noexcept {
     case 3: return "dpml-2l";
     case 4: return "pipelined";
     case 5: return "fold";
+    case 6: return "direct";
     default: return "?";
   }
 }
@@ -156,7 +157,7 @@ std::size_t TraceBuffer::required_bytes(int nranks, std::uint32_t slots) {
       "trace ring stride");
   return checked_add(
       round_up(sizeof(TraceBuffer), kCacheline),
-      checked_mul(static_cast<std::size_t>(nranks + 1), stride,
+      checked_mul(static_cast<std::size_t>(nranks) + 1, stride,
                   "trace ring count"),
       "trace arena");
 }

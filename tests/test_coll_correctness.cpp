@@ -4,6 +4,8 @@
 // compared against a sequential reference reduction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -358,6 +360,128 @@ TEST(CollEdge, FoldArmMatchesReferenceUpToItsCut) {
       }
     }
   }
+}
+
+// Automatic allreduces above the fold cut on a thread team take the
+// single-copy direct arm: every shape, ragged sizes (empty trailing blocks
+// included), the dtype/op matrix, out of place and in place.
+TEST(CollEdge, DirectArmServesAutomaticAllreducesAboveTheCut) {
+  const std::pair<Datatype, ReduceOp> dtops[] = {
+      {Datatype::f32, ReduceOp::sum}, {Datatype::f64, ReduceOp::prod},
+      {Datatype::i32, ReduceOp::min}, {Datatype::i64, ReduceOp::max},
+      {Datatype::u8, ReduceOp::bor},  {Datatype::i32, ReduceOp::band}};
+  for (const auto& shape : kShapes) {
+    auto& team = cached_team(shape.p, shape.m);
+    for (const auto& [d, op] : dtops) {
+      const std::size_t e = dtype_size(d);
+      const std::size_t cut = fold_max_bytes(shape.p) / e;
+      for (const std::size_t count :
+           {cut + 1, 3 * cut + 7, std::size_t{100003}}) {
+        // The full dtype/op matrix at the two sizes near the cut; f32 sum
+        // (the first pair) also at a large ragged size.
+        if (count == 100003 && d != dtops[0].first) continue;
+        EXPECT_EQ(plan::query(team, CollKind::allreduce, count * e, d, op)
+                      .algorithm,
+                  Algorithm::direct);
+        std::vector<std::vector<std::uint8_t>> send(shape.p), recv(shape.p),
+            both(shape.p);
+        for (int r = 0; r < shape.p; ++r) {
+          send[r].resize(count * e);
+          recv[r].assign(count * e, 0xcd);
+          fill_buffer(send[r].data(), count, d, r, op);
+          both[r] = send[r];
+        }
+        team.run([&](RankCtx& ctx) {
+          const int r = ctx.rank();
+          allreduce(ctx, send[r].data(), recv[r].data(), count, d, op);
+          allreduce(ctx, both[r].data(), both[r].data(), count, d, op);
+        });
+        for (int r = 0; r < shape.p; ++r) {
+          EXPECT_TRUE(check_reduced(recv[r].data(), count, d, shape.p, op))
+              << "p=" << shape.p << " m=" << shape.m << " "
+              << dtype_name(d) << " " << op_name(op) << " count=" << count
+              << " rank " << r;
+          EXPECT_TRUE(check_reduced(both[r].data(), count, d, shape.p, op))
+              << "in place p=" << shape.p << " count=" << count;
+        }
+      }
+    }
+  }
+}
+
+// The direct arm reduces each block in rank order 0..p-1, in place or not:
+// random non-integer f32 operands (order-sensitive sums) must match a
+// scalar rank-order fold bit for bit on every rank.
+TEST(CollEdge, DirectArmIsBitwiseRankOrderedInAndOutOfPlace) {
+  for (const auto& shape : {TeamShape{4, 2}, TeamShape{5, 2}}) {
+    auto& team = cached_team(shape.p, shape.m);
+    const auto pn = static_cast<std::size_t>(shape.p);
+    const std::size_t count = 20011;  // ragged blocks
+    std::vector<std::vector<float>> in(pn, std::vector<float>(count));
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (auto& v : in)
+      for (float& f : v) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        f = static_cast<float>(static_cast<std::int64_t>(x % 2000001) -
+                               1000000) /
+            997.0f;
+      }
+    std::vector<std::vector<float>> out(pn, std::vector<float>(count)),
+        inplace = in;
+    CollOpts o;
+    o.algorithm = Algorithm::direct;
+    team.run([&](RankCtx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      allreduce(ctx, in[r].data(), out[r].data(), count, Datatype::f32,
+                ReduceOp::sum, o);
+      allreduce(ctx, inplace[r].data(), inplace[r].data(), count,
+                Datatype::f32, ReduceOp::sum, o);
+    });
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      float acc = in[0][i];
+      for (std::size_t q = 1; q < pn; ++q) acc += in[q][i];
+      for (std::size_t r = 0; r < pn; ++r) {
+        mismatches += std::memcmp(&out[r][i], &acc, 4) != 0 ? 1 : 0;
+        mismatches += std::memcmp(&inplace[r][i], &acc, 4) != 0 ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "p=" << shape.p;
+  }
+}
+
+TEST(CollEdge, DirectArmServesAllreduceOnly) {
+  auto& team = cached_team(4, 2);
+  const std::size_t n = 4096;
+  CollOpts o;
+  o.algorithm = Algorithm::direct;
+  for (const auto kind : {CollKind::reduce, CollKind::reduce_scatter}) {
+    EXPECT_THROW(team.run([&](RankCtx& ctx) {
+      std::vector<double> send(n * 4), recv(n * 4);
+      if (kind == CollKind::reduce)
+        reduce(ctx, send.data(), recv.data(), n, Datatype::f64,
+               ReduceOp::sum, 0, o);
+      else
+        reduce_scatter(ctx, send.data(), recv.data(), n, Datatype::f64,
+                       ReduceOp::sum, o);
+    }),
+                 Error)
+        << coll_kind_name(kind);
+  }
+  // The team stays usable after the rejected calls.
+  std::vector<std::vector<double>> send(4, std::vector<double>(n)),
+      recv(4, std::vector<double>(n));
+  for (int r = 0; r < 4; ++r)
+    fill_buffer(send[r].data(), n, Datatype::f64, r, ReduceOp::sum);
+  team.run([&](RankCtx& ctx) {
+    allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+              Datatype::f64, ReduceOp::sum, o);
+  });
+  for (int r = 0; r < 4; ++r)
+    EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, 4,
+                              ReduceOp::sum));
 }
 
 TEST(CollEdge, DpmlFlatModeMatchesReference) {

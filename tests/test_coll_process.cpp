@@ -11,6 +11,7 @@
 
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/thread_team.hpp"
 #include "test_util.hpp"
@@ -203,6 +204,47 @@ TEST(ProcessColl, FoldAllreduceIsBitwiseRankOrderedOnBothBackends) {
     rt::ProcessTeam procs(cfg);
     EXPECT_EQ(fold_bits(threads, count), fold_bits(procs, count))
         << "p=" << p << " m=" << m;
+  }
+}
+
+// Forked ranks cannot load each other's buffers: the direct arm must be
+// refused, never attempted, whether asked for explicitly or not, and the
+// automatic allreduce above the fold cut keeps the §5.1 rule.
+TEST(ProcessColl, DirectArmIsRefusedAndNeverServedOnForkedTeams) {
+  auto& team = process_team(4, 2);
+  ASSERT_FALSE(team.shares_address_space());
+  const std::size_t count = 20000;  // 160 KB: above the fold cut
+  auto* out = reinterpret_cast<double*>(team.shared_alloc(4 * count * 8));
+  auto* served = reinterpret_cast<std::uint64_t*>(team.shared_alloc(4 * 8));
+  coll::CollOpts direct;
+  direct.algorithm = coll::Algorithm::direct;
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+    std::vector<double> send(count, 1.0), recv(count);
+    coll::allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                    ReduceOp::sum, direct);
+  }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+    std::vector<double> send(count, 1.0), recv(count);
+    coll::direct_allreduce(ctx, send.data(), recv.data(), count,
+                           Datatype::f64, ReduceOp::sum);
+  }),
+               Error);
+  team.run([&](rt::RankCtx& ctx) {
+    std::vector<double> send(count), recv(count);
+    fill_buffer(send.data(), count, Datatype::f64, ctx.rank(), ReduceOp::sum);
+    coll::allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                    ReduceOp::sum);
+    served[ctx.rank()] = coll::plan::last_plan_word();
+    std::memcpy(out + ctx.rank() * count, recv.data(), count * 8);
+  });
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(coll::plan::Plan::unpack(served[r]).algorithm,
+              coll::Algorithm::dpml_two_level)
+        << "rank " << r;
+    EXPECT_TRUE(check_reduced(out + r * count, count, Datatype::f64, 4,
+                              ReduceOp::sum))
+        << "rank " << r;
   }
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/coll/profiler.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "test_util.hpp"
@@ -35,13 +36,17 @@ coll::CollOpts parity_opts() {
 /// Run every profiled collective wrapper once per rank and collect the
 /// per-rank profiles through the team's shared heap (CollProfiler's record
 /// table is trivially copyable, so a memcpy out of a fork()ed child is
-/// well-defined).
-std::vector<coll::CollProfiler> profile_all(rt::Team& team, int p,
-                                            std::size_t count) {
+/// well-defined).  `allreduce_alg` pins the allreduce arm (automatic by
+/// default).
+std::vector<coll::CollProfiler> profile_all(
+    rt::Team& team, int p, std::size_t count,
+    coll::Algorithm allreduce_alg = coll::Algorithm::automatic) {
   auto* out = reinterpret_cast<coll::CollProfiler*>(team.shared_alloc(
       sizeof(coll::CollProfiler) * static_cast<std::size_t>(p),
       alignof(coll::CollProfiler)));
   const auto o = parity_opts();
+  auto ar = o;
+  ar.algorithm = allreduce_alg;
   team.run([&](rt::RankCtx& ctx) {
     coll::CollProfiler prof;
     std::vector<double> send(count * ctx.nranks());
@@ -49,7 +54,7 @@ std::vector<coll::CollProfiler> profile_all(rt::Team& team, int p,
     fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
                 ReduceOp::sum);
     coll::allreduce(prof, ctx, send.data(), recv.data(), count,
-                    Datatype::f64, ReduceOp::sum, o);
+                    Datatype::f64, ReduceOp::sum, ar);
     coll::reduce(prof, ctx, send.data(), recv.data(), count, Datatype::f64,
                  ReduceOp::sum, /*root=*/0, o);
     coll::reduce_scatter(prof, ctx, send.data(), recv.data(), count,
@@ -93,16 +98,30 @@ TEST(CounterParityBackends, ProfilerRecordsBitIdenticalThreadVsFork) {
   for (auto [p, m] : {std::pair{2, 1}, {4, 2}, {3, 2}}) {
     const std::size_t count = 3003;  // ragged: not a slice multiple
 
-    auto& tteam = cached_team(p, m, kScratch);
-    const auto thread_profiles = profile_all(tteam, p, count);
-
     rt::TeamConfig cfg;
     cfg.nranks = p;
     cfg.nsockets = m;
     cfg.scratch_bytes = kScratch;
     cfg.shared_heap_bytes = 8u << 20;
     rt::ProcessTeam pteam(cfg);
-    const auto fork_profiles = profile_all(pteam, p, count);
+    auto& tteam = cached_team(p, m, kScratch);
+
+    // This allreduce is above the fold cut, where a thread team serves the
+    // single-copy direct arm, which forked ranks cannot run.  Both
+    // backends run the arm the process team serves.
+    const std::size_t bytes = count * sizeof(double);
+    EXPECT_EQ(coll::plan::query(tteam, coll::CollKind::allreduce, bytes,
+                                Datatype::f64, ReduceOp::sum, parity_opts())
+                  .algorithm,
+              coll::Algorithm::direct)
+        << "p=" << p << " m=" << m;
+    const coll::Algorithm shared_arm =
+        coll::plan::query(pteam, coll::CollKind::allreduce, bytes,
+                          Datatype::f64, ReduceOp::sum, parity_opts())
+            .algorithm;
+
+    const auto thread_profiles = profile_all(tteam, p, count, shared_arm);
+    const auto fork_profiles = profile_all(pteam, p, count, shared_arm);
 
     for (int r = 0; r < p; ++r) {
       for (int k = 0; k < static_cast<int>(coll::CollKind::kCount_); ++k) {

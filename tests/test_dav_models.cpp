@@ -11,6 +11,7 @@
 
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/model/dav_model.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "test_util.hpp"
@@ -394,6 +395,7 @@ struct ParityArm {
   void (*run)(rt::RankCtx&, std::size_t count, const CollOpts&);
   bool thread_only = false;  ///< xpmem needs a shared address space
   bool fold_sized = false;   ///< runs only counts within fold_max_bytes(p)
+  bool above_fold_cut = false;  ///< runs only counts past fold_max_bytes(p)
 };
 
 const ParityArm kParityArms[] = {
@@ -504,6 +506,19 @@ const ParityArm kParityArms[] = {
                       ReduceOp::sum, o);
      },
      /*thread_only=*/false, /*fold_sized=*/true},
+    // The automatic allreduce above the fold cut: a thread team serves the
+    // single-copy direct arm, whose counters are the XPMEM model's.
+    {"direct_allreduce (automatic)", false, md::impl::xpmem_allreduce_ops,
+     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
+       std::vector<double> send(count), recv(count);
+       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
+                   ReduceOp::sum);
+       allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                 ReduceOp::sum, o);
+       EXPECT_EQ(plan::Plan::unpack(plan::last_plan_word()).algorithm,
+                 Algorithm::direct);
+     },
+     /*thread_only=*/true, /*fold_sized=*/false, /*above_fold_cut=*/true},
 };
 
 /// Shapes: flat even/odd, even p over even sockets, and the ragged p=3
@@ -515,6 +530,9 @@ constexpr std::pair<int, int> kParityShapes[] = {
 constexpr std::size_t kParityCounts[] = {4096, 3003, 17};
 /// Fold-sized counts: the 4 KB cut of p <= 4, an odd size, and tiny.
 constexpr std::size_t kFoldParityCounts[] = {512, 301, 17};
+/// Past the fold cut of every parity shape (8 KB at p = 2): divisible,
+/// ragged, and one element past the p = 2 cut.
+constexpr std::size_t kAboveCutParityCounts[] = {4096, 3003, 1025};
 
 void run_parity_matrix(rt::Team& team, int p, int m,
                        bool is_thread_team = true) {
@@ -530,8 +548,10 @@ void run_parity_matrix(rt::Team& team, int p, int m,
   g.dpml_flat = o.dpml_flat;
   for (const auto& arm : kParityArms) {
     if (arm.thread_only && !is_thread_team) continue;
-    for (std::size_t count :
-         arm.fold_sized ? kFoldParityCounts : kParityCounts) {
+    const auto& counts = arm.fold_sized       ? kFoldParityCounts
+                         : arm.above_fold_cut ? kAboveCutParityCounts
+                                              : kParityCounts;
+    for (std::size_t count : counts) {
       team.run([&](rt::RankCtx& ctx) { arm.run(ctx, count, o); });
       const std::size_t s =
           count * 8 * (arm.scatter_shaped ? static_cast<std::size_t>(p) : 1);

@@ -248,6 +248,46 @@ TEST_P(FaultRecovery, DieAtFoldBarrierThenFoldAgain) {
     EXPECT_EQ(bad[r], 0) << "rank " << r;
 }
 
+// The direct arm reads peers' own buffers, so it runs on thread teams only.
+// Killing a rank at its second barrier (reductions written, gathers not yet
+// started) must leave a team whose next direct calls are correct: recovery
+// resets the barriers, and every call republishes its buffer windows.
+TEST(FaultRecoveryThreads, DieAtDirectBarrierThenDirectAgain) {
+  auto team = make_team(Backend::threads, 4, 2);
+  const std::size_t n = 3001;  // 23.4 KB: above the fold cut, ragged blocks
+  std::vector<double*> sb(4), rb(4);
+  for (int r = 0; r < 4; ++r) {
+    sb[r] = alloc_f64(*team, n);
+    rb[r] = alloc_f64(*team, n);
+    test::fill_buffer(sb[r], n, Datatype::f64, r, ReduceOp::sum);
+  }
+  CollOpts direct;
+  direct.algorithm = Algorithm::direct;
+  // iter=1: the first direct call's second barrier.
+  kill_and_recover(*team, "die@barrier:rank=2:iter=1", 2,
+                   [&](rt::RankCtx& ctx) {
+                     allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
+                               Datatype::f64, ReduceOp::sum, direct);
+                   });
+  expect_membership_after_recovery(*team, Backend::threads, 2);
+  auto* bad = reinterpret_cast<int*>(team->shared_alloc(4 * sizeof(int)));
+  team->run([&](rt::RankCtx& ctx) {
+    const int r = ctx.rank();
+    for (int c = 0; c < 5; ++c) {
+      std::fill(rb[r], rb[r] + n, -1.0);
+      // Explicit and automatic calls both run the direct arm here.
+      allreduce(ctx, sb[r], rb[r], n, Datatype::f64, ReduceOp::sum,
+                c % 2 == 0 ? direct : CollOpts{});
+      if (!test::check_reduced(rb[r], n, Datatype::f64, ctx.nranks(),
+                               ReduceOp::sum))
+        ++bad[r];
+    }
+  });
+  for (int r = 0; r < team->nranks(); ++r)
+    EXPECT_EQ(bad[r], 0) << "rank " << r;
+  run_matrix(*team);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, FaultRecovery,
                          ::testing::Values(Backend::threads, Backend::procs),
                          [](const auto& info) {

@@ -10,6 +10,7 @@
 
 #include "yhccl/analysis/hb.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/common/error.hpp"
 #include "yhccl/copy/kernels.hpp"
 #include "yhccl/runtime/process_team.hpp"
@@ -215,6 +216,44 @@ TEST(HbChecker, FoldStageReuseRunsCleanOnBothBackends) {
       EXPECT_TRUE(check_reduced(out + r * count, count, Datatype::f64, 4,
                                 ReduceOp::sum))
           << "backend " << backend << " rank " << r;
+  }
+}
+
+// The direct arm loads and stores peers' buffers in place.  With every
+// send and recv buffer in the shadowed shared heap, each cross-rank access
+// must be ordered by one of its three barriers, out of place and in place,
+// over back-to-back calls.
+TEST(HbChecker, DirectArmPeerBufferAccessRunsClean) {
+  const int p = 4;
+  rt::ThreadTeam team(checked_cfg(p, 2));
+  const std::size_t count = 3001;  // ragged blocks, above the fold cut
+  auto* send = reinterpret_cast<double*>(team.shared_alloc(p * count * 8));
+  auto* recv = reinterpret_cast<double*>(team.shared_alloc(p * count * 8));
+  auto* both = reinterpret_cast<double*>(team.shared_alloc(p * count * 8));
+  for (int r = 0; r < p; ++r)
+    fill_buffer(send + r * count, count, Datatype::f64, r, ReduceOp::sum);
+  team.run([&](rt::RankCtx& ctx) {
+    const std::size_t off = static_cast<std::size_t>(ctx.rank()) * count;
+    for (int c = 0; c < 3; ++c) {
+      coll::allreduce(ctx, send + off, recv + off, count, Datatype::f64,
+                      ReduceOp::sum);
+      std::memcpy(both + off, send + off, count * 8);
+      coll::allreduce(ctx, both + off, both + off, count, Datatype::f64,
+                      ReduceOp::sum);
+    }
+  });
+  EXPECT_EQ(team.hb_races(), 0u) << team.hb_report();
+  EXPECT_EQ(coll::plan::query(team, coll::CollKind::allreduce, count * 8,
+                              Datatype::f64, ReduceOp::sum)
+                .algorithm,
+            coll::Algorithm::direct);
+  for (int r = 0; r < p; ++r) {
+    EXPECT_TRUE(check_reduced(recv + r * count, count, Datatype::f64, p,
+                              ReduceOp::sum))
+        << "rank " << r;
+    EXPECT_TRUE(check_reduced(both + r * count, count, Datatype::f64, p,
+                              ReduceOp::sum))
+        << "in place, rank " << r;
   }
 }
 

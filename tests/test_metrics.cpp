@@ -23,6 +23,7 @@
 
 #include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/metrics/export.hpp"
 #include "yhccl/metrics/metrics.hpp"
 #include "yhccl/runtime/process_team.hpp"
@@ -298,9 +299,51 @@ TEST(MetricsOffMode, NoSectionExactCountersNoExtraAllocations) {
 
 // ---- thread vs fork parity --------------------------------------------------
 
+/// Make `team`'s tuner serve `alg` for f64-sum allreduces of `bytes`: load
+/// a one-entry yhccl-plan/1 document signed for the team.
+void pin_allreduce_plan(rt::Team& team, std::size_t bytes, Algorithm alg) {
+  char sig[17];
+  std::snprintf(sig, sizeof sig, "%016llx",
+                static_cast<unsigned long long>(team.plan_signature()));
+  bench::Json e = bench::Json::object();
+  e.set("signature", std::string(sig));
+  e.set("collective", coll_kind_name(CollKind::allreduce));
+  e.set("dtype", std::string(dtype_name(Datatype::f64)));
+  e.set("op", std::string(op_name(ReduceOp::sum)));
+  e.set("ranks", team.nranks());
+  e.set("sockets", team.topo().nsockets());
+  e.set("bucket", static_cast<int>(plan::bucket_of(CollKind::allreduce,
+                                                   bytes, CollOpts{})));
+  e.set("algorithm", algorithm_name(alg));
+  e.set("nt", plan::nt_choice_name(plan::NtChoice::adaptive));
+  e.set("slice_max", 0);
+  e.set("dpml_chunk", 0);
+  e.set("nt_prior", false);
+  e.set("arm", 0);
+  e.set("source", plan::plan_source_name(plan::PlanSource::bench));
+  bench::Json plans = bench::Json::array();
+  plans.push_back(e);
+  bench::Json doc = bench::Json::object();
+  doc.set("schema", plan::kPlanSchema);
+  doc.set("plans", plans);
+  ASSERT_EQ(plan::load_plans(team, doc), 1);
+}
+
 TEST(MetricsParity, ThreadAndProcessBackendsAgree) {
   auto tt = make_team(Backend::threads, 4, 2, ym::Mode::on);
   auto pt = make_team(Backend::procs, 4, 2, ym::Mode::on);
+  // The schedule's allreduce is above the fold cut, where the thread team
+  // serves the single-copy direct arm, which forked ranks cannot run.  Pin
+  // the thread team's plan to the arm the process team serves.
+  const std::size_t ar_bytes = 2048 * sizeof(double);
+  EXPECT_EQ(plan::query(*tt, CollKind::allreduce, ar_bytes, Datatype::f64,
+                        ReduceOp::sum)
+                .algorithm,
+            Algorithm::direct);
+  pin_allreduce_plan(*tt, ar_bytes,
+                     plan::query(*pt, CollKind::allreduce, ar_bytes,
+                                 Datatype::f64, ReduceOp::sum)
+                         .algorithm);
   tt->run(run_schedule);
   pt->run(run_schedule);
   ASSERT_NE(tt->metrics_buffer(), nullptr);
@@ -435,6 +478,27 @@ TEST(MetricsCells, FoldAllreduceGetsItsOwnAlgorithmCell) {
   EXPECT_TRUE(ym::validate_metrics_json(s.to_json(), &err)) << err;
   EXPECT_EQ(ym::Snapshot::from_json(s.to_json()).to_json().dump(),
             s.to_json().dump());
+}
+
+// Likewise 1 + Algorithm::direct, the last slot: an automatic allreduce
+// above the fold cut on a thread team lands in direct's own cell.
+TEST(MetricsCells, DirectAllreduceGetsItsOwnAlgorithmCell) {
+  const int direct_id = 1 + static_cast<int>(Algorithm::direct);
+  EXPECT_EQ(direct_id, ym::kAlgSlots - 1);
+  EXPECT_STREQ(ym::alg_slot_name(direct_id), "direct");
+  auto team = make_team(Backend::threads, 4, 2, ym::Mode::on);
+  team->run([&](rt::RankCtx& ctx) {
+    std::vector<double> in(4096, 1.0), out(4096);
+    allreduce(ctx, in.data(), out.data(), in.size(), Datatype::f64,
+              ReduceOp::sum);
+  });
+  const ym::Snapshot s = ym::Snapshot::capture(*team->metrics_buffer());
+  for (const auto& r : s.ranks) {
+    ASSERT_EQ(r.cells.size(), 1u) << "rank " << r.rank;
+    EXPECT_EQ(r.cells[0].alg, direct_id) << "rank " << r.rank;
+  }
+  std::string err;
+  EXPECT_TRUE(ym::validate_metrics_json(s.to_json(), &err)) << err;
 }
 
 // ---- straggler detection ----------------------------------------------------

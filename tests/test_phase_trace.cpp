@@ -19,6 +19,7 @@
 #include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/coll/profiler.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/thread_team.hpp"
@@ -78,7 +79,7 @@ TEST(PhaseTrace, CollIdNamesMirrorProfilerKinds) {
 }
 
 TEST(PhaseTrace, AlgIdNamesMirrorAlgorithmNames) {
-  for (int a = 0; a <= static_cast<int>(Algorithm::fold); ++a) {
+  for (int a = 0; a <= static_cast<int>(Algorithm::direct); ++a) {
     const auto alg = static_cast<Algorithm>(a);
     EXPECT_STREQ(trace::alg_id_name(coll::detail::trace_alg_id(alg)),
                  algorithm_name(alg));
@@ -180,6 +181,36 @@ TEST(PhaseTrace, SpanNestingBalancedAndChromeExportValid) {
   EXPECT_FALSE(trace::validate_flight(bench::Json::object(), &err));
 }
 
+// An automatic allreduce above the fold cut on a thread team runs the
+// direct arm: one coll span per rank carries its alg id, its reduce and
+// copy-out spans nest inside, and the Chrome export validates the id.
+TEST(PhaseTrace, DirectArmSpansCarryItsAlgIdAndExport) {
+  auto team = make_team(Backend::threads, 4, 2, trace::Mode::spans);
+  const std::size_t n = 2048;  // 16 KB
+  team->run([&](rt::RankCtx& ctx) {
+    std::vector<double> s(n, 1.0), r(n);
+    allreduce(ctx, s.data(), r.data(), n, Datatype::f64, ReduceOp::sum);
+  });
+  ASSERT_NE(team->trace_buffer(), nullptr);
+  trace::Harvest h(*team->trace_buffer());
+  for (int r = 0; r < h.nranks(); ++r) {
+    int direct = 0, reduce = 0, copy_out = 0;
+    for (const trace::Rec& rec : h.ring(r)) {
+      const auto ph = static_cast<trace::Phase>(rec.phase);
+      if (ph == trace::Phase::coll &&
+          rec.variant == coll::detail::trace_alg_id(Algorithm::direct))
+        ++direct;
+      reduce += ph == trace::Phase::reduce;
+      copy_out += ph == trace::Phase::copy_out;
+    }
+    EXPECT_EQ(direct, 1) << "rank " << r;
+    EXPECT_EQ(reduce, 1) << "rank " << r;
+    EXPECT_EQ(copy_out, 1) << "rank " << r;
+  }
+  std::string err;
+  EXPECT_TRUE(trace::validate_chrome(h.chrome_json(), &err)) << err;
+}
+
 using DetRec = std::tuple<std::uint8_t, std::uint8_t, std::uint64_t>;
 
 /// The schedule's movement phases (copy/reduce/coll) are deterministic for
@@ -198,6 +229,12 @@ std::vector<DetRec> deterministic_seq(const trace::Harvest& h, int rank) {
 TEST(PhaseTrace, ProcessHarvestMatchesThreadHarvest) {
   auto threads = make_team(Backend::threads, 4, 2, trace::Mode::spans);
   auto procs = make_team(Backend::procs, 4, 2, trace::Mode::spans);
+  // The schedule pins its allreduce to flat MA: left automatic, this size
+  // runs the direct arm on the thread team only.
+  EXPECT_EQ(plan::query(*threads, CollKind::allreduce, 2048 * sizeof(double),
+                        Datatype::f64, ReduceOp::sum)
+                .algorithm,
+            Algorithm::direct);
   threads->run(run_schedule);
   procs->run(run_schedule);
 

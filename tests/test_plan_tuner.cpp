@@ -4,7 +4,9 @@
 // from bench reports, and the zero-allocation warm path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -193,6 +195,98 @@ TEST(PlanPrior, NtAdvisoryMatchesPaperSwitchPoint) {
   }
 }
 
+TEST(PlanPrior, SharedAddressSpaceServesDirectAboveTheFoldCutOnly) {
+  // Thread teams: allreduces above the fold cut take the direct arm under
+  // every threshold; at or below the cut fold stays; reduce and
+  // reduce_scatter keep the process rule.  The prior matches the rule.
+  const copy::CacheConfig cache = copy::CacheConfig::node_a();
+  for (const int ranks : {2, 3, 4, 8}) {
+    const rt::Topology topo(ranks, ranks >= 4 ? 2 : 1);
+    const std::size_t cap = coll::fold_max_bytes(ranks);
+    for (const std::size_t threshold :
+         {std::size_t{256} << 10, cap, cap - 100, cap + 1}) {
+      CollOpts opts;
+      opts.small_msg_threshold = threshold;
+      for (const auto kind :
+           {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter})
+        for (const std::size_t bytes :
+             {std::size_t{1}, cap - 1, cap, cap + 1, std::size_t{64} << 10,
+              threshold, threshold + 1, std::size_t{32} << 20}) {
+          const auto key = plan::make_key(kind, bytes, Datatype::f32,
+                                          ReduceOp::sum, topo, opts);
+          const Algorithm rule = plan::choose_reduction_algorithm(
+              kind, topo, bytes, opts, /*shared_address_space=*/true);
+          EXPECT_EQ(plan::prior_plan(key, opts, topo, cache, true).algorithm,
+                    rule)
+              << coll::coll_kind_name(kind) << " p=" << ranks
+              << " bytes=" << bytes << " threshold=" << threshold;
+          const Algorithm process =
+              plan::choose_reduction_algorithm(kind, topo, bytes, opts);
+          if (kind != CollKind::allreduce || process == Algorithm::fold) {
+            EXPECT_EQ(rule, process) << "p=" << ranks << " bytes=" << bytes;
+          } else {
+            EXPECT_EQ(rule, Algorithm::direct)
+                << "p=" << ranks << " bytes=" << bytes;
+          }
+        }
+    }
+  }
+}
+
+TEST(PlanPrior, DirectNtAdvisoryUsesItsOwnWorkSet) {
+  // W = 2ps: the direct prior streams exactly when 2ps exceeds C.
+  const copy::CacheConfig cache = copy::CacheConfig::node_a();
+  const rt::Topology topo(4, 2);
+  const std::size_t C = cache.available(4);
+  const CollOpts opts;
+  for (const std::size_t s : {C / 8, C / 8 + 1, C / 4}) {
+    const std::size_t bytes = std::size_t{1} << std::bit_width(s - 1);
+    const auto key = plan::make_key(CollKind::allreduce, bytes, Datatype::f64,
+                                    ReduceOp::sum, topo, opts);
+    const plan::Plan p = plan::prior_plan(key, opts, topo, cache, true);
+    ASSERT_EQ(p.algorithm, Algorithm::direct);
+    EXPECT_EQ(p.nt_prior, 2 * 4 * bytes > C) << "bytes=" << bytes;
+  }
+}
+
+TEST(PlanArms, DirectIsAnArmOnlyOnSharedAddressSpaceTeamsAboveTheCut) {
+  const rt::Topology topo(4, 2);
+  const copy::CacheConfig cache;
+  const CollOpts opts;
+  const auto algs = [&](CollKind kind, std::size_t bytes, bool shared) {
+    const auto key = plan::make_key(kind, bytes, Datatype::f64,
+                                    ReduceOp::sum, topo, opts);
+    std::vector<Algorithm> out;
+    const int n = plan::arm_count(key, opts, topo, shared);
+    for (int a = 0; a < n; ++a)
+      out.push_back(plan::arm_plan(a, key, opts, topo, cache, shared).algorithm);
+    return out;
+  };
+  const auto has = [](const std::vector<Algorithm>& v, Algorithm a) {
+    return std::find(v.begin(), v.end(), a) != v.end();
+  };
+  for (const std::size_t bytes : {std::size_t{1} << 10, std::size_t{4} << 10,
+                                  std::size_t{64} << 10,
+                                  std::size_t{32} << 20}) {
+    for (const auto kind :
+         {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter}) {
+      EXPECT_FALSE(has(algs(kind, bytes, false), Algorithm::direct))
+          << coll::coll_kind_name(kind) << " bytes=" << bytes;
+      if (kind != CollKind::allreduce) {
+        EXPECT_EQ(algs(kind, bytes, true), algs(kind, bytes, false));
+      }
+    }
+    const bool above_cut = bytes > coll::fold_max_bytes(4);
+    const auto shared = algs(CollKind::allreduce, bytes, true);
+    EXPECT_EQ(has(shared, Algorithm::direct), above_cut) << "bytes=" << bytes;
+    if (above_cut) {
+      EXPECT_EQ(shared.front(), Algorithm::direct);
+    } else {  // fold buckets: both backends enumerate the same table
+      EXPECT_EQ(shared, algs(CollKind::allreduce, bytes, false));
+    }
+  }
+}
+
 TEST(PlanKeyPacking, FieldsAndPlanWordsRoundTrip) {
   plan::PlanKey key;
   key.kind = CollKind::reduce_scatter;
@@ -252,12 +346,16 @@ TEST(PlanCache, HitMissAccountingAndCorrectResults) {
   EXPECT_EQ(plan::tune_stats(team).entries, 2u);
 }
 
-TEST(PlanCache, QueryServesPriorUntilACommitExists) {
-  rt::ThreadTeam team(tuned_cfg(8, 2, rt::TuneMode::prior));
+/// The prior a fresh team serves: process teams the §5.1 rule, thread
+/// teams the direct arm for allreduces above the fold cut.
+template <typename TeamT>
+static void query_serves_prior_until_a_commit_exists(Algorithm small_ar,
+                                                     Algorithm large_ar) {
+  TeamT team(tuned_cfg(8, 2, rt::TuneMode::prior));
   const CollOpts opts;
   const auto small = plan::query(team, CollKind::allreduce, 4u << 10,
                                  Datatype::f64, ReduceOp::sum, opts);
-  EXPECT_EQ(small.algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(small.algorithm, small_ar);
   EXPECT_EQ(small.source, plan::PlanSource::prior);
   // 2 KB is fold_max_bytes(8): the fold arm's bucket.
   EXPECT_EQ(plan::query(team, CollKind::allreduce, 2u << 10, Datatype::f64,
@@ -266,10 +364,29 @@ TEST(PlanCache, QueryServesPriorUntilACommitExists) {
             Algorithm::fold);
   const auto large = plan::query(team, CollKind::allreduce, 4u << 20,
                                  Datatype::f64, ReduceOp::sum, opts);
-  EXPECT_EQ(large.algorithm, Algorithm::ma_socket_aware);
+  EXPECT_EQ(large.algorithm, large_ar);
+  // Reduce keeps the §5.1 rule on both backends.
+  EXPECT_EQ(plan::query(team, CollKind::reduce, 4u << 10, Datatype::f64,
+                        ReduceOp::sum, opts)
+                .algorithm,
+            Algorithm::dpml_two_level);
+  EXPECT_EQ(plan::query(team, CollKind::reduce, 4u << 20, Datatype::f64,
+                        ReduceOp::sum, opts)
+                .algorithm,
+            Algorithm::ma_socket_aware);
   const auto bcast = plan::query(team, CollKind::broadcast, 1u << 20,
                                  Datatype::f64, ReduceOp::sum, opts);
   EXPECT_EQ(bcast.algorithm, Algorithm::pipelined);
+}
+
+TEST(PlanCache, QueryServesPriorUntilACommitExists_Processes) {
+  query_serves_prior_until_a_commit_exists<rt::ProcessTeam>(
+      Algorithm::dpml_two_level, Algorithm::ma_socket_aware);
+}
+
+TEST(PlanCache, QueryServesPriorUntilACommitExists_Threads) {
+  query_serves_prior_until_a_commit_exists<rt::ThreadTeam>(
+      Algorithm::direct, Algorithm::direct);
 }
 
 // ---- tuner modes -------------------------------------------------------------
@@ -321,10 +438,15 @@ TEST(PlanAgreement, AllRanksServeTheSamePlanWhileExploring_Processes) {
 
 TEST(PlanAgreement, ThreadAndForkBackendsExploreIdentically) {
   // With eps = 1 every call serves the explored arm, which is a pure
-  // function of (key hash, tune_seq) — so the served sequence must be
-  // bit-identical across backends.
+  // function of (key, machine signature, tune_seq) — so the served
+  // sequence must be bit-identical across backends.  Above the fold cut a
+  // thread team's table leads with the direct arm, which forked ranks
+  // cannot run, so both backends explore the fold bucket (4 KB at p = 4),
+  // whose table they share: fold, DPML, flat and socket-aware MA, and the
+  // pinned-NT variants.
   EnvGuard g("YHCCL_TUNE_EPS", "1");
   const int p = 4, calls = 24;
+  const std::size_t count = coll::fold_max_bytes(p) / sizeof(double);
   std::vector<std::uint64_t> seq[2];
   int which = 0;
   for (which = 0; which < 2; ++which) {
@@ -335,9 +457,16 @@ TEST(PlanAgreement, ThreadAndForkBackendsExploreIdentically) {
     else
       team = std::make_unique<rt::ProcessTeam>(
           tuned_cfg(p, 2, rt::TuneMode::online));
+    if (which == 0) {  // thread only: above the cut the prior is direct
+      EXPECT_EQ(plan::query(*team, CollKind::allreduce,
+                            16384 * sizeof(double), Datatype::f64,
+                            ReduceOp::sum)
+                    .algorithm,
+                Algorithm::direct);
+    }
     auto* words = reinterpret_cast<std::uint64_t*>(
         team->shared_alloc(sizeof(std::uint64_t) * p * calls));
-    run_logged_allreduce(*team, calls, 16384, words);
+    run_logged_allreduce(*team, calls, count, words);
     for (int c = 0; c < calls; ++c) seq[which].push_back(words[c * p]);
   }
   EXPECT_EQ(seq[0], seq[1]);
@@ -347,6 +476,34 @@ TEST(PlanAgreement, ThreadAndForkBackendsExploreIdentically) {
   for (const auto w : seq[0])
     if (plan::Plan::unpack(w).arm != 0) explored = true;
   EXPECT_TRUE(explored);
+}
+
+TEST(PlanOnline, ProcessTeamsNeverExploreTheDirectArm) {
+  // eps = 1 explores every call.  A thread team's table above the fold cut
+  // holds direct; a process team's never does.
+  EnvGuard g("YHCCL_TUNE_EPS", "1");
+  const int p = 4, calls = 24;
+  const std::size_t count = 16384;  // 128 KB: above the cut
+  for (int which = 0; which < 2; ++which) {
+    std::unique_ptr<rt::Team> team;
+    if (which == 0)
+      team = std::make_unique<rt::ThreadTeam>(
+          tuned_cfg(p, 2, rt::TuneMode::online));
+    else
+      team = std::make_unique<rt::ProcessTeam>(
+          tuned_cfg(p, 2, rt::TuneMode::online));
+    auto* words = reinterpret_cast<std::uint64_t*>(
+        team->shared_alloc(sizeof(std::uint64_t) * p * calls));
+    run_logged_allreduce(*team, calls, count, words);
+    int direct = 0;
+    for (int i = 0; i < p * calls; ++i)
+      direct += plan::Plan::unpack(words[i]).algorithm == Algorithm::direct;
+    if (which == 0) {
+      EXPECT_GT(direct, 0) << "threads";
+    } else {
+      EXPECT_EQ(direct, 0) << "processes";
+    }
+  }
 }
 
 TEST(PlanOnline, ExploredArmsStillComputeCorrectReductions) {
@@ -502,9 +659,10 @@ static void default_team_loads_warmed_plans() {
   const int p = 4, m = 2;
   TeamT team(tuned_cfg(p, m, rt::TuneMode::env));  // the default mode
   ASSERT_NE(team.plan_registry(), nullptr);
-  const auto plans = plan::warm_from_bench(bench_report(
-      p, m, team.config().cache,
-      {{"flat-MA", 4u << 20, 1e-3}, {"socket-MA", 4u << 20, 2e-3}}));
+  const auto plans = plan::warm_from_bench(
+      bench_report(p, m, team.config().cache,
+                   {{"flat-MA", 4u << 20, 1e-3}, {"socket-MA", 4u << 20, 2e-3}}),
+      team.shares_address_space());
   ASSERT_EQ(plan::load_plans(team, plans), 1);
   EXPECT_EQ(plan::tune_stats(team).loaded, 1u);
   const auto served = plan::query(team, CollKind::allreduce, 4u << 20,
@@ -600,6 +758,104 @@ TEST(PlanPersistence, FoldPlansLandOnlyWhereTheStageFits) {
   arr.push_back(entry);
   bad.set("plans", arr);
   EXPECT_THROW(plan::validate_plan_json(bad), Error);
+}
+
+TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
+  const int p = 4, m = 2;
+  rt::ThreadTeam threads(tuned_cfg(p, m, rt::TuneMode::prior));
+  rt::ProcessTeam procs(tuned_cfg(p, m, rt::TuneMode::prior));
+  // One machine, two key spaces: the backend bit is part of the signature,
+  // and the paper's process setting keeps the bare machine signature.
+  EXPECT_EQ(threads.machine_signature(), procs.machine_signature());
+  EXPECT_EQ(procs.plan_signature(), procs.machine_signature());
+  EXPECT_NE(threads.plan_signature(), procs.plan_signature());
+
+  const auto report =
+      bench_report(p, m, threads.config().cache,
+                   {{"direct", 64u << 10, 1e-6},
+                    {"dpml-2l", 64u << 10, 2e-6},
+                    {"flat-MA", 4u << 20, 1e-3},
+                    {"socket-MA", 4u << 20, 2e-3}});
+  const auto thread_plans = plan::warm_from_bench(report);
+  plan::validate_plan_json(thread_plans);
+  EXPECT_EQ(plan::load_plans(procs, thread_plans), 0);
+  ASSERT_EQ(plan::load_plans(threads, thread_plans), 2);
+  const auto served = [](const rt::Team& team, std::size_t bytes) {
+    return plan::query(team, CollKind::allreduce, bytes, Datatype::f64,
+                       ReduceOp::sum);
+  };
+  EXPECT_EQ(served(threads, 64u << 10).algorithm, Algorithm::direct);
+  EXPECT_EQ(served(threads, 64u << 10).source, plan::PlanSource::bench);
+  EXPECT_EQ(served(threads, 4u << 20).algorithm, Algorithm::ma_flat);
+  EXPECT_EQ(served(procs, 4u << 20).algorithm, Algorithm::ma_socket_aware);
+  EXPECT_EQ(served(procs, 4u << 20).source, plan::PlanSource::prior);
+
+  // Plans warmed for forked teams drop the direct series.
+  const auto proc_plans =
+      plan::warm_from_bench(report, /*shared_address_space=*/false);
+  for (const auto& e : proc_plans["plans"].items())
+    EXPECT_NE(e["algorithm"].as_string(), "direct");
+  rt::ProcessTeam warmed(tuned_cfg(p, m, rt::TuneMode::prior));
+  ASSERT_EQ(plan::load_plans(warmed, proc_plans), 2);
+  EXPECT_EQ(served(warmed, 64u << 10).algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(served(warmed, 4u << 20).algorithm, Algorithm::ma_flat);
+
+  // A hand-edited process-signed file naming direct loads nothing for those
+  // entries, and direct on a non-allreduce fails validation outright.
+  bench::Json doc = proc_plans;
+  bench::Json edited = bench::Json::array();
+  for (const auto& e : doc["plans"].items()) {
+    bench::Json f = e;
+    f.set("algorithm", "direct");
+    edited.push_back(f);
+  }
+  doc.set("plans", edited);
+  rt::ProcessTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
+  EXPECT_EQ(plan::load_plans(fresh, doc), 0);
+  bench::Json bad = doc;
+  bench::Json entry = doc["plans"].items().front();
+  entry.set("collective", "reduce_scatter");
+  bench::Json arr = bench::Json::array();
+  arr.push_back(entry);
+  bad.set("plans", arr);
+  EXPECT_THROW(plan::validate_plan_json(bad), Error);
+}
+
+TEST(PlanPersistence, ThreadPlanFileIsSkippedOnProcessTeams) {
+  // The $YHCCL_PLAN_FILE route: a file saved from a warmed thread team
+  // warms thread teams and is skipped, entry by entry, on process teams.
+  const int p = 4, m = 2;
+  const std::string path =
+      ::testing::TempDir() + "yhccl_plans_backend_test.json";
+  {
+    rt::ThreadTeam staging(tuned_cfg(p, m, rt::TuneMode::prior));
+    ASSERT_GT(plan::load_plans(staging,
+                               plan::warm_from_bench(fake_bench_report(
+                                   p, m, staging.config().cache))),
+              0);
+    plan::save_plans_file(staging, path);
+  }
+  EnvGuard g("YHCCL_PLAN_FILE", path.c_str());
+  const std::size_t count = (4u << 20) / sizeof(double);
+
+  rt::ProcessTeam procs(tuned_cfg(p, m, rt::TuneMode::prior));
+  auto* pw = reinterpret_cast<std::uint64_t*>(
+      procs.shared_alloc(sizeof(std::uint64_t) * p));
+  run_logged_allreduce(procs, 1, count, pw);
+  EXPECT_EQ(plan::tune_stats(procs).loaded, 0u);
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(plan::Plan::unpack(pw[r]).algorithm,
+              Algorithm::ma_socket_aware);
+    EXPECT_EQ(plan::Plan::unpack(pw[r]).source, plan::PlanSource::prior);
+  }
+
+  rt::ThreadTeam threads(tuned_cfg(p, m, rt::TuneMode::prior));
+  auto* tw = reinterpret_cast<std::uint64_t*>(
+      threads.shared_alloc(sizeof(std::uint64_t) * p));
+  run_logged_allreduce(threads, 1, count, tw);
+  EXPECT_GT(plan::tune_stats(threads).loaded, 0u);
+  EXPECT_EQ(plan::Plan::unpack(tw[0]).algorithm, Algorithm::ma_flat);
+  EXPECT_EQ(plan::Plan::unpack(tw[0]).source, plan::PlanSource::bench);
 }
 
 TEST(PlanPersistence, SaveLoadSaveIsAFixpointWithIdenticalDecisions) {

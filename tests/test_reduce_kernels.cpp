@@ -291,6 +291,44 @@ TEST(ReduceOutMulti, InPlaceFirstOperandIsSupported) {
   }
 }
 
+TEST(ReduceOutMulti, OutMayAliasAnyOneSourceExactly) {
+  // The direct allreduce in place writes its block over the operand of its
+  // own rank, whichever position that rank has in the fold.  Aliasing any
+  // one source must give the same bits as a separate output, under every
+  // tier and store type, for fixed (m <= 8) and generic (m > 8) fan-in.
+  const std::size_t cnt = 4099;  // odd: exercises the peel and tail loops
+  for (yc::IsaTier tier : runnable_tiers()) {
+    ScopedIsa scoped(tier);
+    for (const int m : {2, 3, 5, 8, 10}) {
+      for (const bool nt : {false, true}) {
+        std::vector<std::vector<float>> bufs(m, std::vector<float>(cnt));
+        for (int k = 0; k < m; ++k)
+          for (std::size_t i = 0; i < cnt; ++i)
+            bufs[k][i] = (1.0f + static_cast<float>((i * 7 + k) % 97)) *
+                         std::pow(10.0f, static_cast<float>((k * 5 + i) % 9) -
+                                             4.0f);
+        std::vector<const void*> srcs;
+        for (auto& b : bufs) srcs.push_back(b.data());
+        std::vector<float> want(cnt);
+        yc::reduce_out_multi(want.data(), srcs.data(), m, cnt * sizeof(float),
+                             Datatype::f32, ReduceOp::sum, nt);
+        for (int a = 0; a < m; ++a) {
+          std::vector<std::vector<float>> alias = bufs;
+          std::vector<const void*> asrcs;
+          for (auto& b : alias) asrcs.push_back(b.data());
+          yc::reduce_out_multi(alias[a].data(), asrcs.data(), m,
+                               cnt * sizeof(float), Datatype::f32,
+                               ReduceOp::sum, nt);
+          ASSERT_EQ(0, std::memcmp(alias[a].data(), want.data(),
+                                   cnt * sizeof(float)))
+              << isa_name(tier) << " m=" << m << " nt=" << nt
+              << " out aliases srcs[" << a << "]";
+        }
+      }
+    }
+  }
+}
+
 TEST(ReduceOutMulti, SingleSourceDegeneratesToCopy) {
   std::vector<std::int32_t> src(1000, 42), out(1000, 0);
   const void* srcs[] = {src.data()};
