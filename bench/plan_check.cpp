@@ -3,7 +3,8 @@
 //   plan_check warm <bench.json> <plans.json>
 //       distill a yhccl-bench/1 report into a plan file: the fastest
 //       measured engine per (collective, shape, size-bucket) cell
-//       (plan::warm_from_bench).  The output loads via $YHCCL_PLAN_FILE.
+//       (plan::warm_from_bench), once per backend.  The output loads via
+//       $YHCCL_PLAN_FILE into thread and process teams alike.
 //   plan_check check <plans.json>
 //       validate a plan file against the schema; exit 1 on any defect.
 //   plan_check show <plans.json>
@@ -96,18 +97,21 @@ int do_show(const std::string& path) {
               static_cast<unsigned long long>(machine["llc_bytes"].as_uint()),
               static_cast<unsigned long long>(
                   machine["l2_per_core"].as_uint()));
-  std::printf("%-16s %-6s %-6s %8s %12s %-10s %-8s %-8s\n", "collective",
+  // Bench-warmed files hold each cell once per backend; the per-entry
+  // signature tells the two apart.
+  std::printf("%-16s %-6s %-6s %8s %12s %-10s %-8s %-8s %s\n", "collective",
               "dtype", "op", "bucket", "bytes_hi", "algorithm", "nt",
-              "source");
+              "source", "signature");
   for (const auto& e : j["plans"].items())
-    std::printf("%-16s %-6s %-6s %8lld %12llu %-10s %-8s %-8s\n",
+    std::printf("%-16s %-6s %-6s %8lld %12llu %-10s %-8s %-8s %s\n",
                 e["collective"].as_string().c_str(),
                 e["dtype"].as_string().c_str(), e["op"].as_string().c_str(),
                 static_cast<long long>(e["bucket"].as_int()),
                 static_cast<unsigned long long>(e["bytes_hi"].as_uint()),
                 e["algorithm"].as_string().c_str(),
                 e["nt"].as_string().c_str(),
-                e["source"].as_string().c_str());
+                e["source"].as_string().c_str(),
+                e["signature"].as_string().c_str());
   return 0;
 }
 

@@ -254,12 +254,11 @@ void validate_plan_json(const bench::Json& doc);
 /// Offline warming: pick the fastest measured algorithm arm per
 /// (collective, shape, size bucket) from a merged yhccl-bench/1 report and
 /// emit a plan document (source "bench").  Series whose arm name does not
-/// map to a schedulable algorithm (baselines, "auto") are skipped.  The
-/// plans are signed for teams whose ranks share an address space (the
-/// bench binaries run thread teams) unless `shared_address_space` is
-/// false, which also drops direct series.
-bench::Json warm_from_bench(const bench::Json& bench_report,
-                            bool shared_address_space = true);
+/// map to a schedulable algorithm (baselines, "auto") are skipped.  Each
+/// cell is emitted once per backend, signed with that backend's plan
+/// signature, so one file warms thread and process teams alike; the
+/// process entries never name direct.
+bench::Json warm_from_bench(const bench::Json& bench_report);
 
 // ---- profiler feedback ------------------------------------------------------
 

@@ -90,14 +90,17 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     // (key, machine signature, shared tune_seq), so every rank flips the
     // same coin and picks the same arm with no communication.  tune_seq
     // advances identically everywhere because collectives are called in
-    // the same order on every rank (MPI semantics).  The coin skips the
-    // backend bit of the slot hash: where both backends enumerate the same
-    // arm table they explore it in the same order.
+    // the same order on every rank (MPI semantics).  The coin hashes the
+    // machine signature without the backend bit: where both backends
+    // enumerate the same arm table they explore it in the same order.
     const std::uint64_t seq = ctx.next_tune_seq();
     std::uint32_t eps = reg->eps_mille();
     const auto wait = reg->class_wait(static_cast<int>(kind));
     if (wait > 0.5) eps = eps * 2 > 1000 ? 1000 : eps * 2;
-    const std::uint64_t coin = key_.hash(team.machine_signature(), osig);
+    const std::uint64_t coin = key_.hash(
+        rt::plan_signature(team.topo(), team.config().cache,
+                           /*shared_address_space=*/false),
+        osig);
     const std::uint64_t mix =
         rt::plan_mix64(coin ^ seq * 0x9e3779b97f4a7c15ull);
     if (mix % 1000 < eps) {

@@ -361,7 +361,7 @@ void warm_now(rt::Team& team) {
   while (w.load(std::memory_order_acquire) != 2) guard.relax();
 }
 
-Json warm_from_bench(const Json& report, bool shared_address_space) {
+Json warm_from_bench(const Json& report) {
   check(report.is_object() && report["schema"].is_string() &&
             report["schema"].as_string() == kBenchSchema,
         "warm_from_bench: input is not a yhccl-bench/1 report");
@@ -373,13 +373,15 @@ Json warm_from_bench(const Json& report, bool shared_address_space) {
     cache.llc_inclusive = machine["llc_inclusive"].as_bool();
   }
 
-  // Best measured arm per (collective, shape, bucket); keys are the packed
-  // field words, so iteration (and the emitted file) is deterministic.
+  // Best measured arm per backend and (collective, shape, bucket); keys
+  // are the packed field words, so iteration (and the emitted file) is
+  // deterministic.  best[0] is for forked teams, best[1] for teams whose
+  // ranks share an address space: the file warms both backends.
   struct Best {
     double median = 0;
     Algorithm alg = Algorithm::automatic;
   };
-  std::map<std::uint64_t, Best> best;
+  std::map<std::uint64_t, Best> best[2];
   const CollOpts defaults{};
   for (const auto& s : report["series"].items()) {
     CollKind kind;
@@ -398,9 +400,12 @@ Json warm_from_bench(const Json& report, bool shared_address_space) {
     key.ranks = ranks;
     key.sockets = sockets;
     if (alg == Algorithm::fold && !fold_serves(key)) continue;
-    if (alg == Algorithm::direct && !shared_address_space) continue;
-    auto& b = best[key.packed_fields()];
-    if (b.median == 0 || median < b.median) b = {median, alg};
+    for (const bool shared : {false, true}) {
+      // Forked ranks cannot load each other's buffers: no direct for them.
+      if (alg == Algorithm::direct && !shared) continue;
+      auto& b = best[shared][key.packed_fields()];
+      if (b.median == 0 || median < b.median) b = {median, alg};
+    }
   }
 
   Json doc = Json::object();
@@ -411,28 +416,28 @@ Json warm_from_bench(const Json& report, bool shared_address_space) {
   m.set("llc_inclusive", cache.llc_inclusive);
   doc.set("machine", std::move(m));
   Json arr = Json::array();
-  for (const auto& [fields, b] : best) {
-    const PlanKey key = PlanKey::from_fields(fields);
-    const rt::Topology topo(key.ranks, key.sockets);
-    const std::uint64_t sig =
-        rt::plan_signature(topo, cache, shared_address_space);
-    Plan p = prior_plan(key, defaults, topo, cache, shared_address_space);
-    p.algorithm = b.alg;
-    p.source = PlanSource::bench;
-    // Align the persisted arm index with this key's arm table so online
-    // refinement attributes samples to the right arm after loading.
-    const int narms = arm_count(key, defaults, topo, shared_address_space);
-    for (int a = 0; a < narms; ++a) {
-      const Plan cand =
-          arm_plan(a, key, defaults, topo, cache, shared_address_space);
-      if (cand.algorithm == p.algorithm && cand.nt == p.nt &&
-          cand.slice_log2 == p.slice_log2) {
-        p.arm = static_cast<std::uint8_t>(a);
-        break;
+  for (const bool shared : {false, true})
+    for (const auto& [fields, b] : best[shared]) {
+      const PlanKey key = PlanKey::from_fields(fields);
+      const rt::Topology topo(key.ranks, key.sockets);
+      Plan p = prior_plan(key, defaults, topo, cache, shared);
+      p.algorithm = b.alg;
+      p.source = PlanSource::bench;
+      // Align the persisted arm index with this backend's arm table so
+      // online refinement attributes samples to the right arm after
+      // loading.
+      const int narms = arm_count(key, defaults, topo, shared);
+      for (int a = 0; a < narms; ++a) {
+        const Plan cand = arm_plan(a, key, defaults, topo, cache, shared);
+        if (cand.algorithm == p.algorithm && cand.nt == p.nt &&
+            cand.slice_log2 == p.slice_log2) {
+          p.arm = static_cast<std::uint8_t>(a);
+          break;
+        }
       }
+      arr.push_back(
+          entry_to_json(rt::plan_signature(topo, cache, shared), key, p));
     }
-    arr.push_back(entry_to_json(sig, key, p));
-  }
   doc.set("plans", std::move(arr));
   return doc;
 }

@@ -56,16 +56,12 @@ constexpr std::uint64_t plan_mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Machine/topology identity a plan is valid for: ranks, socket layout and
-/// the cache-capacity model (§4.2) the NT prior depends on.  Persisted
+/// Machine/topology identity a plan is valid for: ranks, socket layout,
+/// the cache-capacity model (§4.2) the NT prior depends on, and whether
+/// the ranks share an address space (only then may a plan run the
+/// single-copy direct arm).  Forked teams — the paper's process setting —
+/// get the bare machine signature, without the backend bit.  Persisted
 /// plans are only loaded into teams with a matching signature.
-std::uint64_t plan_signature(const Topology& topo,
-                             const copy::CacheConfig& cache) noexcept;
-
-/// The machine signature plus the team's backend: plans of teams whose
-/// ranks share an address space may run the single-copy direct arm, so
-/// they live in their own key space.  Forked teams (the paper's process
-/// setting) keep the machine signature unchanged.
 std::uint64_t plan_signature(const Topology& topo,
                              const copy::CacheConfig& cache,
                              bool shared_address_space) noexcept;

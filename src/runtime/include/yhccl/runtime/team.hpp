@@ -275,10 +275,6 @@ class Team {
   /// shrinks the membership, so stale plans from the old shape simply stop
   /// matching.
   std::uint64_t plan_signature() const noexcept { return plan_sig_; }
-  /// The backend-neutral part of plan_signature() (topology + cache only):
-  /// the online explore schedule hashes it, so both backends of a machine
-  /// walk a shared arm table in the same order.
-  std::uint64_t machine_signature() const noexcept { return machine_sig_; }
 
   // ---- always-on metrics (YHCCL_METRICS, docs/observability.md §6) ---------
   /// Non-null when this team meters (mode on or serve).  Lives in the
@@ -353,7 +349,6 @@ class Team {
   PlanRegistry* plans_ = nullptr;
   TuneMode tune_mode_ = TuneMode::prior;
   std::uint64_t plan_sig_ = 0;
-  std::uint64_t machine_sig_ = 0;
   bool flight_dumped_ = false;  ///< one flight dump per fault, not per retry
   metrics::MetricsBuffer* metrics_ = nullptr;
   metrics::Mode metrics_mode_ = metrics::Mode::off;

@@ -33,7 +33,8 @@ std::uint32_t tune_eps_mille_from_env() {
 }
 
 std::uint64_t plan_signature(const Topology& topo,
-                             const copy::CacheConfig& cache) noexcept {
+                             const copy::CacheConfig& cache,
+                             bool shared_address_space) noexcept {
   std::uint64_t h = plan_mix64(topo.signature());
   const auto fold = [&h](std::uint64_t v) {
     h = plan_mix64(h ^ plan_mix64(v));
@@ -41,15 +42,7 @@ std::uint64_t plan_signature(const Topology& topo,
   fold(cache.llc_bytes);
   fold(cache.l2_per_core);
   fold(cache.llc_inclusive ? 1 : 0);
-  return h != 0 ? h : 1;
-}
-
-std::uint64_t plan_signature(const Topology& topo,
-                             const copy::CacheConfig& cache,
-                             bool shared_address_space) noexcept {
-  const std::uint64_t machine = plan_signature(topo, cache);
-  if (!shared_address_space) return machine;
-  const std::uint64_t h = plan_mix64(machine ^ plan_mix64(1));  // backend bit
+  if (shared_address_space) fold(1);  // backend bit; forked teams skip it
   return h != 0 ? h : 1;
 }
 

@@ -131,7 +131,6 @@ Team::Team(TeamConfig cfg, bool forked_ranks)
   // Auto-tuner plan cache: one shared table per team so every rank of both
   // backends resolves collectives to the same cached plan (docs/tuning.md).
   tune_mode_ = resolve_tune_mode(cfg_.tune);
-  machine_sig_ = rt::plan_signature(topo_, cfg_.cache);
   plan_sig_ = rt::plan_signature(topo_, cfg_.cache, shares_address_space());
   const std::size_t plan_bytes = PlanRegistry::required_bytes(kPlanSlots);
 
@@ -465,7 +464,6 @@ FaultInfo Team::recover() {
   // atomics, so an abort cannot tear them); the refreshed signature keys
   // the shrunken topology into its own plan space, so plans cached for the
   // old shape simply stop matching.
-  machine_sig_ = rt::plan_signature(topo_, cfg_.cache);
   plan_sig_ = rt::plan_signature(topo_, cfg_.cache, shares_address_space());
 
   // Re-initialize every piece of shared synchronization state the aborted

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "test_util.hpp"
+#include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/coll/profiler.hpp"
@@ -659,10 +660,9 @@ static void default_team_loads_warmed_plans() {
   const int p = 4, m = 2;
   TeamT team(tuned_cfg(p, m, rt::TuneMode::env));  // the default mode
   ASSERT_NE(team.plan_registry(), nullptr);
-  const auto plans = plan::warm_from_bench(
-      bench_report(p, m, team.config().cache,
-                   {{"flat-MA", 4u << 20, 1e-3}, {"socket-MA", 4u << 20, 2e-3}}),
-      team.shares_address_space());
+  const auto plans = plan::warm_from_bench(bench_report(
+      p, m, team.config().cache,
+      {{"flat-MA", 4u << 20, 1e-3}, {"socket-MA", 4u << 20, 2e-3}}));
   ASSERT_EQ(plan::load_plans(team, plans), 1);
   EXPECT_EQ(plan::tune_stats(team).loaded, 1u);
   const auto served = plan::query(team, CollKind::allreduce, 4u << 20,
@@ -685,7 +685,7 @@ TEST(PlanPersistence, WarmFromBenchThenLoadOverridesThePrior) {
   const auto plans =
       plan::warm_from_bench(fake_bench_report(p, m, team.config().cache));
   plan::validate_plan_json(plans);
-  ASSERT_EQ(plans["plans"].size(), 2u);
+  ASSERT_EQ(plans["plans"].size(), 4u);  // two cells, once per backend
 
   ASSERT_EQ(plan::load_plans(team, plans), 2);
   // 4 MB allreduce: prior says socket-MA, the bench data says flat MA.
@@ -766,20 +766,44 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   rt::ProcessTeam procs(tuned_cfg(p, m, rt::TuneMode::prior));
   // One machine, two key spaces: the backend bit is part of the signature,
   // and the paper's process setting keeps the bare machine signature.
-  EXPECT_EQ(threads.machine_signature(), procs.machine_signature());
-  EXPECT_EQ(procs.plan_signature(), procs.machine_signature());
+  const auto& cache = threads.config().cache;
+  EXPECT_EQ(procs.plan_signature(),
+            rt::plan_signature(procs.topo(), cache, false));
+  EXPECT_EQ(threads.plan_signature(),
+            rt::plan_signature(threads.topo(), cache, true));
   EXPECT_NE(threads.plan_signature(), procs.plan_signature());
 
-  const auto report =
-      bench_report(p, m, threads.config().cache,
-                   {{"direct", 64u << 10, 1e-6},
-                    {"dpml-2l", 64u << 10, 2e-6},
-                    {"flat-MA", 4u << 20, 1e-3},
-                    {"socket-MA", 4u << 20, 2e-3}});
-  const auto thread_plans = plan::warm_from_bench(report);
-  plan::validate_plan_json(thread_plans);
-  EXPECT_EQ(plan::load_plans(procs, thread_plans), 0);
-  ASSERT_EQ(plan::load_plans(threads, thread_plans), 2);
+  // A bench report warms both backends from one file: direct wins the
+  // 64 KB cell on thread teams, DPML (the best arm forked ranks can run)
+  // on process teams.
+  const auto report = bench_report(p, m, cache,
+                                   {{"direct", 64u << 10, 1e-6},
+                                    {"dpml-2l", 64u << 10, 2e-6},
+                                    {"flat-MA", 4u << 20, 1e-3},
+                                    {"socket-MA", 4u << 20, 2e-3}});
+  const auto plans = plan::warm_from_bench(report);
+  plan::validate_plan_json(plans);
+  const std::string thread_sig =
+      plan::save_plans(threads)["machine"]["signature"].as_string();
+  bench::Json thread_only = plans;
+  bench::Json thread_entries = bench::Json::array();
+  for (const auto& e : plans["plans"].items()) {
+    const bool for_threads = e["signature"].as_string() == thread_sig;
+    if (e["algorithm"].as_string() == "direct") {
+      EXPECT_TRUE(for_threads) << "direct is never warmed for forked teams";
+    }
+    if (for_threads) thread_entries.push_back(e);
+  }
+  ASSERT_EQ(plans["plans"].size(), 4u);
+  ASSERT_EQ(thread_entries.size(), 2u);
+  thread_only.set("plans", thread_entries);
+  // Entries warmed for thread teams are skipped on a process team as a
+  // signature mismatch.
+  EXPECT_EQ(plan::load_plans(procs, thread_only), 0);
+
+  ASSERT_EQ(plan::load_plans(threads, plans), 2);
+  rt::ProcessTeam warmed(tuned_cfg(p, m, rt::TuneMode::prior));
+  ASSERT_EQ(plan::load_plans(warmed, plans), 2);
   const auto served = [](const rt::Team& team, std::size_t bytes) {
     return plan::query(team, CollKind::allreduce, bytes, Datatype::f64,
                        ReduceOp::sum);
@@ -787,22 +811,16 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   EXPECT_EQ(served(threads, 64u << 10).algorithm, Algorithm::direct);
   EXPECT_EQ(served(threads, 64u << 10).source, plan::PlanSource::bench);
   EXPECT_EQ(served(threads, 4u << 20).algorithm, Algorithm::ma_flat);
+  EXPECT_EQ(served(warmed, 64u << 10).algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(served(warmed, 64u << 10).source, plan::PlanSource::bench);
+  EXPECT_EQ(served(warmed, 4u << 20).algorithm, Algorithm::ma_flat);
   EXPECT_EQ(served(procs, 4u << 20).algorithm, Algorithm::ma_socket_aware);
   EXPECT_EQ(served(procs, 4u << 20).source, plan::PlanSource::prior);
 
-  // Plans warmed for forked teams drop the direct series.
-  const auto proc_plans =
-      plan::warm_from_bench(report, /*shared_address_space=*/false);
-  for (const auto& e : proc_plans["plans"].items())
-    EXPECT_NE(e["algorithm"].as_string(), "direct");
-  rt::ProcessTeam warmed(tuned_cfg(p, m, rt::TuneMode::prior));
-  ASSERT_EQ(plan::load_plans(warmed, proc_plans), 2);
-  EXPECT_EQ(served(warmed, 64u << 10).algorithm, Algorithm::dpml_two_level);
-  EXPECT_EQ(served(warmed, 4u << 20).algorithm, Algorithm::ma_flat);
-
   // A hand-edited process-signed file naming direct loads nothing for those
   // entries, and direct on a non-allreduce fails validation outright.
-  bench::Json doc = proc_plans;
+  bench::Json doc = plan::save_plans(warmed);
+  ASSERT_EQ(doc["plans"].size(), 2u);
   bench::Json edited = bench::Json::array();
   for (const auto& e : doc["plans"].items()) {
     bench::Json f = e;
@@ -819,6 +837,45 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   arr.push_back(entry);
   bad.set("plans", arr);
   EXPECT_THROW(plan::validate_plan_json(bad), Error);
+}
+
+TEST(PlanPersistence, BenchWarmedPlanFileWarmsBothBackends) {
+  // The plan_check route: warm_from_bench written to disk and loaded via
+  // $YHCCL_PLAN_FILE warms process teams as well as thread teams.
+  const int p = 4, m = 2;
+  const std::string path =
+      ::testing::TempDir() + "yhccl_plans_bench_warmed_test.json";
+  {
+    rt::ThreadTeam probe(tuned_cfg(p, m, rt::TuneMode::prior));
+    std::string err;
+    ASSERT_TRUE(bench::write_json_file(
+        path,
+        plan::warm_from_bench(fake_bench_report(p, m, probe.config().cache)),
+        &err))
+        << err;
+  }
+  EnvGuard g("YHCCL_PLAN_FILE", path.c_str());
+  const std::size_t count = (4u << 20) / sizeof(double);
+  for (int which = 0; which < 2; ++which) {
+    std::unique_ptr<rt::Team> team;
+    if (which == 0)
+      team = std::make_unique<rt::ThreadTeam>(
+          tuned_cfg(p, m, rt::TuneMode::prior));
+    else
+      team = std::make_unique<rt::ProcessTeam>(
+          tuned_cfg(p, m, rt::TuneMode::prior));
+    auto* words = reinterpret_cast<std::uint64_t*>(
+        team->shared_alloc(sizeof(std::uint64_t) * p));
+    run_logged_allreduce(*team, 1, count, words);
+    EXPECT_EQ(plan::tune_stats(*team).loaded, 2u) << "backend " << which;
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(plan::Plan::unpack(words[r]).algorithm, Algorithm::ma_flat)
+          << "backend " << which;
+      EXPECT_EQ(plan::Plan::unpack(words[r]).source,
+                plan::PlanSource::bench)
+          << "backend " << which;
+    }
+  }
 }
 
 TEST(PlanPersistence, ThreadPlanFileIsSkippedOnProcessTeams) {
