@@ -16,6 +16,10 @@
 //   ring           trace-ring push/harvest publication
 //   fold           fold-allreduce stage reuse: write, one barrier, read,
 //                  two stages alternating, no trailing barrier
+//   direct_pull    direct-allreduce block ownership, pull schedule: reduce
+//                  my block, barrier, gather peers' blocks, trailing barrier
+//   direct_push    the push schedule: reduce my block into every rank's
+//                  recv, trailing barrier
 //
 // The mutation table seeds one memory-order weakening (WeakPoint) at a time
 // into the production code path; tests/test_model_check.cpp asserts the
@@ -45,6 +49,11 @@ Spec protocol_spec(const std::string& name, int nthreads);
 /// stage the next round's copy-in races the previous round's fold, which
 /// the checker must catch.
 Spec fold_spec(int nthreads, int nstages);
+
+/// The direct harness, pull or push schedule.  Without the trailing
+/// barrier a returning rank reuses its receive buffer while peers still
+/// read from it or write into it, which the checker must catch.
+Spec direct_spec(int nthreads, bool push, bool trailing_barrier);
 
 /// Explore one protocol instance.
 Result check_protocol(const std::string& name, int nthreads,

@@ -536,18 +536,117 @@ Spec fold_spec(int n, int nstages) {
   return s;
 }
 
+// ---------------------------------------------------------------------------
+// direct: the block ownership protocol of coll::direct_allreduce over the
+// production barrier, one element per block.  Each round the caller fills
+// its send buffer, every rank passes barrier 1, then rank r reduces block r
+// of every send buffer and
+//   pull: writes it to its own recv, passes barrier 2 and copies every
+//         other block b from rank b's recv;
+//   push: writes it to block r of every rank's recv;
+// then the trailing barrier.  After the call the caller checks its recv
+// and poisons it, as a benchmark that reuses its output buffer does.  The
+// trailing barrier is what keeps a returning rank from poisoning a block
+// a peer still reads (pull) or reading a block a peer has not yet pushed
+// (push); without it the checker must find the race.  RemoteWindow
+// publication has its own harness (seqlock), so the buffers here are fixed.
+// ---------------------------------------------------------------------------
+
+Spec direct_spec(int n, bool push, bool trailing_barrier) {
+  YHCCL_REQUIRE(n >= 2 && n <= 3, "direct spec: 2..3 ranks");
+  struct St {
+    rt::BarrierState bar;
+    std::uint32_t sense[3];
+    std::uint64_t send[3][3];  // send[rank][block]
+    std::uint64_t recv[3][3];  // recv[rank][block]
+  };
+  auto st = std::make_shared<St>();
+  const auto value = [](std::uint64_t k, int q, int b) {
+    return 100 * k + 10 * static_cast<std::uint64_t>(q) +
+           static_cast<std::uint64_t>(b) + 1;
+  };
+  // Two rounds at 2 ranks cover a round's buffers being refilled for the
+  // next.  Three barrier episodes at 3 ranks exceed 200 000 executions, so
+  // there one round runs on buffers filled before the ranks start: barrier
+  // 1 then orders nothing and is left out.
+  const bool prefilled = n == 3;
+  const std::uint64_t rounds = prefilled ? 1 : 2;
+  Spec s;
+  s.nthreads = n;
+  s.reset = [st, n, value, prefilled] {
+    rt::barrier_init(st->bar, static_cast<std::uint32_t>(n));
+    std::memset(st->sense, 0, sizeof st->sense);
+    std::memset(st->send, 0, sizeof st->send);
+    std::memset(st->recv, 0, sizeof st->recv);
+    if (prefilled)
+      for (int q = 0; q < n; ++q)
+        for (int b = 0; b < n; ++b) st->send[q][b] = value(0, q, b);
+    set_label(&st->bar.arrived, sizeof st->bar.arrived, "arrived");
+    set_label(&st->bar.sense, sizeof st->bar.sense, "sense");
+    set_label(st->send, sizeof st->send, "direct send");
+    set_label(st->recv, sizeof st->recv, "direct recv");
+  };
+  s.body = [st, n, push, trailing_barrier, value, prefilled, rounds](int r) {
+    const auto arrive = [&] { rt::barrier_arrive(st->bar, st->sense[r]); };
+    for (std::uint64_t k = 0; k < rounds; ++k) {
+      if (!prefilled) {
+        for (int b = 0; b < n; ++b) {
+          hb_write(&st->send[r][b], sizeof(std::uint64_t), "caller fill");
+          st->send[r][b] = value(k, r, b);
+        }
+        arrive();  // barrier 1: every buffer is published and filled
+      }
+      std::uint64_t acc = 0;
+      for (int q = 0; q < n; ++q) {
+        hb_read(&st->send[q][r], sizeof(std::uint64_t), "direct reduce");
+        acc += st->send[q][r];
+      }
+      for (int i = 0; i < (push ? n : 1); ++i) {
+        const int q = (r + i) % n;
+        hb_write(&st->recv[q][r], sizeof(std::uint64_t),
+                 push ? "direct push" : "direct reduce");
+        st->recv[q][r] = acc;
+      }
+      if (!push) {
+        arrive();  // barrier 2: every block is reduced
+        for (int b = 0; b < n; ++b) {
+          if (b == r) continue;
+          hb_read(&st->recv[b][b], sizeof(std::uint64_t), "direct gather");
+          hb_write(&st->recv[r][b], sizeof(std::uint64_t), "direct gather");
+          st->recv[r][b] = st->recv[b][b];
+        }
+      }
+      if (trailing_barrier) arrive();
+      for (int b = 0; b < n; ++b) {
+        std::uint64_t want = 0;
+        for (int q = 0; q < n; ++q) want += value(k, q, b);
+        hb_read(&st->recv[r][b], sizeof(std::uint64_t), "caller check");
+        require(st->recv[r][b] == want,
+                "direct returned before its receive buffer was complete");
+      }
+      for (int b = 0; b < n; ++b) {
+        hb_write(&st->recv[r][b], sizeof(std::uint64_t), "caller poison");
+        st->recv[r][b] = 0;
+      }
+    }
+  };
+  return s;
+}
+
 const std::vector<std::string>& protocol_names() {
   static const std::vector<std::string> names = {
-      "flags",    "barrier", "dissemination", "fifo",       "rndv",
-      "pagelock", "seqlock", "plan",          "quarantine", "ring",
-      "fold"};
+      "flags",      "barrier", "dissemination", "fifo",
+      "rndv",       "pagelock", "seqlock",      "plan",
+      "quarantine", "ring",     "fold",         "direct_pull",
+      "direct_push"};
   return names;
 }
 
 bool protocol_supports(const std::string& name, int nthreads) {
   if (nthreads < 2) return false;
   if (name == "fifo" || name == "rndv" || name == "ring" || name == "plan" ||
-      name == "seqlock" || name == "quarantine" || name == "fold")
+      name == "seqlock" || name == "quarantine" || name == "fold" ||
+      name == "direct_pull" || name == "direct_push")
     return nthreads <= 3;
   return nthreads <= 4;
 }
@@ -565,6 +664,8 @@ Spec protocol_spec(const std::string& name, int nthreads) {
   if (name == "plan") return plan_spec(nthreads);
   if (name == "quarantine") return quarantine_spec(nthreads);
   if (name == "fold") return fold_spec(nthreads, 2);
+  if (name == "direct_pull") return direct_spec(nthreads, false, true);
+  if (name == "direct_push") return direct_spec(nthreads, true, true);
   return ring_spec(nthreads);
 }
 

@@ -93,12 +93,12 @@ void xpmem_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 
 void xpmem_allreduce(RankCtx& ctx, const void* send, void* recv,
                      std::size_t count, Datatype d, ReduceOp op) {
-  // The library's direct arm with the baseline's copy semantics:
-  // memmove-threshold gathers and a temporal reduce store.
+  // The library's direct arm with the baseline's semantics: the pull
+  // schedule, memmove-threshold gathers and a temporal reduce store.
   coll::CollOpts opts;
   opts.policy = copy::CopyPolicy::memmove_model;
   coll::detail::direct_allreduce(ctx, send, recv, count, d, op, opts,
-                                 /*nt_reduce=*/false);
+                                 /*xpmem_baseline=*/true);
 }
 
 void xpmem_reduce(RankCtx& ctx, const void* send, void* recv,

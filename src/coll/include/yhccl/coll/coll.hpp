@@ -157,8 +157,10 @@ void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
 
 /// Single-copy allreduce over peers' own buffers: rank r reduces block r
 /// of every send buffer, in rank order, into its recv, then copies the
-/// other blocks from their owners' recv buffers.  Three barriers, DAV
-/// s(3p-1).  Requires ctx.team().shares_address_space().
+/// other blocks from their owners' recv buffers (pull, three barriers), or
+/// above the private-cache cut 2ps > p·c'' streams its block into every
+/// peer's recv (push, two barriers).  DAV s(3p-1) either way.  Requires
+/// ctx.team().shares_address_space().
 void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
                       const CollOpts& opts = {});

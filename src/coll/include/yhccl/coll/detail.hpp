@@ -122,12 +122,28 @@ struct WorkSet {
   }
 };
 
-/// The direct allreduce (coll::direct_allreduce).  `nt_reduce` = false
-/// pins the reduce store temporal whatever opts.policy says; with
-/// CopyPolicy::memmove_model that is the XPMEM baseline's semantics.
+/// The ranks' private caches, p·c'': the only place a line one rank
+/// stores into a peer's buffer can be reused from when the LLC is
+/// non-inclusive and the writer never reads it back.
+inline std::size_t private_caches(int p, const copy::CacheConfig& cache) {
+  return static_cast<std::size_t>(p) * cache.l2_per_core;
+}
+
+/// Does the direct allreduce run its push schedule?  Yes when its work
+/// set W = 2ps outgrows the private caches p·c'' (docs/algorithms.md).
+/// Pure in (s, p, cache), so every rank takes the same schedule.
+inline bool direct_pushes(std::size_t s, int p,
+                          const copy::CacheConfig& cache) {
+  return WorkSet::direct_allreduce(s, p) > private_caches(p, cache);
+}
+
+/// The direct allreduce (coll::direct_allreduce).  `xpmem_baseline` pins
+/// the XPMEM baseline's semantics: the pull schedule at every size and a
+/// temporal reduce store whatever opts.policy says (base::xpmem_allreduce
+/// pairs it with CopyPolicy::memmove_model).
 void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
-                      const CollOpts& opts, bool nt_reduce);
+                      const CollOpts& opts, bool xpmem_baseline);
 
 /// Validate buffers/args shared by every reduction collective.
 inline void check_reduction_args(RankCtx& ctx, const void* send,

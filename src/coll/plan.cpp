@@ -228,6 +228,18 @@ bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
   return w > cache.available(p);
 }
 
+namespace {
+
+/// The store type the direct arm runs under the adaptive policy.  Its work
+/// set is W = 2ps alone (it stages nothing); above the private-cache cut
+/// it pushes with C = p·c'', below it pulls with C = c' + p·c''.
+bool direct_nt(std::size_t s, int p, const copy::CacheConfig& cache) {
+  return detail::direct_pushes(s, p, cache) ||
+         detail::WorkSet::direct_allreduce(s, p) > cache.available(p);
+}
+
+}  // namespace
+
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                 const rt::Topology& topo, const copy::CacheConfig& cache,
                 bool shared_address_space) noexcept {
@@ -238,13 +250,10 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                                                  shared_address_space)
                     : Algorithm::pipelined;
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 (§4.2)
-  // The direct arm stages nothing, so its work set is W = 2ps alone.
-  p.nt_prior =
-      p.algorithm == Algorithm::direct
-          ? detail::WorkSet::direct_allreduce(rep, topo.nranks()) >
-                cache.available(topo.nranks())
-          : prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,
-                     opts.slice_max);
+  p.nt_prior = p.algorithm == Algorithm::direct
+                   ? direct_nt(rep, topo.nranks(), cache)
+                   : prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(),
+                              cache, opts.slice_max);
   p.source = PlanSource::prior;
   p.arm = 0;
   return p;

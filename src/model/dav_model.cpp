@@ -573,6 +573,19 @@ OpCounts pipelined_allgather_ops(std::size_t s, const OpGeometry& g) {
   return sim.c;
 }
 
+namespace {
+
+/// Bytes of block b of the direct allreduce: p cache-line multiples of
+/// ceil(s/p), the trailing ones possibly empty.
+std::size_t direct_block_len(std::size_t s, int p, int b) {
+  const std::size_t B = std::max<std::size_t>(
+      ru(cd(s, static_cast<std::size_t>(p)), kCl), kCl);
+  const std::size_t start = static_cast<std::size_t>(b) * B;
+  return start >= s ? std::size_t{0} : std::min(B, s - start);
+}
+
+}  // namespace
+
 OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g) {
   Sim sim;
   const int p = g.p;
@@ -581,18 +594,35 @@ OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g) {
     sim.copy(s);
     return sim.c;
   }
-  const std::size_t B = std::max<std::size_t>(
-      ru(cd(s, static_cast<std::size_t>(p)), kCl), kCl);
-  auto blen = [&](int b) {
-    const std::size_t start = static_cast<std::size_t>(b) * B;
-    return start >= s ? std::size_t{0} : std::min(B, s - start);
-  };
+  auto blen = [&](int b) { return direct_block_len(s, p, b); };
   sim.barrier(p);
   for (int r = 0; r < p; ++r) sim.reduce_multi(p, blen(r));
   sim.barrier(p);
   for (int r = 0; r < p; ++r)
     for (int b = 0; b < p; ++b)
       if (b != r) sim.copy(blen(b));
+  sim.barrier(p);
+  return sim.c;
+}
+
+OpCounts direct_push_allreduce_ops(std::size_t s, const OpGeometry& g) {
+  Sim sim;
+  const int p = g.p;
+  if (s == 0) return sim.c;
+  if (p == 1) {
+    sim.copy(s);
+    return sim.c;
+  }
+  const std::size_t I = std::max(ru(g.slice_max, kCl), kCl);
+  sim.barrier(p);
+  for (int r = 0; r < p; ++r) {
+    const std::size_t mine = direct_block_len(s, p, r);
+    for (std::size_t at = 0; at < mine; at += I) {
+      const std::size_t len = std::min(I, mine - at);
+      sim.reduce_multi(p, len);
+      for (int k = 1; k < p; ++k) sim.copy(len);
+    }
+  }
   sim.barrier(p);
   return sim.c;
 }

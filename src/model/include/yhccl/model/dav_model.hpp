@@ -117,7 +117,13 @@ OpCounts dpml_allreduce_ops(std::size_t s, const OpGeometry& g);
 OpCounts dpml_reduce_ops(std::size_t s, const OpGeometry& g);
 OpCounts pipelined_broadcast_ops(std::size_t s, const OpGeometry& g);
 OpCounts pipelined_allgather_ops(std::size_t s, const OpGeometry& g);
+/// The direct allreduce's pull schedule (and base::xpmem_allreduce):
+/// DAV s(3p-1), 3p barrier arrivals.
 OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g);
+/// The direct allreduce's push schedule (coll::detail::direct_pushes):
+/// the same loads and stores as the pull, 2p barrier arrivals, and per
+/// slice of slice_max one fused reduction plus p-1 copies.
+OpCounts direct_push_allreduce_ops(std::size_t s, const OpGeometry& g);
 /// One-barrier fold (coll::fold_allreduce): per rank copy-in 2s plus a
 /// (p+1)s fused fold, so DAV p(p+3)·s, p barrier arrivals, no flags.
 OpCounts fold_allreduce_ops(std::size_t s, const OpGeometry& g);

@@ -459,6 +459,10 @@ class RankCtx {
   // ---- remote buffer registry (XPMEM/CMA) ---------------------------------
   void publish_buffer(int slot, const void* p, std::size_t bytes);
   RemoteBuf remote_buffer(int peer, int slot) const;
+  /// Writable pointer to a peer's published buffer, for slots whose owner
+  /// publishes memory peers may store into (a receive buffer).  Only
+  /// meaningful when the team shares one address space.
+  void* remote_target(int peer, int slot) const;
   PageLockTable& page_locks() noexcept { return team_->shared().page_locks; }
 
   // ---- point-to-point ------------------------------------------------------

@@ -901,6 +901,12 @@ RemoteBuf RankCtx::remote_buffer(int peer, int slot) const {
   return window_read(team_->shared().registry[peer][slot]);
 }
 
+void* RankCtx::remote_target(int peer, int slot) const {
+  // The registry stores every window read-only; writability is the
+  // owner's contract for this slot, so the cast restores what it published.
+  return const_cast<void*>(remote_buffer(peer, slot).ptr);
+}
+
 // ---------------------------------------------------------------------------
 // pt2pt: eager two-copy FIFO
 // ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@
 // compared against a sequential reference reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "test_util.hpp"
 
@@ -409,46 +412,100 @@ TEST(CollEdge, DirectArmServesAutomaticAllreducesAboveTheCut) {
   }
 }
 
-// The direct arm reduces each block in rank order 0..p-1, in place or not:
-// random non-integer f32 operands (order-sensitive sums) must match a
-// scalar rank-order fold bit for bit on every rank.
-TEST(CollEdge, DirectArmIsBitwiseRankOrderedInAndOutOfPlace) {
-  for (const auto& shape : {TeamShape{4, 2}, TeamShape{5, 2}}) {
-    auto& team = cached_team(shape.p, shape.m);
-    const auto pn = static_cast<std::size_t>(shape.p);
-    const std::size_t count = 20011;  // ragged blocks
-    std::vector<std::vector<float>> in(pn, std::vector<float>(count));
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    for (auto& v : in)
-      for (float& f : v) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        f = static_cast<float>(static_cast<std::int64_t>(x % 2000001) -
-                               1000000) /
-            997.0f;
-      }
-    std::vector<std::vector<float>> out(pn, std::vector<float>(count)),
-        inplace = in;
+/// Random operands: non-integer floats make sums order-sensitive; i32 stays
+/// small enough that a 4-rank sum cannot overflow.
+template <typename T>
+std::vector<std::vector<T>> random_operands(std::size_t p, std::size_t count,
+                                            std::uint64_t seed) {
+  std::vector<std::vector<T>> in(p, std::vector<T>(count));
+  std::uint64_t x = seed;
+  for (auto& v : in)
+    for (T& e : v) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const auto k = static_cast<std::int64_t>(x % 2000001) - 1000000;
+      e = std::is_integral_v<T> ? static_cast<T>(k)
+                                : static_cast<T>(static_cast<double>(k) /
+                                                 997.0);
+    }
+  return in;
+}
+
+/// Direct allreduce of `in` on `team`, out of place and in place; returns
+/// the number of elements on any rank, in either call, whose bits differ
+/// from a scalar fold in rank order 0..p-1.
+template <typename T>
+std::size_t direct_mismatches(rt::ThreadTeam& team,
+                              const std::vector<std::vector<T>>& in,
+                              Datatype d, ReduceOp op, const CollOpts& o) {
+  const std::size_t p = in.size(), count = in[0].size();
+  std::vector<std::vector<T>> out(p, std::vector<T>(count)), inplace = in;
+  team.run([&](RankCtx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    allreduce(ctx, in[r].data(), out[r].data(), count, d, op, o);
+    allreduce(ctx, inplace[r].data(), inplace[r].data(), count, d, op, o);
+  });
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    T acc = in[0][i];
+    for (std::size_t q = 1; q < p; ++q)
+      acc = op == ReduceOp::sum ? static_cast<T>(acc + in[q][i])
+                                : std::max(acc, in[q][i]);
+    for (std::size_t r = 0; r < p; ++r) {
+      mismatches += std::memcmp(&out[r][i], &acc, sizeof(T)) != 0 ? 1 : 0;
+      mismatches += std::memcmp(&inplace[r][i], &acc, sizeof(T)) != 0 ? 1 : 0;
+    }
+  }
+  return mismatches;
+}
+
+// The direct arm reduces each block in rank order 0..p-1, in place or not,
+// and the push schedule must give the pull schedule's bits.  One team's
+// private caches are so large that it always pulls, the other's so small
+// that it pushes from 33 bytes on; both must match the scalar rank-order
+// fold on every rank, out of place and in place.  17 elements leave
+// trailing blocks empty; 4 KB slices make the larger counts push many
+// ragged slices.
+TEST(CollEdge, DirectPushIsBitwiseEqualToPullAndRankOrder) {
+  for (const auto& shape : {TeamShape{2, 1}, TeamShape{3, 1}, TeamShape{4, 2},
+                            TeamShape{3, 2}, TeamShape{5, 2}}) {
+    rt::TeamConfig cfg;
+    cfg.nranks = shape.p;
+    cfg.nsockets = shape.m;
+    cfg.cache.l2_per_core = std::size_t{1} << 30;
+    rt::ThreadTeam pull_team(cfg);
+    cfg.cache.l2_per_core = 64;
+    rt::ThreadTeam push_team(cfg);
     CollOpts o;
     o.algorithm = Algorithm::direct;
-    team.run([&](RankCtx& ctx) {
-      const auto r = static_cast<std::size_t>(ctx.rank());
-      allreduce(ctx, in[r].data(), out[r].data(), count, Datatype::f32,
-                ReduceOp::sum, o);
-      allreduce(ctx, inplace[r].data(), inplace[r].data(), count,
-                Datatype::f32, ReduceOp::sum, o);
-    });
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      float acc = in[0][i];
-      for (std::size_t q = 1; q < pn; ++q) acc += in[q][i];
-      for (std::size_t r = 0; r < pn; ++r) {
-        mismatches += std::memcmp(&out[r][i], &acc, 4) != 0 ? 1 : 0;
-        mismatches += std::memcmp(&inplace[r][i], &acc, 4) != 0 ? 1 : 0;
+    o.slice_max = 4u << 10;
+    const auto pn = static_cast<std::size_t>(shape.p);
+    for (const std::size_t count :
+         {std::size_t{17}, std::size_t{1000}, std::size_t{20011}}) {
+      for (const ReduceOp op : {ReduceOp::sum, ReduceOp::max}) {
+        const std::uint64_t seed = 0x9e3779b97f4a7c15ull + count;
+        const auto f32 = random_operands<float>(pn, count, seed);
+        const auto f64 = random_operands<double>(pn, count, seed);
+        const auto i32 = random_operands<std::int32_t>(pn, count, seed);
+        for (rt::ThreadTeam* team : {&pull_team, &push_team}) {
+          const bool push = team == &push_team;
+          ASSERT_EQ(coll::detail::direct_pushes(count * 4, shape.p,
+                                                team->config().cache),
+                    push);
+          const std::string where =
+              std::string(push ? "push" : "pull") + " p=" +
+              std::to_string(shape.p) + " count=" + std::to_string(count) +
+              " " + std::string(op_name(op));
+          EXPECT_EQ(direct_mismatches(*team, f32, Datatype::f32, op, o), 0u)
+              << "f32 " << where;
+          EXPECT_EQ(direct_mismatches(*team, f64, Datatype::f64, op, o), 0u)
+              << "f64 " << where;
+          EXPECT_EQ(direct_mismatches(*team, i32, Datatype::i32, op, o), 0u)
+              << "i32 " << where;
+        }
       }
     }
-    EXPECT_EQ(mismatches, 0u) << "p=" << shape.p;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/model/dav_model.hpp"
 #include "yhccl/runtime/process_team.hpp"
@@ -564,6 +565,54 @@ void run_parity_matrix(rt::Team& team, int p, int m,
 TEST(CounterParity, MatrixOnThreadTeams) {
   for (auto [p, m] : kParityShapes) {
     run_parity_matrix(cached_team(p, m, kParityScratch), p, m);
+  }
+}
+
+// The direct arm on both sides of its push cut, W = 2ps > p·c'': a 16 KB
+// private cache puts the cut at s = 8 KB, so the counts sit just below,
+// at and just above it, then ragged and divisible well past it, over
+// 4 KB slices.  Each call must match the simulator of the schedule the
+// pure cut predicts, and the two simulators must agree on DAV.
+TEST(CounterParity, DirectPullAndPushAcrossTheCut) {
+  for (auto [p, m] : kParityShapes) {
+    rt::TeamConfig cfg;
+    cfg.nranks = p;
+    cfg.nsockets = m;
+    cfg.scratch_bytes = kParityScratch;
+    cfg.cache.l2_per_core = 16u << 10;
+    rt::ThreadTeam team(cfg);
+    CollOpts o;
+    o.algorithm = Algorithm::direct;
+    o.slice_max = 4u << 10;
+    OpGeometry g;
+    g.p = p;
+    g.m = m;
+    g.slice_max = o.slice_max;
+    for (const std::size_t count :
+         {std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
+          std::size_t{3003}, std::size_t{4096}}) {
+      team.run([&](rt::RankCtx& ctx) {
+        std::vector<double> send(count), recv(count);
+        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
+                    ReduceOp::sum);
+        allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                  ReduceOp::sum, o);
+      });
+      const std::size_t s = count * 8;
+      const bool push = coll::detail::direct_pushes(s, p, cfg.cache);
+      EXPECT_EQ(push, s > 8u << 10) << "count=" << count;
+      const OpCounts pull_ops = md::impl::xpmem_allreduce_ops(s, g);
+      const OpCounts push_ops = md::impl::direct_push_allreduce_ops(s, g);
+      EXPECT_TRUE(counts_equal(measured_counts(team),
+                               push ? push_ops : pull_ops))
+          << (push ? "push" : "pull") << " p=" << p << " m=" << m
+          << " count=" << count;
+      // Same bytes either way; the push passes one barrier less.
+      EXPECT_EQ(push_ops.loads, pull_ops.loads) << "count=" << count;
+      EXPECT_EQ(push_ops.stores, pull_ops.stores) << "count=" << count;
+      EXPECT_EQ(push_ops.barriers, 2u * static_cast<std::uint64_t>(p));
+      EXPECT_EQ(pull_ops.barriers, 3u * static_cast<std::uint64_t>(p));
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/detail.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/sync_timeout.hpp"
 #include "yhccl/runtime/thread_team.hpp"
@@ -286,6 +287,56 @@ TEST(FaultRecoveryThreads, DieAtDirectBarrierThenDirectAgain) {
   for (int r = 0; r < team->nranks(); ++r)
     EXPECT_EQ(bad[r], 0) << "rank " << r;
   run_matrix(*team);
+}
+
+// The push schedule writes into its peers' receive buffers slice by slice.
+// Killing a rank mid-push (two of its slices delivered) must leave a team
+// whose next direct calls push again and are correct: the half-written
+// blocks are rewritten whole, since every call reduces from the send
+// buffers.
+TEST(FaultRecoveryThreads, DieInDirectPushThenDirectAgain) {
+  rt::TeamConfig cfg;
+  cfg.nranks = 4;
+  cfg.nsockets = 2;
+  cfg.scratch_bytes = 8u << 20;
+  cfg.shared_heap_bytes = 8u << 20;
+  cfg.sync_timeout = 20.0;
+  cfg.cache.l2_per_core = 4u << 10;  // push cut at s = 2 KB
+  rt::ThreadTeam team(cfg);
+  const std::size_t n = 3001;  // 23.4 KB: past the push cut, ragged blocks
+  ASSERT_TRUE(coll::detail::direct_pushes(n * sizeof(double), 4, cfg.cache));
+  std::vector<double*> sb(4), rb(4);
+  for (int r = 0; r < 4; ++r) {
+    sb[r] = alloc_f64(team, n);
+    rb[r] = alloc_f64(team, n);
+    test::fill_buffer(sb[r], n, Datatype::f64, r, ReduceOp::sum);
+  }
+  CollOpts direct;
+  direct.algorithm = Algorithm::direct;
+  direct.slice_max = 1u << 10;  // six slices per block
+  // iter=2: rank 2's third slice, after two slices reached every peer.
+  kill_and_recover(team, "die@slice:rank=2:iter=2", 2,
+                   [&](rt::RankCtx& ctx) {
+                     allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
+                               Datatype::f64, ReduceOp::sum, direct);
+                   });
+  expect_membership_after_recovery(team, Backend::threads, 2);
+  auto* bad = reinterpret_cast<int*>(team.shared_alloc(4 * sizeof(int)));
+  team.run([&](rt::RankCtx& ctx) {
+    const int r = ctx.rank();
+    for (int c = 0; c < 5; ++c) {
+      std::fill(rb[r], rb[r] + n, -1.0);
+      // Explicit and automatic calls both push here.
+      allreduce(ctx, sb[r], rb[r], n, Datatype::f64, ReduceOp::sum,
+                c % 2 == 0 ? direct : CollOpts{});
+      if (!test::check_reduced(rb[r], n, Datatype::f64, ctx.nranks(),
+                               ReduceOp::sum))
+        ++bad[r];
+    }
+  });
+  for (int r = 0; r < team.nranks(); ++r)
+    EXPECT_EQ(bad[r], 0) << "rank " << r;
+  run_matrix(team);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FaultRecovery,

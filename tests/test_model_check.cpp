@@ -268,6 +268,33 @@ TEST(McFold, SingleStageFoldIsCaughtWithReplayableCounterexample) {
   mc::clear_labels();
 }
 
+// The direct allreduce's trailing barrier is what keeps a returning rank
+// from reusing its receive buffer while peers still read it (pull) or have
+// not yet pushed into it (push).  Dropping it must produce a counterexample
+// that replays deterministically, for both schedules.
+TEST(McDirect, DroppedTrailingBarrierIsCaughtWithReplayableCounterexample) {
+  for (const bool push : {false, true}) {
+    mc::clear_labels();
+    const mc::Result found =
+        mc::explore(mc::direct_spec(2, push, /*trailing_barrier=*/false),
+                    budget());
+    ASSERT_TRUE(found.caught()) << (push ? "push: " : "pull: ")
+                                << found.execs << " execs, complete="
+                                << found.complete;
+    const mc::Violation& v = found.violations.front();
+    ASSERT_FALSE(v.schedule.empty());
+    for (int round = 0; round < 2; ++round) {
+      const mc::Result rep = mc::replay(
+          mc::direct_spec(2, push, /*trailing_barrier=*/false), v.schedule,
+          budget());
+      ASSERT_TRUE(rep.caught()) << (push ? "push" : "pull") << " replay round "
+                                << round << " was clean";
+      EXPECT_EQ(rep.violations.front().kind, v.kind);
+    }
+  }
+  mc::clear_labels();
+}
+
 // The counterexample replay with the flight recorder attached must not
 // perturb the schedule (same violation) and must emit the PR-5 flight JSON.
 TEST(McFlight, CounterexampleReplayYieldsFlightDump) {

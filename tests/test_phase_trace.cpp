@@ -211,6 +211,49 @@ TEST(PhaseTrace, DirectArmSpansCarryItsAlgIdAndExport) {
   EXPECT_TRUE(trace::validate_chrome(h.chrome_json(), &err)) << err;
 }
 
+// The plan's NT advisory for the direct arm must name the store type the
+// arm's copy-out spans record, on both sides of the push cut.  A 64 KB
+// private cache puts the cut at s = 32 KB; the sweep crosses it with
+// power-of-two and ragged sizes.
+TEST(PhaseTrace, DirectNtAdvisoryMatchesTheCopyOutStores) {
+  rt::TeamConfig cfg;
+  cfg.nranks = 4;
+  cfg.nsockets = 2;
+  cfg.scratch_bytes = 8u << 20;
+  cfg.trace = trace::Mode::spans;
+  cfg.cache.l2_per_core = 64u << 10;
+  int pulls = 0, pushes = 0;
+  for (const std::size_t n :
+       {std::size_t{1} << 11, std::size_t{3001}, std::size_t{1} << 12,
+        std::size_t{4097}, std::size_t{1} << 13, std::size_t{20011},
+        std::size_t{1} << 16}) {
+    rt::ThreadTeam team(cfg);
+    const plan::Plan plan = plan::query(team, CollKind::allreduce,
+                                        n * sizeof(float), Datatype::f32,
+                                        ReduceOp::sum);
+    ASSERT_EQ(plan.algorithm, Algorithm::direct) << "n=" << n;
+    team.run([&](rt::RankCtx& ctx) {
+      std::vector<float> s(n, 1.0f), r(n);
+      allreduce(ctx, s.data(), r.data(), n, Datatype::f32, ReduceOp::sum);
+    });
+    ASSERT_NE(team.trace_buffer(), nullptr);
+    trace::Harvest h(*team.trace_buffer());
+    int spans = 0;
+    for (int r = 0; r < h.nranks(); ++r)
+      for (const trace::Rec& rec : h.ring(r)) {
+        if (static_cast<trace::Phase>(rec.phase) != trace::Phase::copy_out)
+          continue;
+        ++spans;
+        EXPECT_EQ((rec.variant & 1u) != 0, plan.nt_prior)
+            << "n=" << n << " rank " << r;
+      }
+    EXPECT_GT(spans, 0) << "n=" << n;
+    (plan.nt_prior ? pushes : pulls) += 1;
+  }
+  EXPECT_GT(pulls, 0);
+  EXPECT_GT(pushes, 0);
+}
+
 using DetRec = std::tuple<std::uint8_t, std::uint8_t, std::uint64_t>;
 
 /// The schedule's movement phases (copy/reduce/coll) are deterministic for

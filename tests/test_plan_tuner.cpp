@@ -15,6 +15,7 @@
 #include "test_util.hpp"
 #include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/coll/profiler.hpp"
 #include "yhccl/model/dav_model.hpp"
@@ -234,19 +235,23 @@ TEST(PlanPrior, SharedAddressSpaceServesDirectAboveTheFoldCutOnly) {
   }
 }
 
-TEST(PlanPrior, DirectNtAdvisoryUsesItsOwnWorkSet) {
-  // W = 2ps: the direct prior streams exactly when 2ps exceeds C.
+TEST(PlanPrior, DirectNtAdvisoryFollowsThePushCut) {
+  // W = 2ps: the direct arm pushes with NT stores exactly when W exceeds
+  // the private caches p·c'' (s > c''/2), and pulls with temporal stores
+  // below that, where W <= p·c'' < C.  The advisory reports that choice.
   const copy::CacheConfig cache = copy::CacheConfig::node_a();
   const rt::Topology topo(4, 2);
-  const std::size_t C = cache.available(4);
   const CollOpts opts;
-  for (const std::size_t s : {C / 8, C / 8 + 1, C / 4}) {
-    const std::size_t bytes = std::size_t{1} << std::bit_width(s - 1);
+  const std::size_t cut = cache.l2_per_core / 2;
+  for (const std::size_t bytes :
+       {cut / 4, cut / 2, cut, cut + 1, 2 * cut, std::size_t{32} << 20}) {
     const auto key = plan::make_key(CollKind::allreduce, bytes, Datatype::f64,
                                     ReduceOp::sum, topo, opts);
     const plan::Plan p = plan::prior_plan(key, opts, topo, cache, true);
-    ASSERT_EQ(p.algorithm, Algorithm::direct);
-    EXPECT_EQ(p.nt_prior, 2 * 4 * bytes > C) << "bytes=" << bytes;
+    ASSERT_EQ(p.algorithm, Algorithm::direct) << "bytes=" << bytes;
+    EXPECT_EQ(p.nt_prior, bytes > cut) << "bytes=" << bytes;
+    EXPECT_EQ(p.nt_prior, coll::detail::direct_pushes(bytes, 4, cache))
+        << "bytes=" << bytes;
   }
 }
 
