@@ -114,7 +114,9 @@ int main() {
          [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
            coll::CollOpts o;
            o.algorithm = coll::plan::choose_reduction_algorithm(
-               coll::CollKind::allreduce, c.team().topo(), cnt(b) * 8, o);
+               coll::CollKind::allreduce, cnt(b) * 8, o,
+               rt::PlanCaps(c.team().topo(), c.cache(),
+                            /*shared_address_space=*/false));
            coll::allreduce(c, s, r, cnt(b), Datatype::f64, ReduceOp::sum, o);
          }},
         {"YHCCL-direct",

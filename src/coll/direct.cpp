@@ -60,7 +60,7 @@ void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
                       const CollOpts& opts, bool xpmem_baseline) {
   check_reduction_args(ctx, send, count, d, op);
-  YHCCL_REQUIRE(ctx.team().shares_address_space(),
+  YHCCL_REQUIRE(ctx.team().caps().shared_address_space(),
                 "the direct algorithm needs ranks that share an address "
                 "space (a thread team)");
   if (count == 0) return;

@@ -160,7 +160,7 @@ void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
 /// other blocks from their owners' recv buffers (pull, three barriers), or
 /// above the private-cache cut 2ps > p·c'' streams its block into every
 /// peer's recv (push, two barriers).  DAV s(3p-1) either way.  Requires
-/// ctx.team().shares_address_space().
+/// ctx.team().caps().shared_address_space().
 void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
                       const CollOpts& opts = {});

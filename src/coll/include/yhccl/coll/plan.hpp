@@ -5,12 +5,12 @@
 // fixed analytic NT-store switch point (§5.4), but the real crossovers
 // move with p, topology and message size.  This engine replaces the lone
 // threshold with cached *plans*: a PlanKey (collective, dtype/op, size
-// bucket, rank/socket shape, machine signature) maps to an immutable Plan
-// holding the algorithm choice, the slice/pipeline schedule and the
-// NT-store decision.  Plans live in the team's shared PlanRegistry
-// (runtime/plan_registry.hpp), so all ranks — thread- and fork-backed
-// alike — deterministically agree, and a warm repeat call is a single
-// lock-free lookup with no per-call allocation.
+// bucket, rank/socket shape), hashed with the team's rt::PlanCaps, maps to
+// an immutable Plan holding the algorithm choice, the slice/pipeline
+// schedule and the NT-store decision.  Plans live in the team's shared
+// PlanRegistry (runtime/plan_registry.hpp), so all ranks — thread- and
+// fork-backed alike — deterministically agree, and a warm repeat call is a
+// single lock-free lookup with no per-call allocation.
 //
 // Plans are seeded from three layered sources:
 //   prior   — the paper's rules evaluated analytically: §5.1 switching for
@@ -82,8 +82,8 @@ struct PlanKey {
 
   std::uint64_t packed_fields() const noexcept;
   static PlanKey from_fields(std::uint64_t fields) noexcept;
-  /// Probe hash: mixes the fields with the team's machine/topology
-  /// signature and the tuning-relevant option fingerprint.  Never zero.
+  /// Probe hash: mixes the fields with a PlanCaps signature and the
+  /// tuning-relevant option fingerprint.  Never zero.
   std::uint64_t hash(std::uint64_t team_sig,
                      std::uint64_t opts_sig) const noexcept;
 };
@@ -135,16 +135,14 @@ constexpr bool is_reduction(CollKind k) noexcept {
          k == CollKind::reduce_scatter;
 }
 
-/// The §5.1 switching rule over a topology (no RankCtx needed, so the
+/// The §5.1 switching rule over a team's caps (no RankCtx needed, so the
 /// prior is computable parent-side and in offline tools).  Allreduces of
 /// at most fold_max_bytes(p) take the one-barrier fold arm; larger ones
-/// take the single-copy direct arm when `shared_address_space` (thread
-/// teams).  The default is the paper's process setting.  An explicit
-/// opts.algorithm is returned as is.
-Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
-                                     std::size_t msg_bytes,
+/// take the single-copy direct arm when caps.shared_address_space()
+/// (thread teams).  An explicit opts.algorithm is returned as is.
+Algorithm choose_reduction_algorithm(CollKind kind, std::size_t msg_bytes,
                                      const CollOpts& opts,
-                                     bool shared_address_space = false) noexcept;
+                                     const rt::PlanCaps& caps) noexcept;
 
 /// §5.4 NT prediction: does the collective's work-data-set W (§4.3
 /// formulas) exceed the cache capacity available to p cores?  For
@@ -156,8 +154,7 @@ bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
 /// (the direct arm's own W = 2ps when it is served), caller's slice
 /// schedule untouched.  Deterministic, allocation-free.
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
-                const rt::Topology& topo, const copy::CacheConfig& cache,
-                bool shared_address_space = false) noexcept;
+                const rt::PlanCaps& caps) noexcept;
 
 // ---- candidate arms ---------------------------------------------------------
 
@@ -168,14 +165,14 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
 /// shared-address-space teams, above the fold cut) plus
 /// pinned-NT variants of the prior's choice; for broadcast/allgather
 /// alternative pipeline slice sizes plus pinned-NT variants.  Arm 0 is
-/// always the analytic prior.  Pure function of (key, opts, topo,
-/// backend), so all ranks enumerate identical tables.
-int arm_count(const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo,
-              bool shared_address_space = false) noexcept;
-Plan arm_plan(int arm, const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo, const copy::CacheConfig& cache,
-              bool shared_address_space = false) noexcept;
+/// always the analytic prior, and arm[i].arm == i.  Pure function of
+/// (key, opts, caps), so all ranks enumerate identical tables.
+struct ArmTable {
+  Plan arm[rt::kPlanMaxArms];
+  int n = 0;
+};
+ArmTable arms(const PlanKey& key, const CollOpts& opts,
+              const rt::PlanCaps& caps) noexcept;
 
 // ---- the per-call engine ----------------------------------------------------
 
@@ -209,7 +206,7 @@ class TunedCall {
   PlanKey key_;
   rt::PlanSlot* slot_ = nullptr;
   double t0_ = 0;
-  int narms_ = 1;
+  int narms_ = 1;  ///< arm-table size; set only for online refinement
   bool online_ = false;
   bool finished_ = true;  ///< also set for calls that bypass the registry
   bool degraded_ = false;     ///< retry engine pinned the conservative lane
@@ -255,9 +252,9 @@ void validate_plan_json(const bench::Json& doc);
 /// (collective, shape, size bucket) from a merged yhccl-bench/1 report and
 /// emit a plan document (source "bench").  Series whose arm name does not
 /// map to a schedulable algorithm (baselines, "auto") are skipped.  Each
-/// cell is emitted once per backend, signed with that backend's plan
-/// signature, so one file warms thread and process teams alike; the
-/// process entries never name direct.
+/// cell is emitted once per backend, signed with that backend's
+/// PlanCaps::signature(), so one file warms thread and process teams
+/// alike; the process entries never name direct.
 bench::Json warm_from_bench(const bench::Json& bench_report);
 
 // ---- profiler feedback ------------------------------------------------------

@@ -149,7 +149,7 @@ std::uint64_t Plan::pack() const noexcept {
   w |= static_cast<std::uint64_t>(chunk_log2 & 0x3f) << 16;
   if (nt_prior) w |= std::uint64_t{1} << 24;
   w |= (static_cast<std::uint64_t>(source) & 0x3) << 25;
-  w |= static_cast<std::uint64_t>(arm & 0xf) << 28;
+  w |= static_cast<std::uint64_t>(arm & 0xf) << rt::kPlanWordArmShift;
   return w;
 }
 
@@ -161,7 +161,7 @@ Plan Plan::unpack(std::uint64_t w) noexcept {
   p.chunk_log2 = static_cast<std::uint8_t>((w >> 16) & 0x3f);
   p.nt_prior = ((w >> 24) & 1) != 0;
   p.source = static_cast<PlanSource>((w >> 25) & 0x3);
-  p.arm = static_cast<std::uint8_t>((w >> 28) & 0xf);
+  p.arm = static_cast<std::uint8_t>((w >> rt::kPlanWordArmShift) & 0xf);
   return p;
 }
 
@@ -179,18 +179,18 @@ void Plan::apply(CollOpts& o) const noexcept {
 
 // ---- analytic prior ---------------------------------------------------------
 
-Algorithm choose_reduction_algorithm(CollKind kind, const rt::Topology& topo,
-                                     std::size_t msg_bytes,
+Algorithm choose_reduction_algorithm(CollKind kind, std::size_t msg_bytes,
                                      const CollOpts& opts,
-                                     bool shared_address_space) noexcept {
+                                     const rt::PlanCaps& caps) noexcept {
   if (opts.algorithm != Algorithm::automatic) return opts.algorithm;
+  const rt::Topology& topo = caps.topo();
   // fold_max_bytes is a power of two, so the fold cut never splits a size
   // bucket and the prior stays exact.
   const bool fold_sized = kind == CollKind::allreduce &&
                           msg_bytes <= opts.small_msg_threshold &&
                           msg_bytes <= fold_max_bytes(topo.nranks());
   if (fold_sized) return Algorithm::fold;
-  if (kind == CollKind::allreduce && shared_address_space)
+  if (kind == CollKind::allreduce && caps.shared_address_space())
     return Algorithm::direct;
   if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
   if (socket_topology(topo)) return Algorithm::ma_socket_aware;
@@ -241,19 +241,18 @@ bool direct_nt(std::size_t s, int p, const copy::CacheConfig& cache) {
 }  // namespace
 
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
-                const rt::Topology& topo, const copy::CacheConfig& cache,
-                bool shared_address_space) noexcept {
+                const rt::PlanCaps& caps) noexcept {
   Plan p;
+  const rt::Topology& topo = caps.topo();
   const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, opts);
   p.algorithm = is_reduction(key.kind)
-                    ? choose_reduction_algorithm(key.kind, topo, rep, opts,
-                                                 shared_address_space)
+                    ? choose_reduction_algorithm(key.kind, rep, opts, caps)
                     : Algorithm::pipelined;
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 (§4.2)
   p.nt_prior = p.algorithm == Algorithm::direct
-                   ? direct_nt(rep, topo.nranks(), cache)
+                   ? direct_nt(rep, topo.nranks(), caps.cache())
                    : prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(),
-                              cache, opts.slice_max);
+                              caps.cache(), opts.slice_max);
   p.source = PlanSource::prior;
   p.arm = 0;
   return p;
@@ -261,31 +260,28 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
 
 // ---- candidate arms ---------------------------------------------------------
 
-namespace {
-
-int build_arms(const PlanKey& key, const CollOpts& opts,
-               const rt::Topology& topo, const copy::CacheConfig& cache,
-               bool shared_address_space,
-               Plan out[rt::kPlanMaxArms]) noexcept {
-  const Plan prior =
-      prior_plan(key, opts, topo, cache, shared_address_space);
-  int n = 0;
-  out[n++] = prior;
+ArmTable arms(const PlanKey& key, const CollOpts& opts,
+              const rt::PlanCaps& caps) noexcept {
+  ArmTable t;
+  const auto add = [&t](const Plan& p) { t.arm[t.n++] = p; };
+  const Plan prior = prior_plan(key, opts, caps);
+  add(prior);
   if (is_reduction(key.kind)) {
     // Direct only where its prior could serve it: fold buckets keep the
     // table both backends share (fold's one barrier beats direct's three).
     const bool direct_ok = key.kind == CollKind::allreduce &&
-                           shared_address_space &&
+                           caps.shared_address_space() &&
                            prior.algorithm != Algorithm::fold;
     const Algorithm alts[] = {Algorithm::dpml_two_level, Algorithm::ma_flat,
                               Algorithm::ma_socket_aware, Algorithm::direct};
     for (const Algorithm a : alts) {
       if (a == prior.algorithm) continue;
-      if (a == Algorithm::ma_socket_aware && !socket_topology(topo)) continue;
+      if (a == Algorithm::ma_socket_aware && !socket_topology(caps.topo()))
+        continue;
       if (a == Algorithm::direct && !direct_ok) continue;
       Plan p = prior;
       p.algorithm = a;
-      out[n++] = p;
+      add(p);
     }
   } else if (opts.slice_max == CollOpts{}.slice_max) {
     // Alternative pipeline depths around the paper's Imax = 256 KB; apply()
@@ -294,41 +290,23 @@ int build_arms(const PlanKey& key, const CollOpts& opts,
     for (const std::uint8_t lg : {std::uint8_t{16}, std::uint8_t{20}}) {
       Plan p = prior;
       p.slice_log2 = lg;
-      out[n++] = p;
+      add(p);
     }
   }
   if (opts.policy == copy::CopyPolicy::adaptive &&
-      n + 2 <= rt::kPlanMaxArms) {
+      t.n + 2 <= rt::kPlanMaxArms) {
     Plan p = prior;
     p.nt = NtChoice::stream;
-    out[n++] = p;
+    add(p);
     p = prior;
     p.nt = NtChoice::temporal;
-    out[n++] = p;
+    add(p);
   }
-  for (int i = 0; i < n; ++i) {
-    out[i].arm = static_cast<std::uint8_t>(i);
-    if (i != 0) out[i].source = PlanSource::online;
+  for (int i = 0; i < t.n; ++i) {
+    t.arm[i].arm = static_cast<std::uint8_t>(i);
+    if (i != 0) t.arm[i].source = PlanSource::online;
   }
-  return n;
-}
-
-}  // namespace
-
-int arm_count(const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo, bool shared_address_space) noexcept {
-  Plan arms[rt::kPlanMaxArms];
-  return build_arms(key, opts, topo, copy::CacheConfig{},
-                    shared_address_space, arms);
-}
-
-Plan arm_plan(int arm, const PlanKey& key, const CollOpts& opts,
-              const rt::Topology& topo, const copy::CacheConfig& cache,
-              bool shared_address_space) noexcept {
-  Plan arms[rt::kPlanMaxArms];
-  const int n =
-      build_arms(key, opts, topo, cache, shared_address_space, arms);
-  return arms[arm >= 0 && arm < n ? arm : 0];
+  return t;
 }
 
 }  // namespace yhccl::coll::plan

@@ -24,14 +24,14 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
                      Datatype d, ReduceOp op, const CollOpts& opts)
     : opts_(opts), base_opts_(opts) {
   rt::Team& team = ctx.team();
+  const rt::PlanCaps& caps = team.caps();
   if (msg_bytes == 0 || opts.algorithm != Algorithm::automatic) {
     // Bypass: the caller's arm (the §5.1 rule for an empty automatic
     // reduction) with the caller's options, and no registry access.
-    plan_.algorithm =
-        is_reduction(kind)
-            ? choose_reduction_algorithm(kind, team.topo(), msg_bytes, opts,
-                                         team.shares_address_space())
-            : Algorithm::pipelined;
+    plan_.algorithm = is_reduction(kind)
+                          ? choose_reduction_algorithm(kind, msg_bytes, opts,
+                                                       caps)
+                          : Algorithm::pipelined;
     return;
   }
   auto* reg = team.plan_registry();
@@ -41,7 +41,7 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
 
   key_ = make_key(kind, msg_bytes, d, op, team.topo(), opts);
   const std::uint64_t osig = opts_signature(opts);
-  const std::uint64_t hash = key_.hash(team.plan_signature(), osig);
+  const std::uint64_t hash = key_.hash(caps.signature(), osig);
   online_ = team.tune_mode() == rt::TuneMode::online;
 
   rt::PlanSlot* slot = nullptr;
@@ -77,15 +77,12 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
   // Degraded lane / quarantine: ignore the cached word and serve the
   // deterministic analytic prior.
   if (degraded_ || quarantined_) word = 0;
-  const bool shared = team.shares_address_space();
-  if (word != 0)
-    plan_ = Plan::unpack(word);
-  else
-    plan_ = prior_plan(key_, base_opts_, team.topo(), ctx.cache(), shared);
-  narms_ = arm_count(key_, base_opts_, team.topo(), shared);
+  plan_ = word != 0 ? Plan::unpack(word) : prior_plan(key_, base_opts_, caps);
 
-  if (online_ && slot != nullptr && narms_ > 1 && !degraded_ &&
-      !quarantined_) {
+  if (online_ && slot != nullptr && !degraded_ && !quarantined_) {
+    // Only online mode reads the arm table (here and in finish()).
+    const ArmTable table = arms(key_, base_opts_, caps);
+    narms_ = table.n;
     // Epsilon-greedy exploration.  The schedule is a pure function of
     // (key, machine signature, shared tune_seq), so every rank flips the
     // same coin and picks the same arm with no communication.  tune_seq
@@ -93,22 +90,20 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     // the same order on every rank (MPI semantics).  The coin hashes the
     // machine signature without the backend bit: where both backends
     // enumerate the same arm table they explore it in the same order.
-    const std::uint64_t seq = ctx.next_tune_seq();
-    std::uint32_t eps = reg->eps_mille();
-    const auto wait = reg->class_wait(static_cast<int>(kind));
-    if (wait > 0.5) eps = eps * 2 > 1000 ? 1000 : eps * 2;
-    const std::uint64_t coin = key_.hash(
-        rt::plan_signature(team.topo(), team.config().cache,
-                           /*shared_address_space=*/false),
-        osig);
-    const std::uint64_t mix =
-        rt::plan_mix64(coin ^ seq * 0x9e3779b97f4a7c15ull);
-    if (mix % 1000 < eps) {
-      const int arm = static_cast<int>(
-          (mix >> 32) % static_cast<std::uint64_t>(narms_));
-      plan_ = arm_plan(arm, key_, base_opts_, team.topo(), ctx.cache(),
-                       shared);
-      if (ctx.rank() == 0) reg->note_explore();
+    if (narms_ > 1) {
+      const std::uint64_t seq = ctx.next_tune_seq();
+      std::uint32_t eps = reg->eps_mille();
+      const auto wait = reg->class_wait(static_cast<int>(kind));
+      if (wait > 0.5) eps = eps * 2 > 1000 ? 1000 : eps * 2;
+      const std::uint64_t coin = key_.hash(caps.machine_signature(), osig);
+      const std::uint64_t mix =
+          rt::plan_mix64(coin ^ seq * 0x9e3779b97f4a7c15ull);
+      if (mix % 1000 < eps) {
+        const int arm = static_cast<int>(
+            (mix >> 32) % static_cast<std::uint64_t>(narms_));
+        plan_ = table.arm[arm];
+        if (ctx.rank() == 0) reg->note_explore();
+      }
     }
   }
 
@@ -176,8 +171,7 @@ void TunedCall::finish(rt::RankCtx& ctx) {
   if (slot_->arm_n[cur].load(std::memory_order_relaxed) == 0) return;
   if (best_t >= 0.97 * slot_->ewma_seconds(cur)) return;
 
-  Plan p = arm_plan(best, key_, base_opts_, ctx.team().topo(), ctx.cache(),
-                    ctx.team().shares_address_space());
+  Plan p = arms(key_, base_opts_, ctx.team().caps()).arm[best];
   p.source = PlanSource::online;
   slot_->plan.store(p.pack(), std::memory_order_release);
   ctx.team().plan_registry()->note_commit();
@@ -185,9 +179,10 @@ void TunedCall::finish(rt::RankCtx& ctx) {
 
 Plan query(const rt::Team& team, CollKind kind, std::size_t msg_bytes,
            Datatype d, ReduceOp op, const CollOpts& opts) {
-  const PlanKey key = make_key(kind, msg_bytes, d, op, team.topo(), opts);
+  const rt::PlanCaps& caps = team.caps();
+  const PlanKey key = make_key(kind, msg_bytes, d, op, caps.topo(), opts);
   const auto* slot = team.plan_registry()->find(
-      key.hash(team.plan_signature(), opts_signature(opts)));
+      key.hash(caps.signature(), opts_signature(opts)));
   if (slot != nullptr) {
     const std::uint64_t w = slot->plan.load(std::memory_order_acquire);
     if (!rt::plan_word_sane(w))
@@ -196,8 +191,7 @@ Plan query(const rt::Team& team, CollKind kind, std::size_t msg_bytes,
     if (w != 0 && !rt::PlanRegistry::quarantined(*slot, team.team_epoch()))
       return Plan::unpack(w);
   }
-  return prior_plan(key, opts, team.topo(), team.config().cache,
-                    team.shares_address_space());
+  return prior_plan(key, opts, caps);
 }
 
 rt::PlanRegistryStats tune_stats(const rt::Team& team) {

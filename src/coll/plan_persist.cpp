@@ -146,14 +146,20 @@ bool normalize_bench_arm(std::string name, Algorithm* out) {
   return false;
 }
 
-/// Fold may serve a key only where the default-option prior picks it:
-/// there every call of the size bucket fits its fold-stage slot.
-bool fold_serves(const PlanKey& key) {
+/// May a plan naming `alg` serve `key` on a team with `caps`?  Never a
+/// pipeline for a reduction; direct only where ranks share an address
+/// space; fold only where the default-option prior picks it (there every
+/// call of the bucket fits its fold stage, on either backend).
+bool servable(Algorithm alg, const PlanKey& key, const rt::PlanCaps& caps) {
+  if (is_reduction(key.kind) && alg == Algorithm::pipelined) return false;
+  if (alg == Algorithm::direct) return caps.shared_address_space();
+  if (alg != Algorithm::fold) return true;
   const CollOpts defaults{};
+  const rt::PlanCaps process(caps.topo(), caps.cache(),
+                             /*shared_address_space=*/false);
   return choose_reduction_algorithm(
-             key.kind, rt::Topology(key.ranks, key.sockets),
-             bucket_rep_bytes(key.kind, key.bucket, defaults),
-             defaults) == Algorithm::fold;
+             key.kind, bucket_rep_bytes(key.kind, key.bucket, defaults),
+             defaults, process) == Algorithm::fold;
 }
 
 Json entry_to_json(std::uint64_t sig, const PlanKey& key, const Plan& p) {
@@ -205,6 +211,8 @@ void validate_plan_json(const Json& doc) {
     for (const char* f :
          {"ranks", "sockets", "bucket", "slice_max", "dpml_chunk", "arm"})
       check(e[f].is_integer(), f, i);
+    check(e["arm"].as_int() >= 0 && e["arm"].as_int() < rt::kPlanMaxArms,
+          "arm outside the arm table", i);
     check(e["nt_prior"].is_bool(), "nt_prior", i);
     CollKind kind;
     Datatype d;
@@ -280,9 +288,11 @@ void save_plans_file(const rt::Team& team, const std::string& path) {
 int load_plans(rt::Team& team, const Json& doc) {
   validate_plan_json(doc);
   auto* reg = team.plan_registry();
-  const auto& topo = team.topo();
-  const std::string mysig = hex64(team.plan_signature());
-  const std::uint64_t dsig = opts_signature(CollOpts{});
+  const rt::PlanCaps& caps = team.caps();
+  const auto& topo = caps.topo();
+  const std::string mysig = hex64(caps.signature());
+  const CollOpts defaults{};
+  const std::uint64_t dsig = opts_signature(defaults);
   int n = 0;
   for (const auto& e : doc["plans"].items()) {
     if (e["signature"].as_string() != mysig) continue;
@@ -301,17 +311,15 @@ int load_plans(rt::Team& team, const Json& doc) {
     log2_field(e["slice_max"].as_uint(), &p.slice_log2);
     log2_field(e["dpml_chunk"].as_uint(), &p.chunk_log2);
     p.nt_prior = e["nt_prior"].as_bool();
-    p.arm = static_cast<std::uint8_t>(e["arm"].as_int() & 0xf);
+    p.arm = static_cast<std::uint8_t>(e["arm"].as_int());
     p.source = source_from_name(e["source"].as_string());
-    if (is_reduction(key.kind) && p.algorithm == Algorithm::pipelined)
-      continue;
-    if (p.algorithm == Algorithm::fold && !fold_serves(key)) continue;
     // The signature already keeps thread-warmed plans off forked teams;
     // this also drops a hand-edited direct entry there.
-    if (p.algorithm == Algorithm::direct && !team.shares_address_space())
-      continue;
+    if (!servable(p.algorithm, key, caps)) continue;
+    // Online refinement indexes the key's arm statistics with it.
+    if (p.arm >= arms(key, defaults, caps).n) continue;
     if (!is_reduction(key.kind)) p.algorithm = Algorithm::pipelined;
-    auto* slot = reg->acquire(key.hash(team.plan_signature(), dsig),
+    auto* slot = reg->acquire(key.hash(caps.signature(), dsig),
                               key.packed_fields());
     if (slot == nullptr) continue;  // probe window full: drop this entry
     slot->plan.store(p.pack(), std::memory_order_release);
@@ -399,10 +407,10 @@ Json warm_from_bench(const Json& report) {
     key.bucket = bucket_of(kind, s["bytes"].as_uint(), defaults);
     key.ranks = ranks;
     key.sockets = sockets;
-    if (alg == Algorithm::fold && !fold_serves(key)) continue;
     for (const bool shared : {false, true}) {
-      // Forked ranks cannot load each other's buffers: no direct for them.
-      if (alg == Algorithm::direct && !shared) continue;
+      if (!servable(alg, key,
+                    rt::PlanCaps(rt::Topology(ranks, sockets), cache, shared)))
+        continue;
       auto& b = best[shared][key.packed_fields()];
       if (b.median == 0 || median < b.median) b = {median, alg};
     }
@@ -419,24 +427,24 @@ Json warm_from_bench(const Json& report) {
   for (const bool shared : {false, true})
     for (const auto& [fields, b] : best[shared]) {
       const PlanKey key = PlanKey::from_fields(fields);
-      const rt::Topology topo(key.ranks, key.sockets);
-      Plan p = prior_plan(key, defaults, topo, cache, shared);
+      const rt::PlanCaps caps(rt::Topology(key.ranks, key.sockets), cache,
+                              shared);
+      // Arm 0 is the prior; keep its arm index unless the bench winner is
+      // another arm of this backend's table, so online refinement
+      // attributes samples to the right arm after loading.
+      const ArmTable table = arms(key, defaults, caps);
+      Plan p = table.arm[0];
       p.algorithm = b.alg;
       p.source = PlanSource::bench;
-      // Align the persisted arm index with this backend's arm table so
-      // online refinement attributes samples to the right arm after
-      // loading.
-      const int narms = arm_count(key, defaults, topo, shared);
-      for (int a = 0; a < narms; ++a) {
-        const Plan cand = arm_plan(a, key, defaults, topo, cache, shared);
+      for (int a = 0; a < table.n; ++a) {
+        const Plan& cand = table.arm[a];
         if (cand.algorithm == p.algorithm && cand.nt == p.nt &&
             cand.slice_log2 == p.slice_log2) {
-          p.arm = static_cast<std::uint8_t>(a);
+          p.arm = cand.arm;
           break;
         }
       }
-      arr.push_back(
-          entry_to_json(rt::plan_signature(topo, cache, shared), key, p));
+      arr.push_back(entry_to_json(caps.signature(), key, p));
     }
   doc.set("plans", std::move(arr));
   return doc;

@@ -56,15 +56,33 @@ constexpr std::uint64_t plan_mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Machine/topology identity a plan is valid for: ranks, socket layout,
-/// the cache-capacity model (§4.2) the NT prior depends on, and whether
-/// the ranks share an address space (only then may a plan run the
-/// single-copy direct arm).  Forked teams — the paper's process setting —
-/// get the bare machine signature, without the backend bit.  Persisted
-/// plans are only loaded into teams with a matching signature.
-std::uint64_t plan_signature(const Topology& topo,
-                             const copy::CacheConfig& cache,
-                             bool shared_address_space) noexcept;
+/// The team facts a plan may depend on: the rank-to-socket layout, the
+/// cache-capacity model (§4.2) the NT prior reads, and whether the ranks
+/// share an address space (only then may a plan run the single-copy direct
+/// arm).  Immutable.  Every plan decision — the prior, the arm tables,
+/// plan-file filters, warming, the direct arm's guard — reads this record.
+class PlanCaps {
+ public:
+  PlanCaps(const Topology& topo, const copy::CacheConfig& cache,
+           bool shared_address_space) noexcept;
+  const Topology& topo() const noexcept { return topo_; }
+  const copy::CacheConfig& cache() const noexcept { return cache_; }
+  bool shared_address_space() const noexcept { return shared_; }
+
+  /// Identity cached and persisted plans are valid for: the machine
+  /// signature plus the backend bit.  Forked teams — the paper's process
+  /// setting — get the bare machine signature.
+  std::uint64_t signature() const noexcept { return sig_; }
+  /// Layout + cache model only: the online explore coin hashes it, so both
+  /// backends explore a shared arm table alike.
+  std::uint64_t machine_signature() const noexcept { return machine_sig_; }
+ private:
+  Topology topo_;
+  copy::CacheConfig cache_;
+  bool shared_ = false;
+  std::uint64_t machine_sig_ = 0;
+  std::uint64_t sig_ = 0;
+};
 
 // ---- packed-word structural invariants -------------------------------------
 // The *meaning* of key/plan bits is owned by yhccl/coll/plan.hpp, but their
@@ -80,12 +98,18 @@ inline constexpr std::uint64_t kPlanWordReservedMask = 0x7fffffff08c0c0c0ull;
 /// Key-fields bits no packer ever sets: 40-63.
 inline constexpr std::uint64_t kPlanFieldsReservedMask = 0xffffff0000000000ull;
 
+/// Plan-word bits 28-31: the arm index into PlanSlot's arm arrays.
+inline constexpr int kPlanWordArmShift = 28;
+
 /// Structural sanity of a stored plan word: absent, or valid-bit set with
-/// every reserved bit clear.  A single flipped byte always trips this (each
-/// byte of the word overlaps the reserved mask or the valid bit).
+/// every reserved bit clear and an arm index inside the arm arrays.  A
+/// single flipped byte always trips this (each byte of the word overlaps
+/// the reserved mask or the valid bit).
 constexpr bool plan_word_sane(std::uint64_t w) noexcept {
   return w == 0 ||
-         ((w & kPlanWordValidBit) != 0 && (w & kPlanWordReservedMask) == 0);
+         ((w & kPlanWordValidBit) != 0 && (w & kPlanWordReservedMask) == 0 &&
+          ((w >> kPlanWordArmShift) & 0xf) <
+              static_cast<std::uint64_t>(kPlanMaxArms));
 }
 
 /// Structural sanity of stored key fields.

@@ -1,8 +1,7 @@
 // Rank teams: the shared-memory "mini-MPI" the collectives run on.
 //
-// A Team owns one shared mapping laid out as
-//   [TeamShared control block][pt2pt channels][shared heap][coll scratch]
-// and executes SPMD functions over `nranks` ranks.  Two backends exist:
+// A Team owns one shared mapping laid out in the Section order below and
+// executes SPMD functions over `nranks` ranks.  Two backends exist:
 //   ThreadTeam  — ranks are threads (deterministic, XPMEM-faithful)
 //   ProcessTeam — ranks are fork()ed processes (the paper's true setting)
 // Collective code only ever touches the shared mapping plus rank-private
@@ -14,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,6 +87,23 @@ struct TeamConfig {
   metrics::Mode metrics = metrics::Mode::env;
 };
 
+/// The sections of a team's shared mapping, in mapping order.  Each starts
+/// page-aligned where the previous one ends; a service the team runs
+/// without (race checker, tracer, metrics) gets an empty section.
+enum class Section : std::uint8_t {
+  control,    ///< TeamShared
+  channels,   ///< nranks² FifoChannel descriptors
+  chan_data,  ///< nranks² eager chunk arenas
+  heap,       ///< shared heap (TeamConfig::shared_heap_bytes + fold stages)
+  scratch,    ///< collective scratch
+  hb,         ///< race-checker shadow cells
+  trace,      ///< phase-tracer rings
+  plans,      ///< plan registry
+  metrics,    ///< metrics registry
+  kCount_,
+};
+inline constexpr int kMaxSections = static_cast<int>(Section::kCount_);
+
 /// Integrity header for one section of the team's shared mapping.  Written
 /// parent-side while the team is quiesced (construction, recovery) and
 /// audited by Team::verify_integrity(): the canary catches wild writes, the
@@ -100,7 +117,6 @@ struct SectionHeader {
 };
 
 inline constexpr std::uint64_t kSectionCanary = 0x5948434353454354ull;
-inline constexpr int kMaxSections = 9;
 
 /// Epoch-tagged header checksum (splitmix64 chain over the fields).
 constexpr std::uint64_t section_sum(const SectionHeader& h) noexcept {
@@ -133,10 +149,10 @@ struct TeamShared {
   Persist persist[kMaxRanks];
   PageLockTable page_locks;  ///< shared lock table for the CMA emulation
   FaultState fault;          ///< abort word + liveness slots (fault.hpp)
-  /// Arena section directory (integrity sweep).  Plain data: stamped
-  /// parent-side while the team is quiesced, read by verify_integrity().
+  /// Arena section directory, one header per Section (integrity sweep).
+  /// Plain data: stamped parent-side while the team is quiesced, read by
+  /// verify_integrity().
   SectionHeader sections[kMaxSections];
-  std::uint64_t nsections = 0;
 };
 
 class RankCtx;
@@ -160,11 +176,11 @@ class Team {
   void run(const std::function<void(RankCtx&)>& fn);
 
   const TeamConfig& config() const noexcept { return cfg_; }
-  const Topology& topo() const noexcept { return topo_; }
-  /// Can every rank load every other rank's private buffers?  True for
-  /// thread-backed ranks (XPMEM semantics for free), false for fork()ed
-  /// ones; decides whether the single-copy direct allreduce may run.
-  bool shares_address_space() const noexcept { return !forked_; }
+  const Topology& topo() const noexcept { return caps_.topo(); }
+  /// The team facts plans depend on (plan_registry.hpp).  Ranks share an
+  /// address space on thread teams (XPMEM semantics for free), not on
+  /// fork()ed ones.  Rebuilt when recovery shrinks the membership.
+  const PlanCaps& caps() const noexcept { return caps_; }
   /// Current (active) membership; shrinks when recover() excludes dead
   /// ranks on a process-backed team.
   int nranks() const noexcept { return nranks_; }
@@ -270,11 +286,10 @@ class Team {
   PlanRegistry* plan_registry() noexcept { return plans_; }
   const PlanRegistry* plan_registry() const noexcept { return plans_; }
   TuneMode tune_mode() const noexcept { return tune_mode_; }
-  /// Identity cached plans are valid for (topology layout + cache model +
-  /// whether ranks share an address space); recomputed when recovery
-  /// shrinks the membership, so stale plans from the old shape simply stop
-  /// matching.
-  std::uint64_t plan_signature() const noexcept { return plan_sig_; }
+  /// Identity cached plans are valid for: caps().signature().  Changes
+  /// when recovery shrinks the membership, so stale plans from the old
+  /// shape simply stop matching.
+  std::uint64_t plan_signature() const noexcept { return caps_.signature(); }
 
   // ---- always-on metrics (YHCCL_METRICS, docs/observability.md §6) ---------
   /// Non-null when this team meters (mode on or serve).  Lives in the
@@ -304,10 +319,12 @@ class Team {
 
   // -- internals used by RankCtx and the collectives ------------------------
   TeamShared& shared() noexcept { return *shared_; }
-  std::byte* scratch_base() noexcept { return region_.data() + off_scratch_; }
+  std::byte* scratch_base() noexcept { return section(Section::scratch); }
   std::size_t scratch_bytes() const noexcept { return cfg_.scratch_bytes; }
   FifoChannel& channel(int src, int dst) noexcept;
   std::byte* channel_data(int src, int dst) noexcept;
+  /// Length of the shared mapping: the end of its last section.
+  std::size_t mapping_bytes() const noexcept { return region_.size(); }
 
  protected:
   /// `forked_ranks`: the backend runs each rank in its own fork()ed process.
@@ -330,16 +347,10 @@ class Team {
   int fail_streak_ = 0;          ///< consecutive faults on that key
   CorruptTarget corrupt_targets_[kMaxCorruptTargets];
   int n_corrupt_targets_ = 0;
-  Topology topo_;
+  PlanCaps caps_;
   ShmRegion region_;
-  std::size_t off_channels_ = 0;
-  std::size_t off_chan_data_ = 0;
-  std::size_t off_heap_ = 0;
-  std::size_t off_scratch_ = 0;
-  std::size_t off_hb_ = 0;
-  std::size_t off_trace_ = 0;
-  std::size_t off_plans_ = 0;
-  std::size_t off_metrics_ = 0;
+  /// Start offset of each Section, then the mapping length.
+  std::size_t section_off_[kMaxSections + 1] = {};
   std::size_t heap_bytes_ = 0;  ///< shared heap incl. the fold stages
   std::byte* fold_stage_[2] = {};
   TeamShared* shared_ = nullptr;
@@ -348,12 +359,23 @@ class Team {
   trace::Mode trace_mode_ = trace::Mode::off;
   PlanRegistry* plans_ = nullptr;
   TuneMode tune_mode_ = TuneMode::prior;
-  std::uint64_t plan_sig_ = 0;
   bool flight_dumped_ = false;  ///< one flight dump per fault, not per retry
   metrics::MetricsBuffer* metrics_ = nullptr;
   metrics::Mode metrics_mode_ = metrics::Mode::off;
 
  private:
+  /// The record plans read for a team of this layout on this backend.
+  PlanCaps caps_for(const Topology& topo) const noexcept {
+    return PlanCaps(topo, cfg_.cache, /*shared_address_space=*/!forked_);
+  }
+  std::byte* section(Section s) noexcept {
+    return region_.data() + section_off_[static_cast<int>(s)];
+  }
+  /// The nranks² pt2pt channel descriptors, sender-major.
+  std::span<FifoChannel> channels() noexcept {
+    return {reinterpret_cast<FifoChannel*>(section(Section::channels)),
+            static_cast<std::size_t>(cfg_.nranks) * cfg_.nranks};
+  }
   /// Write the flight-recorder dump for the abort currently recorded in the
   /// team's fault word (flight mode only; no-op when already dumped).
   void flight_dump();

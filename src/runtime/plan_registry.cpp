@@ -32,9 +32,9 @@ std::uint32_t tune_eps_mille_from_env() {
   return static_cast<std::uint32_t>(eps * 1000.0 + 0.5);
 }
 
-std::uint64_t plan_signature(const Topology& topo,
-                             const copy::CacheConfig& cache,
-                             bool shared_address_space) noexcept {
+PlanCaps::PlanCaps(const Topology& topo, const copy::CacheConfig& cache,
+                   bool shared_address_space) noexcept
+    : topo_(topo), cache_(cache), shared_(shared_address_space) {
   std::uint64_t h = plan_mix64(topo.signature());
   const auto fold = [&h](std::uint64_t v) {
     h = plan_mix64(h ^ plan_mix64(v));
@@ -42,8 +42,9 @@ std::uint64_t plan_signature(const Topology& topo,
   fold(cache.llc_bytes);
   fold(cache.l2_per_core);
   fold(cache.llc_inclusive ? 1 : 0);
-  if (shared_address_space) fold(1);  // backend bit; forked teams skip it
-  return h != 0 ? h : 1;
+  machine_sig_ = h != 0 ? h : 1;
+  if (shared_) fold(1);  // backend bit; forked teams skip it
+  sig_ = h != 0 ? h : 1;
 }
 
 double PlanSlot::ewma_seconds(int arm) const noexcept {

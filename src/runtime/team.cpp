@@ -77,7 +77,9 @@ class HbRunScope {
 }  // namespace
 
 Team::Team(TeamConfig cfg, bool forked_ranks)
-    : cfg_(cfg), forked_(forked_ranks), topo_(cfg.nranks, cfg.nsockets) {
+    : cfg_(cfg),
+      forked_(forked_ranks),
+      caps_(caps_for(Topology(cfg.nranks, cfg.nsockets))) {
   YHCCL_REQUIRE(cfg_.nranks >= 1 && cfg_.nranks <= kMaxRanks,
                 "nranks out of range");
   YHCCL_REQUIRE(cfg_.nsockets >= 1 && cfg_.nsockets <= kMaxSockets,
@@ -131,7 +133,6 @@ Team::Team(TeamConfig cfg, bool forked_ranks)
   // Auto-tuner plan cache: one shared table per team so every rank of both
   // backends resolves collectives to the same cached plan (docs/tuning.md).
   tune_mode_ = resolve_tune_mode(cfg_.tune);
-  plan_sig_ = rt::plan_signature(topo_, cfg_.cache, shares_address_space());
   const std::size_t plan_bytes = PlanRegistry::required_bytes(kPlanSlots);
 
   // Always-on metrics registry: per-rank counter/histogram slots in the
@@ -143,52 +144,47 @@ Team::Team(TeamConfig cfg, bool forked_ranks)
           ? 0
           : metrics::MetricsBuffer::required_bytes(cfg_.nranks);
 
-  const auto section = [](std::size_t off, std::size_t bytes) {
-    return checked_round_up(checked_add(off, bytes, "section size"),
-                            kPageAlign, "section alignment");
+  // Section payloads; each section starts page-aligned where the last ends.
+  std::size_t bytes[kMaxSections] = {};
+  const auto size = [&bytes](Section s, std::size_t b) {
+    bytes[static_cast<int>(s)] = b;
   };
-  std::size_t off = section(0, sizeof(TeamShared));
-  off_channels_ = off;
-  off = section(off, checked_mul(nchan, sizeof(FifoChannel), "channels"));
-  off_chan_data_ = off;
-  off = section(off, checked_mul(nchan, chan_data, "channel arenas"));
-  off_heap_ = off;
-  off = section(off, heap_bytes_);
-  off_scratch_ = off;
-  off = section(off, cfg_.scratch_bytes);
-  off_hb_ = off;
-  off = section(off, hb_bytes);
-  off_trace_ = off;
-  off = section(off, trace_bytes);
-  off_plans_ = off;
-  off = section(off, plan_bytes);
-  off_metrics_ = off;
-  off = section(off, metrics_bytes);
+  size(Section::control, sizeof(TeamShared));
+  size(Section::channels, checked_mul(nchan, sizeof(FifoChannel), "channels"));
+  size(Section::chan_data, checked_mul(nchan, chan_data, "channel arenas"));
+  size(Section::heap, heap_bytes_);
+  size(Section::scratch, cfg_.scratch_bytes);
+  size(Section::hb, hb_bytes);
+  size(Section::trace, trace_bytes);
+  size(Section::plans, plan_bytes);
+  size(Section::metrics, metrics_bytes);
+  for (int i = 0; i < kMaxSections; ++i)
+    section_off_[i + 1] = checked_round_up(
+        checked_add(section_off_[i], bytes[i], "section size"), kPageAlign,
+        "section alignment");
 
-  region_ = ShmRegion::create_anonymous(off);
-  shared_ = new (region_.data()) TeamShared();
+  region_ = ShmRegion::create_anonymous(section_off_[kMaxSections]);
+  shared_ = new (section(Section::control)) TeamShared();
   barrier_init(shared_->node_barrier, static_cast<std::uint32_t>(p));
   for (int s = 0; s < cfg_.nsockets; ++s)
     barrier_init(shared_->socket_barrier[s],
-                 static_cast<std::uint32_t>(topo_.socket_size(s)));
-  auto* chans = reinterpret_cast<FifoChannel*>(region_.data() + off_channels_);
-  for (std::size_t c = 0; c < nchan; ++c) new (chans + c) FifoChannel();
+                 static_cast<std::uint32_t>(topo().socket_size(s)));
+  for (FifoChannel& ch : channels()) new (&ch) FifoChannel();
 
   if (with_hb) {
-    hb_ = analysis::HbChecker::create(region_.data() + off_hb_, hb_bytes,
+    hb_ = analysis::HbChecker::create(section(Section::hb), hb_bytes,
                                       cfg_.nranks, hb_cells);
-    hb_->add_region(region_.data() + off_scratch_, cfg_.scratch_bytes,
+    hb_->add_region(section(Section::scratch), cfg_.scratch_bytes,
                     "coll-scratch");
-    hb_->add_region(region_.data() + off_heap_, heap_bytes_, "shared-heap");
+    hb_->add_region(section(Section::heap), heap_bytes_, "shared-heap");
   }
   if (trace_mode_ != trace::Mode::off)
-    trace_ = trace::TraceBuffer::create(region_.data() + off_trace_,
-                                        trace_bytes, cfg_.nranks, trace_slots,
-                                        trace_mode_);
-  plans_ = PlanRegistry::create(region_.data() + off_plans_, plan_bytes,
+    trace_ = trace::TraceBuffer::create(section(Section::trace), trace_bytes,
+                                        cfg_.nranks, trace_slots, trace_mode_);
+  plans_ = PlanRegistry::create(section(Section::plans), plan_bytes,
                                 kPlanSlots, tune_eps_mille_from_env());
   if (metrics_bytes != 0) {
-    metrics_ = metrics::MetricsBuffer::create(region_.data() + off_metrics_,
+    metrics_ = metrics::MetricsBuffer::create(section(Section::metrics),
                                               metrics_bytes, cfg_.nranks,
                                               metrics_mode_);
     metrics_fold_team();
@@ -295,13 +291,12 @@ void Team::flight_dump() {
 }
 
 FifoChannel& Team::channel(int src, int dst) noexcept {
-  auto* chans = reinterpret_cast<FifoChannel*>(region_.data() + off_channels_);
-  return chans[static_cast<std::size_t>(src) * cfg_.nranks + dst];
+  return channels()[static_cast<std::size_t>(src) * cfg_.nranks + dst];
 }
 
 std::byte* Team::channel_data(int src, int dst) noexcept {
   const std::size_t stride = FifoChannel::kSlots * cfg_.chunk_bytes;
-  return region_.data() + off_chan_data_ +
+  return section(Section::chan_data) +
          (static_cast<std::size_t>(src) * cfg_.nranks + dst) * stride;
 }
 
@@ -318,7 +313,7 @@ std::byte* Team::shared_alloc(std::size_t bytes, std::size_t align) {
                   "shared heap exhausted");
   } while (!cur.compare_exchange_weak(old, base + bytes,
                                       std::memory_order_relaxed));
-  return region_.data() + off_heap_ + base;
+  return section(Section::heap) + base;
 }
 
 void Team::run(const std::function<void(RankCtx&)>& fn) {
@@ -459,12 +454,11 @@ FaultInfo Team::recover() {
     nranks_ = static_cast<int>(active_.size());
   }
   const int nsockets = std::min(cfg_.nsockets, nranks_);
-  topo_ = Topology(nranks_, nsockets);
   // Cached plans persist across recovery (slot updates are single-word
-  // atomics, so an abort cannot tear them); the refreshed signature keys
-  // the shrunken topology into its own plan space, so plans cached for the
-  // old shape simply stop matching.
-  plan_sig_ = rt::plan_signature(topo_, cfg_.cache, shares_address_space());
+  // atomics, so an abort cannot tear them); the refreshed caps key the
+  // shrunken topology into its own plan space, so plans cached for the old
+  // shape simply stop matching.
+  caps_ = caps_for(Topology(nranks_, nsockets));
 
   // Re-initialize every piece of shared synchronization state the aborted
   // collective may have left torn.
@@ -472,7 +466,7 @@ FaultInfo Team::recover() {
   for (int s = 0; s < kMaxSockets; ++s)
     barrier_init(shared_->socket_barrier[s],
                  s < nsockets
-                     ? static_cast<std::uint32_t>(topo_.socket_size(s))
+                     ? static_cast<std::uint32_t>(topo().socket_size(s))
                      : 0);
   for (int r = 0; r < kMaxRanks; ++r) {
     shared_->step[r].v.store(0, std::memory_order_relaxed);
@@ -490,12 +484,9 @@ FaultInfo Team::recover() {
       w.seq.store(0, std::memory_order_relaxed);
     }
   }
-  const std::size_t nchan = static_cast<std::size_t>(cfg_.nranks) *
-                            static_cast<std::size_t>(cfg_.nranks);
-  auto* chans = reinterpret_cast<FifoChannel*>(region_.data() + off_channels_);
-  for (std::size_t c = 0; c < nchan; ++c) {
-    chans[c].~FifoChannel();
-    new (chans + c) FifoChannel();  // drops orphaned rendezvous descriptors
+  for (FifoChannel& ch : channels()) {
+    ch.~FifoChannel();
+    new (&ch) FifoChannel();  // drops orphaned rendezvous descriptors
   }
   shared_->page_locks.reset();  // releases locks held by the dead rank
 
@@ -536,19 +527,13 @@ FaultInfo Team::recover() {
 
 void Team::stamp_sections() {
   const std::uint64_t epoch = team_epoch();
-  const std::size_t ends[kMaxSections] = {
-      off_channels_, off_chan_data_, off_heap_,    off_scratch_, off_hb_,
-      off_trace_,    off_plans_,     off_metrics_, region_.size()};
-  std::size_t start = 0;
-  shared_->nsections = kMaxSections;
   for (int i = 0; i < kMaxSections; ++i) {
     SectionHeader& h = shared_->sections[i];
-    h.off = start;
-    h.bytes = ends[i] - start;
+    h.off = section_off_[i];
+    h.bytes = section_off_[i + 1] - section_off_[i];
     h.canary = kSectionCanary ^ h.off;
     h.epoch = epoch;
     h.sum = section_sum(h);
-    start = ends[i];
   }
 }
 
@@ -710,26 +695,19 @@ Team::IntegrityReport Team::verify_integrity(bool repair) {
 
   // --- arena section directory ----------------------------------------------
   const std::uint64_t epoch = team_epoch();
-  const std::uint64_t n = shared_->nsections;
-  if (n == 0 || n > static_cast<std::uint64_t>(kMaxSections)) {
-    note("section directory: count " + std::to_string(n) + " out of range");
-  } else {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const SectionHeader& h = shared_->sections[i];
-      ++rep.sections_checked;
-      const std::string who = "section " + std::to_string(i);
-      if (h.canary != (kSectionCanary ^ h.off))
-        note(who + ": canary mismatch");
-      else if (h.sum != section_sum(h))
-        note(who + ": checksum mismatch");
-      else if (h.epoch > epoch)
-        note(who + ": stamped under future epoch " + std::to_string(h.epoch));
-      else if (h.off % kPageAlign != 0 && h.off != 0)
-        note(who + ": unaligned offset");
-      else if (h.off > region_.size() ||
-               h.bytes > region_.size() - h.off)
-        note(who + ": exceeds the mapping");
-    }
+  for (int i = 0; i < kMaxSections; ++i) {
+    const SectionHeader& h = shared_->sections[i];
+    ++rep.sections_checked;
+    const std::string who = "section " + std::to_string(i);
+    if (h.canary != (kSectionCanary ^ h.off))
+      note(who + ": canary mismatch");
+    else if (h.sum != section_sum(h))
+      note(who + ": checksum mismatch");
+    else if (h.epoch > epoch)
+      note(who + ": stamped under future epoch " + std::to_string(h.epoch));
+    else if (h.off != section_off_[i] ||
+             h.bytes != section_off_[i + 1] - section_off_[i])
+      note(who + ": disagrees with the section table");
   }
 
   // --- plan slots -----------------------------------------------------------
@@ -774,12 +752,8 @@ Team::IntegrityReport Team::verify_integrity(bool repair) {
   }
 
   // --- FIFO / rendezvous descriptors ----------------------------------------
-  const std::size_t nchan = static_cast<std::size_t>(cfg_.nranks) *
-                            static_cast<std::size_t>(cfg_.nranks);
-  auto* chans = reinterpret_cast<FifoChannel*>(region_.data() + off_channels_);
-  for (std::size_t c = 0; c < nchan; ++c) {
-    FifoChannel& ch = chans[c];
-    ++rep.channels_checked;
+  for (FifoChannel& ch : channels()) {
+    const std::uint64_t c = rep.channels_checked++;
     const std::uint64_t head = ch.head.load(std::memory_order_relaxed);
     const std::uint64_t tail = ch.tail.load(std::memory_order_relaxed);
     const std::uint64_t posted = ch.rndv_posted.load(std::memory_order_relaxed);

@@ -296,35 +296,41 @@ TEST(CollEdge, BackToBackCollectivesReuseScratchSafely) {
 }
 
 TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
-  const rt::Topology& two = cached_team(4, 2).topo();
+  // The paper's process setting: the thread team's topology and cache
+  // model without the shared address space.
+  const auto process_caps = [](const rt::Team& team) {
+    return rt::PlanCaps(team.topo(), team.config().cache,
+                        /*shared_address_space=*/false);
+  };
+  const rt::PlanCaps two = process_caps(cached_team(4, 2));
   CollOpts o;
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, two, 1024, o),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, 1024, o, two),
             Algorithm::dpml_two_level)
       << "small message should pick dpml_two_level";
   // Allreduces up to the fold cut (4 KB at p = 4) take the fold arm.
   EXPECT_EQ(
-      plan::choose_reduction_algorithm(CollKind::allreduce, two, 1024, o),
+      plan::choose_reduction_algorithm(CollKind::allreduce, 1024, o, two),
       Algorithm::fold)
       << "small allreduce should pick fold";
   EXPECT_EQ(
-      plan::choose_reduction_algorithm(CollKind::allreduce, two, 4096, o),
+      plan::choose_reduction_algorithm(CollKind::allreduce, 4096, o, two),
       Algorithm::fold)
       << "small allreduce should pick fold";
   EXPECT_EQ(
-      plan::choose_reduction_algorithm(CollKind::allreduce, two, 4097, o),
+      plan::choose_reduction_algorithm(CollKind::allreduce, 4097, o, two),
       Algorithm::dpml_two_level)
       << "allreduce past the fold cut should pick dpml_two_level";
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, two,
-                                             10u << 20, o),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 10u << 20,
+                                             o, two),
             Algorithm::ma_socket_aware)
       << "large message on 2 sockets should pick socket-MA";
   o.algorithm = Algorithm::ma_flat;
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, two, 10, o),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 10, o, two),
             Algorithm::ma_flat)
       << "forced algorithm must be honoured";
-  EXPECT_EQ(plan::choose_reduction_algorithm(
-                CollKind::reduce_scatter, cached_team(4, 1).topo(),
-                10u << 20, CollOpts{}),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce_scatter,
+                                             10u << 20, CollOpts{},
+                                             process_caps(cached_team(4, 1))),
             Algorithm::ma_flat)
       << "single socket should pick flat MA";
 }

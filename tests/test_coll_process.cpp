@@ -212,7 +212,7 @@ TEST(ProcessColl, FoldAllreduceIsBitwiseRankOrderedOnBothBackends) {
 // automatic allreduce above the fold cut keeps the §5.1 rule.
 TEST(ProcessColl, DirectArmIsRefusedAndNeverServedOnForkedTeams) {
   auto& team = process_team(4, 2);
-  ASSERT_FALSE(team.shares_address_space());
+  ASSERT_FALSE(team.caps().shared_address_space());
   const std::size_t count = 20000;  // 160 KB: above the fold cut
   auto* out = reinterpret_cast<double*>(team.shared_alloc(4 * count * 8));
   auto* served = reinterpret_cast<std::uint64_t*>(team.shared_alloc(4 * 8));

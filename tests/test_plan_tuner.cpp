@@ -100,8 +100,10 @@ void run_logged_allreduce(rt::Team& team, int calls, std::size_t count,
 // ---- the prior reproduces the static rules ----------------------------------
 
 TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
-  const rt::Topology topo(8, 2);
   const copy::CacheConfig cache = copy::CacheConfig::node_a();
+  const rt::PlanCaps caps(rt::Topology(8, 2), cache,
+                          /*shared_address_space=*/false);
+  const rt::Topology& topo = caps.topo();
   for (const std::size_t threshold :
        {std::size_t{256} << 10, std::size_t{300000}, std::size_t{1} << 20}) {
     CollOpts opts;
@@ -116,9 +118,9 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
              {base, base + 1, base > 1 ? base - 1 : base}) {
           const auto key = plan::make_key(kind, bytes, Datatype::f64,
                                           ReduceOp::sum, topo, opts);
-          const auto p = plan::prior_plan(key, opts, topo, cache);
+          const auto p = plan::prior_plan(key, opts, caps);
           EXPECT_EQ(p.algorithm,
-                    plan::choose_reduction_algorithm(kind, topo, bytes, opts))
+                    plan::choose_reduction_algorithm(kind, bytes, opts, caps))
               << coll::coll_kind_name(kind) << " bytes=" << bytes
               << " threshold=" << threshold;
         }
@@ -130,7 +132,8 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
   // the cap and one byte past it for every team size, under every
   // threshold (including ones below the cap).
   for (const int ranks : {2, 3, 4, 5, 8}) {
-    const rt::Topology shape(ranks, ranks >= 4 ? 2 : 1);
+    const rt::PlanCaps shape(rt::Topology(ranks, ranks >= 4 ? 2 : 1), cache,
+                             false);
     const std::size_t cap = coll::fold_max_bytes(ranks);
     for (const std::size_t threshold :
          {std::size_t{256} << 10, cap, cap - 100, cap + 1}) {
@@ -140,37 +143,38 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
            {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter})
         for (const std::size_t bytes : {cap - 1, cap, cap + 1}) {
           const auto key = plan::make_key(kind, bytes, Datatype::f32,
-                                          ReduceOp::sum, shape, opts);
-          EXPECT_EQ(plan::prior_plan(key, opts, shape, cache).algorithm,
-                    plan::choose_reduction_algorithm(kind, shape, bytes, opts))
+                                          ReduceOp::sum, shape.topo(), opts);
+          EXPECT_EQ(plan::prior_plan(key, opts, shape).algorithm,
+                    plan::choose_reduction_algorithm(kind, bytes, opts, shape))
               << coll::coll_kind_name(kind) << " p=" << ranks
               << " bytes=" << bytes << " threshold=" << threshold;
         }
     }
     const CollOpts opts;
-    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, shape,
-                                               cap, opts),
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, cap,
+                                               opts, shape),
               Algorithm::fold)
         << "p=" << ranks;
-    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, shape,
-                                               cap + 1, opts),
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, cap + 1,
+                                               opts, shape),
               Algorithm::dpml_two_level)
         << "p=" << ranks;
-    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, shape, cap,
-                                               opts),
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, cap, opts,
+                                               shape),
               Algorithm::dpml_two_level)
         << "p=" << ranks;
   }
 
   // Single-socket and ragged topologies fall back to flat MA above the
   // threshold.
-  const rt::Topology flat(6, 1), ragged(7, 2);
+  const rt::PlanCaps flat(rt::Topology(6, 1), cache, false),
+      ragged(rt::Topology(7, 2), cache, false);
   CollOpts opts;
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, flat,
-                                             1u << 20, opts),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 1u << 20,
+                                             opts, flat),
             Algorithm::ma_flat);
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, ragged,
-                                             1u << 20, opts),
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 1u << 20,
+                                             opts, ragged),
             Algorithm::ma_flat);
 }
 
@@ -204,6 +208,8 @@ TEST(PlanPrior, SharedAddressSpaceServesDirectAboveTheFoldCutOnly) {
   const copy::CacheConfig cache = copy::CacheConfig::node_a();
   for (const int ranks : {2, 3, 4, 8}) {
     const rt::Topology topo(ranks, ranks >= 4 ? 2 : 1);
+    const rt::PlanCaps threads(topo, cache, /*shared_address_space=*/true);
+    const rt::PlanCaps procs(topo, cache, /*shared_address_space=*/false);
     const std::size_t cap = coll::fold_max_bytes(ranks);
     for (const std::size_t threshold :
          {std::size_t{256} << 10, cap, cap - 100, cap + 1}) {
@@ -216,14 +222,13 @@ TEST(PlanPrior, SharedAddressSpaceServesDirectAboveTheFoldCutOnly) {
               threshold, threshold + 1, std::size_t{32} << 20}) {
           const auto key = plan::make_key(kind, bytes, Datatype::f32,
                                           ReduceOp::sum, topo, opts);
-          const Algorithm rule = plan::choose_reduction_algorithm(
-              kind, topo, bytes, opts, /*shared_address_space=*/true);
-          EXPECT_EQ(plan::prior_plan(key, opts, topo, cache, true).algorithm,
-                    rule)
+          const Algorithm rule =
+              plan::choose_reduction_algorithm(kind, bytes, opts, threads);
+          EXPECT_EQ(plan::prior_plan(key, opts, threads).algorithm, rule)
               << coll::coll_kind_name(kind) << " p=" << ranks
               << " bytes=" << bytes << " threshold=" << threshold;
           const Algorithm process =
-              plan::choose_reduction_algorithm(kind, topo, bytes, opts);
+              plan::choose_reduction_algorithm(kind, bytes, opts, procs);
           if (kind != CollKind::allreduce || process == Algorithm::fold) {
             EXPECT_EQ(rule, process) << "p=" << ranks << " bytes=" << bytes;
           } else {
@@ -240,14 +245,14 @@ TEST(PlanPrior, DirectNtAdvisoryFollowsThePushCut) {
   // the private caches p·c'' (s > c''/2), and pulls with temporal stores
   // below that, where W <= p·c'' < C.  The advisory reports that choice.
   const copy::CacheConfig cache = copy::CacheConfig::node_a();
-  const rt::Topology topo(4, 2);
+  const rt::PlanCaps threads(rt::Topology(4, 2), cache, true);
   const CollOpts opts;
   const std::size_t cut = cache.l2_per_core / 2;
   for (const std::size_t bytes :
        {cut / 4, cut / 2, cut, cut + 1, 2 * cut, std::size_t{32} << 20}) {
     const auto key = plan::make_key(CollKind::allreduce, bytes, Datatype::f64,
-                                    ReduceOp::sum, topo, opts);
-    const plan::Plan p = plan::prior_plan(key, opts, topo, cache, true);
+                                    ReduceOp::sum, threads.topo(), opts);
+    const plan::Plan p = plan::prior_plan(key, opts, threads);
     ASSERT_EQ(p.algorithm, Algorithm::direct) << "bytes=" << bytes;
     EXPECT_EQ(p.nt_prior, bytes > cut) << "bytes=" << bytes;
     EXPECT_EQ(p.nt_prior, coll::detail::direct_pushes(bytes, 4, cache))
@@ -262,10 +267,13 @@ TEST(PlanArms, DirectIsAnArmOnlyOnSharedAddressSpaceTeamsAboveTheCut) {
   const auto algs = [&](CollKind kind, std::size_t bytes, bool shared) {
     const auto key = plan::make_key(kind, bytes, Datatype::f64,
                                     ReduceOp::sum, topo, opts);
+    const plan::ArmTable table =
+        plan::arms(key, opts, rt::PlanCaps(topo, cache, shared));
     std::vector<Algorithm> out;
-    const int n = plan::arm_count(key, opts, topo, shared);
-    for (int a = 0; a < n; ++a)
-      out.push_back(plan::arm_plan(a, key, opts, topo, cache, shared).algorithm);
+    for (int a = 0; a < table.n; ++a) {
+      EXPECT_EQ(table.arm[a].arm, a);
+      out.push_back(table.arm[a].algorithm);
+    }
     return out;
   };
   const auto has = [](const std::vector<Algorithm>& v, Algorithm a) {
@@ -290,6 +298,48 @@ TEST(PlanArms, DirectIsAnArmOnlyOnSharedAddressSpaceTeamsAboveTheCut) {
     } else {  // fold buckets: both backends enumerate the same table
       EXPECT_EQ(shared, algs(CollKind::allreduce, bytes, false));
     }
+  }
+}
+
+// ---- the capability record ---------------------------------------------------
+
+// What a team serves is the prior of its own caps, for every bucket, kind
+// and shape on both backends; the team's signature is its caps' signature;
+// and a thread team's backend-free machine signature is the signature a
+// process team of the same machine carries.
+TEST(PlanCaps, QueryMatchesPriorOfTheTeamCapsOnBothBackends) {
+  const CollOpts opts;
+  for (const auto& [p, m] : {std::pair{2, 1}, std::pair{3, 1},
+                             std::pair{4, 2}, std::pair{3, 2}}) {
+    rt::ThreadTeam threads(tuned_cfg(p, m, rt::TuneMode::prior));
+    rt::ProcessTeam procs(tuned_cfg(p, m, rt::TuneMode::prior));
+    EXPECT_TRUE(threads.caps().shared_address_space());
+    EXPECT_FALSE(procs.caps().shared_address_space());
+    for (const rt::Team* team : {static_cast<const rt::Team*>(&threads),
+                                 static_cast<const rt::Team*>(&procs)}) {
+      const rt::PlanCaps& caps = team->caps();
+      EXPECT_EQ(team->plan_signature(), caps.signature());
+      EXPECT_EQ(caps.topo().nranks(), p);
+      EXPECT_EQ(caps.topo().nsockets(), m);
+      for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k) {
+        const auto kind = static_cast<CollKind>(k);
+        for (std::size_t bytes = 8; bytes <= (std::size_t{32} << 20);
+             bytes *= 2) {
+          const auto key = plan::make_key(kind, bytes, Datatype::f32,
+                                          ReduceOp::sum, caps.topo(), opts);
+          EXPECT_EQ(plan::query(*team, kind, bytes, Datatype::f32,
+                                ReduceOp::sum, opts)
+                        .pack(),
+                    plan::prior_plan(key, opts, caps).pack())
+              << coll::coll_kind_name(kind) << " p=" << p << " m=" << m
+              << " bytes=" << bytes << " shared="
+              << caps.shared_address_space();
+        }
+      }
+    }
+    EXPECT_EQ(threads.caps().machine_signature(), procs.plan_signature());
+    EXPECT_EQ(procs.caps().machine_signature(), procs.plan_signature());
+    EXPECT_NE(threads.plan_signature(), procs.plan_signature());
   }
 }
 
@@ -773,9 +823,9 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   // and the paper's process setting keeps the bare machine signature.
   const auto& cache = threads.config().cache;
   EXPECT_EQ(procs.plan_signature(),
-            rt::plan_signature(procs.topo(), cache, false));
+            rt::PlanCaps(procs.topo(), cache, false).signature());
   EXPECT_EQ(threads.plan_signature(),
-            rt::plan_signature(threads.topo(), cache, true));
+            rt::PlanCaps(threads.topo(), cache, true).signature());
   EXPECT_NE(threads.plan_signature(), procs.plan_signature());
 
   // A bench report warms both backends from one file: direct wins the
@@ -842,6 +892,82 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   arr.push_back(entry);
   bad.set("plans", arr);
   EXPECT_THROW(plan::validate_plan_json(bad), Error);
+}
+
+// A plan-file arm index selects the arm statistics online refinement
+// updates (PlanSlot::arm_ewma / arm_n, kPlanMaxArms entries each).  An
+// index past those arrays is rejected by validation; one inside them but
+// past the key's own arm table is dropped at load; and a stored word whose
+// arm field is out of range fails the structural check, so no path lets an
+// online call write past the arrays into the neighbouring registry slot.
+TEST(PlanPersistence, OutOfRangeArmNeverReachesTheArmArrays) {
+  const int p = 4, m = 2;
+  const std::size_t count = (1u << 20) / sizeof(float);
+  rt::ThreadTeam team(tuned_cfg(p, m, rt::TuneMode::online));
+  const auto warmed = plan::warm_from_bench(
+      bench_report(p, m, team.config().cache,
+                   {{"direct", 1u << 20, 1e-6}, {"dpml-2l", 1u << 20, 2e-6}}));
+  const std::string sig = plan::save_plans(team)["machine"]["signature"]
+                              .as_string();
+  bench::Json entry;
+  for (const auto& e : warmed["plans"].items())
+    if (e["signature"].as_string() == sig) entry = e;
+  ASSERT_EQ(entry["algorithm"].as_string(), "direct");
+  entry.set("dtype", "f32");
+  const auto doc_with = [&warmed](const bench::Json& e) {
+    bench::Json doc = warmed;
+    bench::Json arr = bench::Json::array();
+    arr.push_back(e);
+    doc.set("plans", arr);
+    return doc;
+  };
+
+  // In range for this key's six-arm table: loads.
+  bench::Json ok = entry;
+  ok.set("arm", 5);
+  {
+    rt::ThreadTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
+    EXPECT_EQ(plan::load_plans(fresh, doc_with(ok)), 1);
+  }
+  // Inside the arrays but past a broadcast key's five-arm table: dropped.
+  bench::Json bcast = ok;
+  bcast.set("collective", "broadcast");
+  bcast.set("algorithm", "pipelined");
+  bcast.set("bucket", 20);
+  {
+    rt::ThreadTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
+    plan::validate_plan_json(doc_with(bcast));
+    EXPECT_EQ(plan::load_plans(fresh, doc_with(bcast)), 0);
+  }
+
+  // Past the arrays: invalid, and never installed.
+  bench::Json bad = entry;
+  bad.set("arm", 9);
+  EXPECT_THROW(plan::validate_plan_json(doc_with(bad)), Error);
+  int installed = 0;
+  try {
+    installed = plan::load_plans(team, doc_with(bad));
+  } catch (const Error&) {
+  }
+  EXPECT_EQ(installed, 0);
+  // Online calls on that key touch its own slot only.
+  team.run([&](rt::RankCtx& ctx) {
+    std::vector<float> in(count, 1.0f), out(count);
+    for (int c = 0; c < 20; ++c)
+      coll::allreduce(ctx, in.data(), out.data(), count, Datatype::f32,
+                      ReduceOp::sum);
+  });
+  EXPECT_EQ(plan::tune_stats(team).entries, 1u);
+  EXPECT_TRUE(team.verify_integrity().ok());
+
+  // A stored word with an out-of-range arm is structurally corrupt.
+  plan::Plan word;
+  word.arm = rt::kPlanMaxArms - 1;
+  EXPECT_TRUE(rt::plan_word_sane(word.pack()));
+  for (const int arm : {rt::kPlanMaxArms, 9, 15}) {
+    word.arm = static_cast<std::uint8_t>(arm);
+    EXPECT_FALSE(rt::plan_word_sane(word.pack())) << "arm " << arm;
+  }
 }
 
 TEST(PlanPersistence, BenchWarmedPlanFileWarmsBothBackends) {

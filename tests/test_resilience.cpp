@@ -440,8 +440,7 @@ TEST(ResilienceQuarantine, RepeatedFaultQuarantinesThePlanForItsEpochs) {
   const auto key = plan::make_key(coll::CollKind::allreduce,
                                   n * sizeof(double), Datatype::f64,
                                   ReduceOp::sum, team->topo(), opts);
-  plan::Plan planted =
-      plan::prior_plan(key, opts, team->topo(), team->config().cache);
+  plan::Plan planted = plan::prior_plan(key, opts, team->caps());
   planted.source = plan::PlanSource::online;  // distinct from a prior serve
   const std::uint64_t planted_word = planted.pack();
   slot->plan.store(planted_word, std::memory_order_release);
@@ -497,6 +496,89 @@ TEST_F(NoZombies, InjectedCorruptionIsDetectedInEverySharedSection) {
       run_allreduce_checked(*team, bufs);
     }
   }
+}
+
+// ---- the section directory ---------------------------------------------------
+
+// The stamped headers describe the mapping exactly: they tile it from offset
+// 0 to its end in page-aligned sections, the heap section holds the caller's
+// heap plus both fold stages, and the optional services map a section only
+// when they run.  Holds on both backends, with every optional service on or
+// off, and again after a recovery re-stamps the directory.
+TEST(SectionDirectory, StampedHeadersTileTheMappingOnBothBackends) {
+  constexpr std::size_t kPage = 4096;
+  for (const Backend b : {Backend::threads, Backend::procs}) {
+    for (const bool services : {false, true}) {
+      rt::TeamConfig cfg;
+      cfg.nranks = 4;
+      cfg.nsockets = 2;
+      cfg.scratch_bytes = 4u << 20;
+      cfg.shared_heap_bytes = (1u << 20) + 100;  // not a page multiple
+      cfg.hb_check = services ? rt::HbMode::on : rt::HbMode::off;
+      cfg.trace = services ? trace::Mode::spans : trace::Mode::off;
+      cfg.metrics = services ? metrics::Mode::on : metrics::Mode::off;
+      std::unique_ptr<rt::Team> team;
+      if (b == Backend::procs)
+        team = std::make_unique<rt::ProcessTeam>(cfg);
+      else
+        team = std::make_unique<rt::ThreadTeam>(cfg);
+      const std::string what =
+          std::string(b == Backend::procs ? "procs" : "threads") +
+          (services ? " with services" : " bare");
+
+      for (int pass = 0; pass < 2; ++pass) {
+        const rt::TeamShared& sh = team->shared();
+        std::uint64_t end = 0;
+        for (int i = 0; i < rt::kMaxSections; ++i) {
+          const rt::SectionHeader& h = sh.sections[i];
+          EXPECT_EQ(h.off, end) << what << " section " << i;
+          EXPECT_EQ(h.off % kPage, 0u) << what << " section " << i;
+          EXPECT_EQ(h.epoch, team->team_epoch()) << what << " section " << i;
+          end = h.off + h.bytes;
+        }
+        EXPECT_EQ(end, team->mapping_bytes()) << what;
+        const auto bytes_of = [&sh](rt::Section s) {
+          return sh.sections[static_cast<int>(s)].bytes;
+        };
+        EXPECT_EQ(bytes_of(rt::Section::heap),
+                  round_up(cfg.shared_heap_bytes + 2 * rt::kFoldStageBytes,
+                           kPage))
+            << what;
+        EXPECT_EQ(bytes_of(rt::Section::scratch), cfg.scratch_bytes) << what;
+        for (const rt::Section s :
+             {rt::Section::hb, rt::Section::trace, rt::Section::metrics})
+          EXPECT_EQ(bytes_of(s) != 0, services)
+              << what << " section " << static_cast<int>(s);
+        const auto rep = team->verify_integrity(/*repair=*/false);
+        EXPECT_TRUE(rep.ok())
+            << what << ": " << (rep.ok() ? "" : rep.findings.front());
+        EXPECT_EQ(rep.sections_checked,
+                  static_cast<std::uint64_t>(rt::kMaxSections));
+        team->recover();  // re-stamps under the next epoch
+      }
+    }
+  }
+}
+
+// A header re-stamped with a valid canary and checksum but a moved section
+// still disagrees with the team's section table, and the repairing sweep
+// restores it.
+TEST(SectionDirectory, ConsistentlyRestampedHeaderThatMovesASectionIsFlagged) {
+  auto team = make_team(Backend::threads, 4, 2);
+  rt::SectionHeader& h =
+      team->shared().sections[static_cast<int>(rt::Section::scratch)];
+  const rt::SectionHeader good = h;
+  h.off += 4096;
+  h.bytes -= 4096;
+  h.canary = rt::kSectionCanary ^ h.off;
+  h.sum = rt::section_sum(h);
+  const auto rep = team->verify_integrity(/*repair=*/true);
+  ASSERT_EQ(rep.findings.size(), 1u);
+  EXPECT_NE(rep.findings.front().find("section table"), std::string::npos)
+      << rep.findings.front();
+  EXPECT_EQ(h.off, good.off);
+  EXPECT_EQ(h.bytes, good.bytes);
+  EXPECT_TRUE(team->verify_integrity(false).ok());
 }
 
 TEST(ResilienceCorruption, TamperedPlanWordAbortsClassifiedAndSelfHeals) {
