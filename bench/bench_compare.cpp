@@ -1,7 +1,8 @@
 // CLI over the yhccl-bench/1 report tooling (src/bench/compare.cpp):
 //
 //   bench_compare check <report.json>
-//       validate a report against the schema; exit 1 on any defect.
+//       validate a yhccl-bench/1 report, or the yhccl-trajectory/1 record
+//       BENCH_trajectory.json, against its schema; exit 1 on any defect.
 //   bench_compare merge <out.json> <in.json...>
 //       concatenate per-binary reports into one (the BENCH_collectives.json
 //       step of bench/run_collectives.sh); duplicate keys are fatal.
@@ -49,7 +50,14 @@ int do_check(const std::string& path) {
   const yb::Json j = load_or_die(path, &ok);
   if (!ok) return 1;
   std::vector<std::string> errors;
-  if (yb::validate_report(j, errors)) {
+  if (j["schema"].is_string() &&
+      j["schema"].as_string() == yb::kTrajectorySchema) {
+    if (yb::validate_trajectory(j, errors)) {
+      std::printf("%s: valid %s record, %zu entries\n", path.c_str(),
+                  yb::kTrajectorySchema, j["entries"].size());
+      return 0;
+    }
+  } else if (yb::validate_report(j, errors)) {
     std::printf("%s: valid %s report, %zu series\n", path.c_str(),
                 yb::kSchemaVersion,
                 j.find("series") ? j.find("series")->size() : 0);

@@ -36,7 +36,19 @@ int main() {
   // ---- (a) reduce-scatter --------------------------------------------------
   {
     std::vector<std::pair<std::string, CollArm>> arms = {
+        // YHCCL is the paper's §5.1 staged rule; the automatic call runs
+        // the single-copy direct arm above the threshold, shown on its own.
         {"YHCCL",
+         [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
+           coll::CollOpts o;
+           o.algorithm = coll::plan::staged_reduction_algorithm(
+               coll::CollKind::reduce_scatter,
+               cnt_rs(b) * 8 * static_cast<std::size_t>(c.nranks()), o,
+               c.team().topo());
+           coll::reduce_scatter(c, s, r, cnt_rs(b), Datatype::f64,
+                                ReduceOp::sum, o);
+         }},
+        {"YHCCL-direct",
          [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
            coll::reduce_scatter(c, s, r, cnt_rs(b), Datatype::f64,
                                 ReduceOp::sum);
@@ -107,16 +119,13 @@ int main() {
   // ---- (c) all-reduce ----------------------------------------------------------
   {
     std::vector<std::pair<std::string, CollArm>> arms = {
-        // YHCCL is the paper's §5.1 rule, which a process team serves; a
-        // thread team's automatic call runs the single-copy direct arm,
-        // shown on its own.
+        // YHCCL is the paper's §5.1 staged rule; a thread team's
+        // automatic call runs the single-copy direct arm, shown on its own.
         {"YHCCL",
          [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
            coll::CollOpts o;
-           o.algorithm = coll::plan::choose_reduction_algorithm(
-               coll::CollKind::allreduce, cnt(b) * 8, o,
-               rt::PlanCaps(c.team().topo(), c.cache(),
-                            /*shared_address_space=*/false));
+           o.algorithm = coll::plan::staged_reduction_algorithm(
+               coll::CollKind::allreduce, cnt(b) * 8, o, c.team().topo());
            coll::allreduce(c, s, r, cnt(b), Datatype::f64, ReduceOp::sum, o);
          }},
         {"YHCCL-direct",

@@ -20,6 +20,8 @@
 //                  my block, barrier, gather peers' blocks, trailing barrier
 //   direct_push    the push schedule: reduce my block into every rank's
 //                  recv, trailing barrier
+//   direct_scatter direct-reduce_scatter block ownership: reduce my block
+//                  of every send into my own recv, trailing barrier
 //
 // The mutation table seeds one memory-order weakening (WeakPoint) at a time
 // into the production code path; tests/test_model_check.cpp asserts the
@@ -54,6 +56,11 @@ Spec fold_spec(int nthreads, int nstages);
 /// barrier a returning rank reuses its receive buffer while peers still
 /// read from it or write into it, which the checker must catch.
 Spec direct_spec(int nthreads, bool push, bool trailing_barrier);
+
+/// The direct reduce_scatter harness.  Without the trailing barrier a
+/// returning rank refills its send buffer while a peer still reduces from
+/// it, which the checker must catch.
+Spec direct_scatter_spec(int nthreads, bool trailing_barrier);
 
 /// Explore one protocol instance.
 Result check_protocol(const std::string& name, int nthreads,

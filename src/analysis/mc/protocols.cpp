@@ -633,12 +633,88 @@ Spec direct_spec(int n, bool push, bool trailing_barrier) {
   return s;
 }
 
+// ---------------------------------------------------------------------------
+// direct_scatter: the block ownership protocol of
+// coll::direct_reduce_scatter over the production barrier, one element per
+// block.  Each round the caller fills its send buffer, every rank passes
+// barrier 1, rank r reduces block r of every send buffer into its own
+// recv, then the trailing barrier.  The caller then checks its recv and
+// refills its send buffer for the next round.  The recv is private to its
+// owner; the trailing barrier is what keeps a returning rank from
+// refilling a send block a peer still reads, which the checker must find
+// without it.  Buffers are fixed, as in the direct harness.
+// ---------------------------------------------------------------------------
+
+Spec direct_scatter_spec(int n, bool trailing_barrier) {
+  YHCCL_REQUIRE(n >= 2 && n <= 3, "direct_scatter spec: 2..3 ranks");
+  struct St {
+    rt::BarrierState bar;
+    std::uint32_t sense[3];
+    std::uint64_t send[3][3];  // send[rank][block]
+    std::uint64_t recv[3];
+  };
+  auto st = std::make_shared<St>();
+  const auto value = [](std::uint64_t k, int q, int b) {
+    return 100 * k + 10 * static_cast<std::uint64_t>(q) +
+           static_cast<std::uint64_t>(b) + 1;
+  };
+  // As in the direct harness: two rounds at 2 ranks; at 3 ranks one round
+  // over buffers filled before the ranks start, without barrier 1.
+  const bool prefilled = n == 3;
+  const std::uint64_t rounds = prefilled ? 1 : 2;
+  Spec s;
+  s.nthreads = n;
+  s.reset = [st, n, value, prefilled] {
+    rt::barrier_init(st->bar, static_cast<std::uint32_t>(n));
+    std::memset(st->sense, 0, sizeof st->sense);
+    std::memset(st->send, 0, sizeof st->send);
+    std::memset(st->recv, 0, sizeof st->recv);
+    if (prefilled)
+      for (int q = 0; q < n; ++q)
+        for (int b = 0; b < n; ++b) st->send[q][b] = value(0, q, b);
+    set_label(&st->bar.arrived, sizeof st->bar.arrived, "arrived");
+    set_label(&st->bar.sense, sizeof st->bar.sense, "sense");
+    set_label(st->send, sizeof st->send, "direct_scatter send");
+    set_label(st->recv, sizeof st->recv, "direct_scatter recv");
+  };
+  s.body = [st, n, trailing_barrier, value, prefilled, rounds](int r) {
+    const auto arrive = [&] { rt::barrier_arrive(st->bar, st->sense[r]); };
+    for (std::uint64_t k = 0; k < rounds; ++k) {
+      if (!prefilled) {
+        for (int b = 0; b < n; ++b) {
+          hb_write(&st->send[r][b], sizeof(std::uint64_t), "caller fill");
+          st->send[r][b] = value(k, r, b);
+        }
+        arrive();  // barrier 1: every buffer is published and filled
+      }
+      std::uint64_t acc = 0;
+      for (int q = 0; q < n; ++q) {
+        hb_read(&st->send[q][r], sizeof(std::uint64_t), "direct reduce");
+        acc += st->send[q][r];
+      }
+      hb_write(&st->recv[r], sizeof(std::uint64_t), "direct reduce");
+      st->recv[r] = acc;
+      if (trailing_barrier) arrive();
+      std::uint64_t want = 0;
+      for (int q = 0; q < n; ++q) want += value(k, q, r);
+      hb_read(&st->recv[r], sizeof(std::uint64_t), "caller check");
+      require(st->recv[r] == want, "direct_scatter reduced a refilled block");
+    }
+    // The caller reuses its send buffer after the call returns.
+    for (int b = 0; b < n; ++b) {
+      hb_write(&st->send[r][b], sizeof(std::uint64_t), "caller refill");
+      st->send[r][b] = 0;
+    }
+  };
+  return s;
+}
+
 const std::vector<std::string>& protocol_names() {
   static const std::vector<std::string> names = {
-      "flags",      "barrier", "dissemination", "fifo",
-      "rndv",       "pagelock", "seqlock",      "plan",
-      "quarantine", "ring",     "fold",         "direct_pull",
-      "direct_push"};
+      "flags",      "barrier",     "dissemination", "fifo",
+      "rndv",       "pagelock",    "seqlock",       "plan",
+      "quarantine", "ring",        "fold",          "direct_pull",
+      "direct_push", "direct_scatter"};
   return names;
 }
 
@@ -646,7 +722,8 @@ bool protocol_supports(const std::string& name, int nthreads) {
   if (nthreads < 2) return false;
   if (name == "fifo" || name == "rndv" || name == "ring" || name == "plan" ||
       name == "seqlock" || name == "quarantine" || name == "fold" ||
-      name == "direct_pull" || name == "direct_push")
+      name == "direct_pull" || name == "direct_push" ||
+      name == "direct_scatter")
     return nthreads <= 3;
   return nthreads <= 4;
 }
@@ -666,6 +743,7 @@ Spec protocol_spec(const std::string& name, int nthreads) {
   if (name == "fold") return fold_spec(nthreads, 2);
   if (name == "direct_pull") return direct_spec(nthreads, false, true);
   if (name == "direct_push") return direct_spec(nthreads, true, true);
+  if (name == "direct_scatter") return direct_scatter_spec(nthreads, true);
   return ring_spec(nthreads);
 }
 

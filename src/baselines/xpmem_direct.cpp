@@ -98,7 +98,8 @@ void xpmem_allreduce(RankCtx& ctx, const void* send, void* recv,
   coll::CollOpts opts;
   opts.policy = copy::CopyPolicy::memmove_model;
   coll::detail::direct_allreduce(ctx, send, recv, count, d, op, opts,
-                                 /*xpmem_baseline=*/true);
+                                 /*xpmem_baseline=*/true,
+                                 coll::detail::DirectMiss::raise);
 }
 
 void xpmem_reduce(RankCtx& ctx, const void* send, void* recv,

@@ -1,5 +1,7 @@
 #include "yhccl/bench/compare.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -70,6 +72,110 @@ void validate_series(const Json& s, const std::string& where,
 }
 
 }  // namespace
+
+bool validate_trajectory(const Json& doc, std::vector<std::string>& errors) {
+  const std::size_t before = errors.size();
+  require(doc.is_object(), "trajectory: not a JSON object", errors);
+  if (!doc.is_object()) return false;
+  require(doc["schema"].is_string() &&
+              doc["schema"].as_string() == kTrajectorySchema,
+          std::string("trajectory: schema must be \"") + kTrajectorySchema +
+              '"',
+          errors);
+  require(doc["benchmark"].is_string(),
+          "trajectory: missing string field 'benchmark'", errors);
+  std::vector<std::string> workloads, metrics;
+  const auto names = [&](const char* field, bool objects,
+                         std::vector<std::string>& out) {
+    const Json& arr = doc[field];
+    require(arr.is_array() && arr.size() > 0,
+            std::string("trajectory: '") + field + "' must be a non-empty array",
+            errors);
+    if (!arr.is_array()) return;
+    for (std::size_t i = 0; i < arr.size(); ++i) {
+      const Json& e = arr.at(i);
+      const std::string where =
+          std::string(field) + "[" + std::to_string(i) + "]";
+      const Json& name = objects ? e["name"] : e;
+      if (objects) {
+        require(e.is_object() && e["unit"].is_string() &&
+                    e["better"].is_string() &&
+                    (e["better"].as_string() == "higher" ||
+                     e["better"].as_string() == "lower"),
+                where + ": needs name, unit and better (higher|lower)",
+                errors);
+      }
+      require(name.is_string(), where + ": name must be a string", errors);
+      if (!name.is_string()) continue;
+      require(std::find(out.begin(), out.end(), name.as_string()) ==
+                  out.end(),
+              where + ": duplicate " + name.as_string(), errors);
+      out.push_back(name.as_string());
+    }
+  };
+  names("workloads", false, workloads);
+  names("metrics", true, metrics);
+  const Json& entries = doc["entries"];
+  require(entries.is_array(), "trajectory: missing 'entries' array", errors);
+  if (!entries.is_array()) return false;
+  std::set<std::string> seen;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Json& e = entries.at(i);
+    const std::string where = "entries[" + std::to_string(i) + "]";
+    if (!e.is_object()) {
+      errors.push_back(where + ": not an object");
+      continue;
+    }
+    const std::string commit =
+        e["commit"].is_string() ? e["commit"].as_string() : "";
+    require(commit.size() == 40 &&
+                commit.find_first_not_of("0123456789abcdef") ==
+                    std::string::npos,
+            where + ": commit must be a 40-digit lowercase hex id", errors);
+    const std::string side =
+        e["side"].is_string() ? e["side"].as_string() : "";
+    require(side == "parent" || side == "change",
+            where + ": side must be \"parent\" or \"change\"", errors);
+    require(seen.insert(commit + "/" + side).second,
+            where + ": duplicate entry " + commit + "/" + side, errors);
+    if (side == "change")
+      require(seen.count(commit + "/parent") != 0,
+              where + ": change entry before its parent entry", errors);
+    require(e["change"].is_string() && !e["change"].as_string().empty(),
+            where + ": missing 'change' description", errors);
+    require(e["method"].is_string(), where + ": missing 'method'", errors);
+    require(e["runs"].is_integer() && e["runs"].as_int() >= 1,
+            where + ": runs must be an integer >= 1", errors);
+    const Json& results = e["results"];
+    require(results.is_object() && results.size() == workloads.size(),
+            where + ": results must hold exactly the declared workloads",
+            errors);
+    for (const std::string& w : workloads) {
+      const Json* wr = results.find(w);
+      require(wr != nullptr && wr->is_object() &&
+                  wr->size() == metrics.size(),
+              where + "." + w + ": must hold exactly the declared metrics",
+              errors);
+      if (wr == nullptr || !wr->is_object()) continue;
+      for (const std::string& m : metrics) {
+        const Json* q = wr->find(m);
+        const std::string at = where + "." + w + "." + m;
+        const bool nums = q != nullptr && q->is_object() &&
+                          (*q)["median"].is_number() &&
+                          (*q)["q1"].is_number() && (*q)["q3"].is_number();
+        require(nums, at + ": needs numeric median, q1 and q3", errors);
+        if (!nums) continue;
+        const double lo = (*q)["q1"].as_double();
+        const double mid = (*q)["median"].as_double();
+        const double hi = (*q)["q3"].as_double();
+        require(std::isfinite(lo) && std::isfinite(hi) && lo <= mid &&
+                    mid <= hi,
+                at + ": quartiles out of order", errors);
+      }
+    }
+  }
+  return errors.size() == before;
+}
 
 bool validate_report(const Json& report, std::vector<std::string>& errors) {
   const std::size_t before = errors.size();

@@ -61,6 +61,18 @@ struct CompareResult {
 /// message per defect; returns errors.empty().
 bool validate_report(const Json& report, std::vector<std::string>& errors);
 
+/// Schema of BENCH_trajectory.json: the repository benchmark's committed,
+/// append-only A/B record (docs/benchmarking.md).
+inline constexpr const char* kTrajectorySchema = "yhccl-trajectory/1";
+
+/// Structural validation of a trajectory document: declared workloads and
+/// end-to-end metrics; entries keyed by (commit, side) — the 40-hex commit
+/// an A/B ran against and "parent" or "change" — each unique, every
+/// "change" preceded by its "parent"; every entry gives median and
+/// quartiles (q1 <= median <= q3) for every workload × metric.  Appends one
+/// message per defect; returns errors.empty().
+bool validate_trajectory(const Json& doc, std::vector<std::string>& errors);
+
 /// Join two reports on Series::key() and classify every series.
 CompareResult compare_reports(const Json& baseline, const Json& candidate);
 

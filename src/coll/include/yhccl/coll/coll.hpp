@@ -6,7 +6,10 @@
 // small enough that p·s fits the team's 16 KB fold stage), socket-aware
 // movement-avoiding (MA) reduction otherwise, flat MA when the topology has
 // one socket.  On teams whose ranks share an address space, allreduces
-// above the fold cut take the single-copy direct arm instead.  Every slice
+// above the fold cut take the single-copy direct arm instead, and in the
+// MA regime allreduce and reduce_scatter take it on every team: a forked
+// team runs it when all ranks' buffers lie in shared windows and falls
+// back to the MA arm otherwise (docs/algorithms.md §3c).  Every slice
 // copy goes through the adaptive non-temporal policy (§4) unless the
 // caller forces a policy arm for experiments.
 //
@@ -63,7 +66,8 @@ enum class Algorithm : int {
   dpml_two_level,   ///< hierarchical parallel reduction for small messages
   pipelined,        ///< sliced pipeline (broadcast/allgather only, §3.4)
   fold,             ///< one-barrier staged fold (small allreduce only)
-  direct,           ///< single-copy allreduce (shared address space only)
+  direct,           ///< single-copy allreduce/reduce_scatter (shared
+                    ///< address space or shared windows only)
 };
 
 constexpr const char* algorithm_name(Algorithm a) noexcept {
@@ -160,10 +164,21 @@ void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
 /// other blocks from their owners' recv buffers (pull, three barriers), or
 /// above the private-cache cut 2ps > p·c'' streams its block into every
 /// peer's recv (push, two barriers).  DAV s(3p-1) either way.  Requires
-/// ctx.team().caps().shared_address_space().
+/// ranks that share an address space, or every rank's send and recv in a
+/// shared window (rt::Team::windows()); throws yhccl::Error on every rank
+/// otherwise.
 void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
                       const CollOpts& opts = {});
+
+/// Single-copy reduce_scatter: rank r reduces block r of every send
+/// buffer, in rank order, into its recv, slice by slice, then passes a
+/// trailing barrier.  DAV (p+1)s over the input s, two barriers.  In place
+/// when recv is block r of send.  Requires what direct_allreduce does, for
+/// the send buffers.
+void direct_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
+                           std::size_t count, Datatype d, ReduceOp op,
+                           const CollOpts& opts = {});
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts = {});

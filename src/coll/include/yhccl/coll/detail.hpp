@@ -120,6 +120,11 @@ struct WorkSet {
   static std::size_t direct_allreduce(std::size_t s, int p) {
     return 2 * s * static_cast<std::size_t>(p);
   }
+  /// Single-copy reduce_scatter over per-rank inputs of s bytes: p send
+  /// buffers plus the p receive blocks.
+  static std::size_t direct_reduce_scatter(std::size_t s, int p) {
+    return s * static_cast<std::size_t>(p) + s;
+  }
 };
 
 /// The ranks' private caches, p·c'': the only place a line one rank
@@ -137,13 +142,28 @@ inline bool direct_pushes(std::size_t s, int p,
   return WorkSet::direct_allreduce(s, p) > private_caches(p, cache);
 }
 
+/// What a direct arm does when its window verdict is negative (some
+/// rank's buffers are not in a shared window of a forked team): return
+/// false before touching any peer's buffer, so the caller runs the §5.1
+/// staged arm (a plan served direct), or throw the same yhccl::Error on
+/// every rank (the caller named direct).
+enum class DirectMiss { raise, fall_back };
+
 /// The direct allreduce (coll::direct_allreduce).  `xpmem_baseline` pins
 /// the XPMEM baseline's semantics: the pull schedule at every size and a
 /// temporal reduce store whatever opts.policy says (base::xpmem_allreduce
-/// pairs it with CopyPolicy::memmove_model).
-void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
+/// pairs it with CopyPolicy::memmove_model).  False only on a negative
+/// verdict under DirectMiss::fall_back.
+bool direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
-                      const CollOpts& opts, bool xpmem_baseline);
+                      const CollOpts& opts, bool xpmem_baseline,
+                      DirectMiss miss);
+
+/// The direct reduce_scatter (coll::direct_reduce_scatter); returns as
+/// direct_allreduce does.
+bool direct_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
+                           std::size_t count, Datatype d, ReduceOp op,
+                           const CollOpts& opts, DirectMiss miss);
 
 /// Validate buffers/args shared by every reduction collective.
 inline void check_reduction_args(RankCtx& ctx, const void* send,

@@ -136,13 +136,30 @@ constexpr bool is_reduction(CollKind k) noexcept {
 }
 
 /// The §5.1 switching rule over a team's caps (no RankCtx needed, so the
-/// prior is computable parent-side and in offline tools).  Allreduces of
-/// at most fold_max_bytes(p) take the one-barrier fold arm; larger ones
-/// take the single-copy direct arm when caps.shared_address_space()
-/// (thread teams).  An explicit opts.algorithm is returned as is.
+/// prior is computable parent-side and in offline tools): the direct arm
+/// where serves_direct() holds, else staged_reduction_algorithm().  An
+/// explicit opts.algorithm is returned as is.
 Algorithm choose_reduction_algorithm(CollKind kind, std::size_t msg_bytes,
                                      const CollOpts& opts,
                                      const rt::PlanCaps& caps) noexcept;
+
+/// Where the prior serves the single-copy direct arm: allreduces above the
+/// fold cut on teams whose ranks share an address space, and allreduces
+/// and reduce_scatters in the MA regime (above opts.small_msg_threshold)
+/// on every team.  A forked team runs direct there only when every rank's
+/// buffers lie in shared windows; its verdict otherwise falls back to
+/// staged_reduction_algorithm().
+bool serves_direct(CollKind kind, std::size_t msg_bytes, const CollOpts& opts,
+                   const rt::PlanCaps& caps) noexcept;
+
+/// The §5.1 rule for ranks that cannot load each other's buffers:
+/// allreduces of at most fold_max_bytes(p) take the one-barrier fold, other
+/// messages up to opts.small_msg_threshold two-level DPML, larger ones
+/// socket-aware MA (flat MA on single-socket topologies).  Pure, so every
+/// rank whose direct verdict is negative falls back to the same arm.
+Algorithm staged_reduction_algorithm(CollKind kind, std::size_t msg_bytes,
+                                     const CollOpts& opts,
+                                     const rt::Topology& topo) noexcept;
 
 /// §5.4 NT prediction: does the collective's work-data-set W (§4.3
 /// formulas) exceed the cache capacity available to p cores?  For
@@ -151,7 +168,7 @@ bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
               const copy::CacheConfig& cache, std::size_t slice_max) noexcept;
 
 /// The full analytic prior for a key: §5.1 algorithm + §5.4 NT advisory
-/// (the direct arm's own W = 2ps when it is served), caller's slice
+/// (the direct arm's own work set when it is served), caller's slice
 /// schedule untouched.  Deterministic, allocation-free.
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                 const rt::PlanCaps& caps) noexcept;
@@ -160,9 +177,8 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
 
 /// Candidate schedules the online mode explores for a key: for reductions
 /// the prior's algorithm and the DPML/MA arms (socket-aware only on valid
-/// topologies; fold is only ever arm 0, because the buckets it may serve
-/// are exactly those whose prior picks it; direct only for allreduce on
-/// shared-address-space teams, above the fold cut) plus
+/// topologies; fold and direct are only ever arm 0, because the buckets
+/// they may serve are exactly those whose prior picks them) plus
 /// pinned-NT variants of the prior's choice; for broadcast/allgather
 /// alternative pipeline slice sizes plus pinned-NT variants.  Arm 0 is
 /// always the analytic prior, and arm[i].arm == i.  Pure function of

@@ -179,22 +179,35 @@ void Plan::apply(CollOpts& o) const noexcept {
 
 // ---- analytic prior ---------------------------------------------------------
 
+bool serves_direct(CollKind kind, std::size_t msg_bytes, const CollOpts& opts,
+                   const rt::PlanCaps& caps) noexcept {
+  if (kind == CollKind::allreduce && caps.shared_address_space())
+    return msg_bytes > opts.small_msg_threshold ||
+           msg_bytes > fold_max_bytes(caps.topo().nranks());
+  return (kind == CollKind::allreduce ||
+          kind == CollKind::reduce_scatter) &&
+         msg_bytes > opts.small_msg_threshold;
+}
+
+Algorithm staged_reduction_algorithm(CollKind kind, std::size_t msg_bytes,
+                                     const CollOpts& opts,
+                                     const rt::Topology& topo) noexcept {
+  // fold_max_bytes is a power of two, so the fold cut never splits a size
+  // bucket and the prior stays exact.
+  if (kind == CollKind::allreduce && msg_bytes <= opts.small_msg_threshold &&
+      msg_bytes <= fold_max_bytes(topo.nranks()))
+    return Algorithm::fold;
+  if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
+  if (socket_topology(topo)) return Algorithm::ma_socket_aware;
+  return Algorithm::ma_flat;
+}
+
 Algorithm choose_reduction_algorithm(CollKind kind, std::size_t msg_bytes,
                                      const CollOpts& opts,
                                      const rt::PlanCaps& caps) noexcept {
   if (opts.algorithm != Algorithm::automatic) return opts.algorithm;
-  const rt::Topology& topo = caps.topo();
-  // fold_max_bytes is a power of two, so the fold cut never splits a size
-  // bucket and the prior stays exact.
-  const bool fold_sized = kind == CollKind::allreduce &&
-                          msg_bytes <= opts.small_msg_threshold &&
-                          msg_bytes <= fold_max_bytes(topo.nranks());
-  if (fold_sized) return Algorithm::fold;
-  if (kind == CollKind::allreduce && caps.shared_address_space())
-    return Algorithm::direct;
-  if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
-  if (socket_topology(topo)) return Algorithm::ma_socket_aware;
-  return Algorithm::ma_flat;
+  if (serves_direct(kind, msg_bytes, opts, caps)) return Algorithm::direct;
+  return staged_reduction_algorithm(kind, msg_bytes, opts, caps.topo());
 }
 
 bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
@@ -231,9 +244,13 @@ bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
 namespace {
 
 /// The store type the direct arm runs under the adaptive policy.  Its work
-/// set is W = 2ps alone (it stages nothing); above the private-cache cut
-/// it pushes with C = p·c'', below it pulls with C = c' + p·c''.
-bool direct_nt(std::size_t s, int p, const copy::CacheConfig& cache) {
+/// set is the p send and p receive buffers alone (it stages nothing).  An
+/// allreduce above the private-cache cut pushes with C = p·c''; below it,
+/// and for reduce_scatter, stores use C = c' + p·c''.
+bool direct_nt(CollKind kind, std::size_t s, int p,
+               const copy::CacheConfig& cache) {
+  if (kind == CollKind::reduce_scatter)
+    return detail::WorkSet::direct_reduce_scatter(s, p) > cache.available(p);
   return detail::direct_pushes(s, p, cache) ||
          detail::WorkSet::direct_allreduce(s, p) > cache.available(p);
 }
@@ -250,7 +267,7 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                     : Algorithm::pipelined;
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 (§4.2)
   p.nt_prior = p.algorithm == Algorithm::direct
-                   ? direct_nt(rep, topo.nranks(), caps.cache())
+                   ? direct_nt(key.kind, rep, topo.nranks(), caps.cache())
                    : prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(),
                               caps.cache(), opts.slice_max);
   p.source = PlanSource::prior;
@@ -267,18 +284,14 @@ ArmTable arms(const PlanKey& key, const CollOpts& opts,
   const Plan prior = prior_plan(key, opts, caps);
   add(prior);
   if (is_reduction(key.kind)) {
-    // Direct only where its prior could serve it: fold buckets keep the
-    // table both backends share (fold's one barrier beats direct's three).
-    const bool direct_ok = key.kind == CollKind::allreduce &&
-                           caps.shared_address_space() &&
-                           prior.algorithm != Algorithm::fold;
+    // Direct is only ever arm 0: the prior serves it in every bucket where
+    // it may run, and fold buckets keep the table both backends share.
     const Algorithm alts[] = {Algorithm::dpml_two_level, Algorithm::ma_flat,
-                              Algorithm::ma_socket_aware, Algorithm::direct};
+                              Algorithm::ma_socket_aware};
     for (const Algorithm a : alts) {
       if (a == prior.algorithm) continue;
       if (a == Algorithm::ma_socket_aware && !socket_topology(caps.topo()))
         continue;
-      if (a == Algorithm::direct && !direct_ok) continue;
       Plan p = prior;
       p.algorithm = a;
       add(p);

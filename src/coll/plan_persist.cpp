@@ -147,19 +147,20 @@ bool normalize_bench_arm(std::string name, Algorithm* out) {
 }
 
 /// May a plan naming `alg` serve `key` on a team with `caps`?  Never a
-/// pipeline for a reduction; direct only where ranks share an address
-/// space; fold only where the default-option prior picks it (there every
-/// call of the bucket fits its fold stage, on either backend).
+/// pipeline for a reduction; direct only in the buckets where the
+/// default-option prior serves it on this backend (a forked team's window
+/// verdict falls back there); fold only where the default-option prior
+/// picks it (there every call of the bucket fits its fold stage, on either
+/// backend).
 bool servable(Algorithm alg, const PlanKey& key, const rt::PlanCaps& caps) {
   if (is_reduction(key.kind) && alg == Algorithm::pipelined) return false;
-  if (alg == Algorithm::direct) return caps.shared_address_space();
-  if (alg != Algorithm::fold) return true;
+  if (alg != Algorithm::fold && alg != Algorithm::direct) return true;
   const CollOpts defaults{};
-  const rt::PlanCaps process(caps.topo(), caps.cache(),
-                             /*shared_address_space=*/false);
-  return choose_reduction_algorithm(
-             key.kind, bucket_rep_bytes(key.kind, key.bucket, defaults),
-             defaults, process) == Algorithm::fold;
+  const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, defaults);
+  if (alg == Algorithm::direct)
+    return serves_direct(key.kind, rep, defaults, caps);
+  return staged_reduction_algorithm(key.kind, rep, defaults, caps.topo()) ==
+         Algorithm::fold;
 }
 
 Json entry_to_json(std::uint64_t sig, const PlanKey& key, const Plan& p) {
@@ -228,8 +229,9 @@ void validate_plan_json(const Json& doc) {
           "unknown algorithm", i);
     check(alg != Algorithm::fold || kind == CollKind::allreduce,
           "the fold algorithm serves allreduce only", i);
-    check(alg != Algorithm::direct || kind == CollKind::allreduce,
-          "the direct algorithm serves allreduce only", i);
+    check(alg != Algorithm::direct || kind == CollKind::allreduce ||
+              kind == CollKind::reduce_scatter,
+          "the direct algorithm serves allreduce/reduce_scatter only", i);
     check(nt_from_name(e["nt"].as_string(), &nt), "unknown nt", i);
     check(e["ranks"].as_int() >= 1 && e["sockets"].as_int() >= 1 &&
               e["sockets"].as_int() <= e["ranks"].as_int(),
@@ -408,6 +410,10 @@ Json warm_from_bench(const Json& report) {
     key.ranks = ranks;
     key.sockets = sockets;
     for (const bool shared : {false, true}) {
+      // The prior already serves direct wherever forked ranks may run it,
+      // and a series cannot tell whether its ranks' buffers passed the
+      // window verdict: a process entry never names direct.
+      if (!shared && alg == Algorithm::direct) continue;
       if (!servable(alg, key,
                     rt::PlanCaps(rt::Topology(ranks, sockets), cache, shared)))
         continue;

@@ -866,13 +866,25 @@ StragglerReport detect_stragglers(const Snapshot& s, double k,
     if (!r.window.empty()) with_window.push_back(&r);
   if (with_window.size() < 2) return rep;
 
-  // Group arrivals by barrier ordinal; only ordinals stamped by every
+  // A rank's own time to a barrier is its arrival minus its departure from
+  // the previous node barrier of the same run.  Raw arrival times would
+  // also charge it for being released late (a waiter woken from the
+  // backoff's sleep stage, a thread the scheduler started late), so a
+  // run's first barrier, which has no departure before it, is never
+  // compared.  Group these times by ordinal; only ordinals stamped by every
   // window-bearing rank are team-comparable (membership shrink and window
-  // wraparound naturally fall out of this filter).
+  // wraparound fall out of this filter).
   std::map<std::uint64_t, std::vector<std::pair<int, std::uint64_t>>> by_ord;
-  for (const RankSnap* r : with_window)
-    for (const WindowSnap& w : r->window)
-      by_ord[w.ordinal].emplace_back(r->rank, w.arrive);
+  for (const RankSnap* r : with_window) {
+    std::map<std::uint64_t, std::uint64_t> depart;  // ordinal -> depart
+    for (const WindowSnap& w : r->window) depart[w.ordinal] = w.depart;
+    for (const WindowSnap& w : r->window) {
+      if ((w.ordinal & 0xffffffull) <= 1) continue;
+      const auto prev = depart.find(w.ordinal - 1);
+      if (prev == depart.end() || w.arrive < prev->second) continue;
+      by_ord[w.ordinal].emplace_back(r->rank, w.arrive - prev->second);
+    }
+  }
 
   std::map<int, std::pair<double, int>> dev;  // rank -> (sum dev ticks, n)
   for (const auto& [ord, arrivals] : by_ord) {

@@ -110,15 +110,19 @@ bool validate_prometheus(const std::string& text, std::string* err = nullptr);
 
 // ---- straggler detection ----------------------------------------------------
 
-/// Rolling barrier-arrival anomaly detector.  Groups the per-rank sliding
-/// windows by barrier ordinal, keeps ordinals stamped by *every* rank with
-/// window data (full-team arrivals), measures each rank's mean signed
-/// deviation from the per-ordinal median arrival, and flags ranks whose
+/// Rolling barrier-arrival anomaly detector.  A rank's time to a node
+/// barrier is its arrival minus its own departure from the previous node
+/// barrier of the same run, so being released late (spawn skew, a wake-up
+/// from the backoff's sleep stage) is never charged to it; a run's first
+/// node barrier has no such departure and is never examined.  The detector
+/// groups these times by barrier ordinal, keeps ordinals stamped by
+/// *every* rank with window data (full-team), measures each rank's mean
+/// signed deviation from the per-ordinal median, and flags ranks whose
 /// deviation exceeds the median deviation by max(k * MAD, min_seconds).
 struct StragglerReport {
   struct RankVerdict {
     int rank = 0;
-    double mean_dev_seconds = 0;  ///< signed; positive = late
+    double mean_dev_seconds = 0;  ///< signed; positive = slower
     bool flagged = false;
   };
   std::vector<RankVerdict> ranks;

@@ -627,6 +627,24 @@ OpCounts direct_push_allreduce_ops(std::size_t s, const OpGeometry& g) {
   return sim.c;
 }
 
+OpCounts direct_reduce_scatter_ops(std::size_t s, const OpGeometry& g) {
+  Sim sim;
+  const int p = g.p;
+  const std::size_t B = s / static_cast<std::size_t>(p);
+  if (B == 0) return sim.c;
+  if (p == 1) {
+    sim.copy(B);
+    return sim.c;
+  }
+  const std::size_t I = std::max(ru(g.slice_max, kCl), kCl);
+  sim.barrier(p);
+  for (int r = 0; r < p; ++r)
+    for (std::size_t at = 0; at < B; at += I)
+      sim.reduce_multi(p, std::min(I, B - at));
+  sim.barrier(p);
+  return sim.c;
+}
+
 OpCounts fold_allreduce_ops(std::size_t s, const OpGeometry& g) {
   Sim sim;
   const int p = g.p;

@@ -124,6 +124,11 @@ OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g);
 /// the same loads and stores as the pull, 2p barrier arrivals, and per
 /// slice of slice_max one fused reduction plus p-1 copies.
 OpCounts direct_push_allreduce_ops(std::size_t s, const OpGeometry& g);
+/// Single-copy reduce_scatter (coll::direct_reduce_scatter) over the input
+/// s = p·B: each rank reduces its block of all p send buffers, so loads
+/// p·s, stores s, DAV (p+1)s; 2p barrier arrivals; p·⌈B/I⌉ fused
+/// reductions over slices of slice_max; no flags.
+OpCounts direct_reduce_scatter_ops(std::size_t s, const OpGeometry& g);
 /// One-barrier fold (coll::fold_allreduce): per rank copy-in 2s plus a
 /// (p+1)s fused fold, so DAV p(p+3)·s, p barrier arrivals, no flags.
 OpCounts fold_allreduce_ops(std::size_t s, const OpGeometry& g);

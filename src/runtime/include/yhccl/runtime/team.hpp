@@ -245,6 +245,12 @@ class Team {
   /// Parent-side, team quiesced.  recover() runs a repairing sweep first.
   IntegrityReport verify_integrity(bool repair = false);
 
+  /// Memory every forked rank maps at the same address: the ShmRegion
+  /// mappings (this team's own included) the parent held when the last
+  /// run() forked.  Empty on thread teams, whose ranks share one address
+  /// space; a region a rank creates inside its body is never listed.
+  const ShmWindows& windows() const noexcept { return windows_; }
+
   /// Bump-allocate persistent shared memory (test/app IO buffers).  Valid
   /// in all ranks of both backends; never freed until the Team dies.
   std::byte* shared_alloc(std::size_t bytes, std::size_t align = kCacheline);
@@ -349,6 +355,7 @@ class Team {
   int n_corrupt_targets_ = 0;
   PlanCaps caps_;
   ShmRegion region_;
+  ShmWindows windows_;  ///< frozen by ProcessTeam::run_ranks before fork
   /// Start offset of each Section, then the mapping length.
   std::size_t section_off_[kMaxSections + 1] = {};
   std::size_t heap_bytes_ = 0;  ///< shared heap incl. the fold stages

@@ -34,6 +34,9 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
   // each child's exit flush would otherwise write the parent's pending
   // output once more per rank.
   std::fflush(nullptr);
+  // Freeze the shared windows: what the parent has mapped shared now is at
+  // the same address in every child (docs/algorithms.md §3c).
+  windows_ = ShmWindows::snapshot();
   std::vector<pid_t> children(static_cast<std::size_t>(nranks()), -1);
   for (int r = 0; r < nranks(); ++r) {
     const pid_t pid = fork();

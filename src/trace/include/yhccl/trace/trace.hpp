@@ -350,6 +350,8 @@ class CollScope {
   }
   CollScope(const CollScope&) = delete;
   CollScope& operator=(const CollScope&) = delete;
+  /// Relabel the record's algorithm (a served arm handed the call on).
+  void set_alg(std::uint8_t alg) noexcept { var_ = alg; }
   ~CollScope() {
     if (!counted_) return;
     auto& c = detail::tl_trace;

@@ -245,6 +245,70 @@ TEST(BenchReport, ValidatorAcceptsGoodRejectsBad) {
                                errors));
 }
 
+TEST(BenchTrajectory, ValidatorAcceptsGoodRejectsBad) {
+  const auto quartiles = [](double q1, double med, double q3) {
+    Json q = Json::object();
+    q.set("median", med);
+    q.set("q1", q1);
+    q.set("q3", q3);
+    return q;
+  };
+  const auto entry = [&](const std::string& side, double q1) {
+    Json e = Json::object();
+    e.set("commit", std::string(40, 'a'));
+    e.set("side", side);
+    e.set("change", "single-copy reduce_scatter");
+    e.set("method", "perfbench --seed 1 --seconds 10");
+    e.set("runs", std::int64_t{9});
+    Json w = Json::object();
+    w.set("ops_per_s", quartiles(q1, 2.0, 3.0));
+    Json res = Json::object();
+    res.set("step-process", std::move(w));
+    e.set("results", std::move(res));
+    return e;
+  };
+  const auto doc = [&](std::vector<Json> entries) {
+    Json d = Json::object();
+    d.set("schema", kTrajectorySchema);
+    d.set("benchmark", "perfbench");
+    Json wl = Json::array();
+    wl.push_back("step-process");
+    d.set("workloads", std::move(wl));
+    Json m = Json::object();
+    m.set("name", "ops_per_s");
+    m.set("unit", "1/s");
+    m.set("better", "higher");
+    Json ms = Json::array();
+    ms.push_back(std::move(m));
+    d.set("metrics", std::move(ms));
+    Json arr = Json::array();
+    for (auto& e : entries) arr.push_back(std::move(e));
+    d.set("entries", std::move(arr));
+    return d;
+  };
+  std::vector<std::string> errors;
+  EXPECT_TRUE(validate_trajectory(
+      doc({entry("parent", 1.0), entry("change", 1.0)}), errors))
+      << (errors.empty() ? "" : errors.front());
+  errors.clear();
+  EXPECT_FALSE(validate_trajectory(
+      doc({entry("parent", 1.0), entry("parent", 1.0)}), errors))
+      << "duplicate (commit, side)";
+  errors.clear();
+  EXPECT_FALSE(validate_trajectory(doc({entry("change", 1.0)}), errors))
+      << "change before its parent";
+  errors.clear();
+  EXPECT_FALSE(validate_trajectory(doc({entry("parent", 2.5)}), errors))
+      << "q1 above the median";
+  errors.clear();
+  Json bad = entry("parent", 1.0);
+  Json res = Json::object();
+  res.set("step-process", Json::object());
+  bad.set("results", std::move(res));
+  EXPECT_FALSE(validate_trajectory(doc({std::move(bad)}), errors))
+      << "missing metric";
+}
+
 TEST(BenchReport, MergeConcatenatesAndFlagsDuplicates) {
   std::string err;
   const Json merged =

@@ -320,10 +320,21 @@ TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
       plan::choose_reduction_algorithm(CollKind::allreduce, 4097, o, two),
       Algorithm::dpml_two_level)
       << "allreduce past the fold cut should pick dpml_two_level";
+  // In the MA regime the rule serves direct on every team; a forked team
+  // whose buffers are not all in shared windows falls back to the staged
+  // arm, socket-MA on 2 sockets.
   EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 10u << 20,
                                              o, two),
+            Algorithm::direct)
+      << "large allreduce should pick direct";
+  EXPECT_EQ(plan::staged_reduction_algorithm(CollKind::allreduce, 10u << 20,
+                                             o, two.topo()),
             Algorithm::ma_socket_aware)
-      << "large message on 2 sockets should pick socket-MA";
+      << "large message on 2 sockets should fall back to socket-MA";
+  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, 10u << 20, o,
+                                             two),
+            Algorithm::ma_socket_aware)
+      << "large reduce keeps socket-MA";
   o.algorithm = Algorithm::ma_flat;
   EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 10, o, two),
             Algorithm::ma_flat)
@@ -331,8 +342,13 @@ TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
   EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce_scatter,
                                              10u << 20, CollOpts{},
                                              process_caps(cached_team(4, 1))),
+            Algorithm::direct)
+      << "large reduce_scatter should pick direct";
+  EXPECT_EQ(plan::staged_reduction_algorithm(CollKind::reduce_scatter,
+                                             10u << 20, CollOpts{},
+                                             cached_team(4, 1).topo()),
             Algorithm::ma_flat)
-      << "single socket should pick flat MA";
+      << "single socket should fall back to flat MA";
 }
 
 // The fold arm across every team shape, at its cut, a ragged size and a
@@ -515,25 +531,18 @@ TEST(CollEdge, DirectPushIsBitwiseEqualToPullAndRankOrder) {
   }
 }
 
-TEST(CollEdge, DirectArmServesAllreduceOnly) {
+TEST(CollEdge, DirectArmServesAllreduceAndReduceScatterOnly) {
   auto& team = cached_team(4, 2);
   const std::size_t n = 4096;
   CollOpts o;
   o.algorithm = Algorithm::direct;
-  for (const auto kind : {CollKind::reduce, CollKind::reduce_scatter}) {
-    EXPECT_THROW(team.run([&](RankCtx& ctx) {
-      std::vector<double> send(n * 4), recv(n * 4);
-      if (kind == CollKind::reduce)
-        reduce(ctx, send.data(), recv.data(), n, Datatype::f64,
-               ReduceOp::sum, 0, o);
-      else
-        reduce_scatter(ctx, send.data(), recv.data(), n, Datatype::f64,
-                       ReduceOp::sum, o);
-    }),
-                 Error)
-        << coll_kind_name(kind);
-  }
-  // The team stays usable after the rejected calls.
+  EXPECT_THROW(team.run([&](RankCtx& ctx) {
+    std::vector<double> send(n * 4), recv(n * 4);
+    reduce(ctx, send.data(), recv.data(), n, Datatype::f64, ReduceOp::sum, 0,
+           o);
+  }),
+               Error);
+  // The team stays usable after the rejected call.
   std::vector<std::vector<double>> send(4, std::vector<double>(n)),
       recv(4, std::vector<double>(n));
   for (int r = 0; r < 4; ++r)
@@ -545,6 +554,16 @@ TEST(CollEdge, DirectArmServesAllreduceOnly) {
   for (int r = 0; r < 4; ++r)
     EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, 4,
                               ReduceOp::sum));
+  std::vector<std::vector<double>> full(4, std::vector<double>(4 * n));
+  for (int r = 0; r < 4; ++r)
+    fill_buffer(full[r].data(), 4 * n, Datatype::f64, r, ReduceOp::sum);
+  team.run([&](RankCtx& ctx) {
+    reduce_scatter(ctx, full[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+                   Datatype::f64, ReduceOp::sum, o);
+  });
+  for (int r = 0; r < 4; ++r)
+    EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, 4,
+                              ReduceOp::sum, r * n));
 }
 
 TEST(CollEdge, DpmlFlatModeMatchesReference) {

@@ -6,14 +6,20 @@
 // class the shared-memory design must avoid).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/runtime/process_team.hpp"
+#include "yhccl/runtime/shm_region.hpp"
 #include "yhccl/runtime/thread_team.hpp"
+#include "yhccl/trace/export.hpp"
+#include "yhccl/trace/trace.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -207,8 +213,8 @@ TEST(ProcessColl, FoldAllreduceIsBitwiseRankOrderedOnBothBackends) {
   }
 }
 
-// Forked ranks cannot load each other's buffers: the direct arm must be
-// refused, never attempted, whether asked for explicitly or not, and the
+// Forked ranks cannot load each other's private buffers: the direct arm
+// must be refused, never run, whether asked for explicitly or not, and the
 // automatic allreduce above the fold cut keeps the §5.1 rule.
 TEST(ProcessColl, DirectArmIsRefusedAndNeverServedOnForkedTeams) {
   auto& team = process_team(4, 2);
@@ -284,6 +290,392 @@ TEST(ProcessColl, CmaTransportIfKernelAllows) {
     ctx.barrier();
   });
   EXPECT_EQ(out[n - 1], 0x77);
+}
+
+// ---- shared windows ---------------------------------------------------------
+// Memory the parent maps shared before run() forks — the team's own heap or
+// a ShmRegion made before the team — sits at one address in every rank, so
+// forked teams run the direct arm over it (docs/algorithms.md §3c).
+
+constexpr std::pair<int, int> kWindowShapes[] = {{2, 1}, {3, 1}, {4, 2},
+                                                 {3, 2}};
+
+/// Per-rank element counts.  reduce_scatter blocks of 32771 elements put
+/// even a 2-rank f32 input (256 KB + 24 B) above the §5.1 threshold, and
+/// 65543-element allreduces (256 KB + 28 B in f32) likewise; both are
+/// ragged against every slice.  17 elements under an explicit direct leave
+/// trailing allreduce blocks empty.
+constexpr std::size_t kRsCount = 32771;
+constexpr std::size_t kArCount = 65543;
+constexpr std::size_t kTinyCount = 17;
+
+/// One rank's buffers inside a window, at offsets that depend only on the
+/// rank count and the element size.
+template <typename T>
+struct WindowBufs {
+  std::uint64_t* served;  ///< plan words of the automatic calls
+  T* rs_send;
+  T* rs_inplace;
+  T* rs_out;
+  T* ar_send;
+  T* ar_inplace;
+  T* ar_out;
+  T* tiny_send;
+  T* tiny_out;
+  T* tiny_rs_send;
+  T* tiny_rs_out;
+};
+
+/// Lays out every rank's WindowBufs from `base`; returns the bytes used.
+template <typename T>
+std::size_t carve(std::uintptr_t base, int p,
+                  std::vector<WindowBufs<T>>* out = nullptr) {
+  const auto pn = static_cast<std::size_t>(p);
+  std::size_t off = 0;
+  const auto take = [&](std::size_t bytes) {
+    const std::uintptr_t at = base + off;
+    off += (bytes + kCacheline - 1) / kCacheline * kCacheline;
+    return at;
+  };
+  for (int r = 0; r < p; ++r) {
+    WindowBufs<T> b;
+    b.served = reinterpret_cast<std::uint64_t*>(take(2 * 8));
+    b.rs_send = reinterpret_cast<T*>(take(pn * kRsCount * sizeof(T)));
+    b.rs_inplace = reinterpret_cast<T*>(take(pn * kRsCount * sizeof(T)));
+    b.rs_out = reinterpret_cast<T*>(take(kRsCount * sizeof(T)));
+    b.ar_send = reinterpret_cast<T*>(take(kArCount * sizeof(T)));
+    b.ar_inplace = reinterpret_cast<T*>(take(kArCount * sizeof(T)));
+    b.ar_out = reinterpret_cast<T*>(take(kArCount * sizeof(T)));
+    b.tiny_send = reinterpret_cast<T*>(take(kTinyCount * sizeof(T)));
+    b.tiny_out = reinterpret_cast<T*>(take(kTinyCount * sizeof(T)));
+    b.tiny_rs_send = reinterpret_cast<T*>(take(pn * kTinyCount * sizeof(T)));
+    b.tiny_rs_out = reinterpret_cast<T*>(take(kTinyCount * sizeof(T)));
+    if (out != nullptr) out->push_back(b);
+  }
+  return off;
+}
+
+/// Random operands: non-integer floats make sums order-sensitive; i32
+/// stays small enough that a 4-rank sum cannot overflow.
+template <typename T>
+void fill_random(T* v, std::size_t n, std::uint64_t& x) {
+  for (std::size_t i = 0; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const auto k = static_cast<std::int64_t>(x % 2000001) - 1000000;
+    v[i] = std::is_integral_v<T>
+               ? static_cast<T>(k)
+               : static_cast<T>(static_cast<double>(k) / 997.0);
+  }
+}
+
+/// Counts the elements of `got` whose bits differ from the scalar fold of
+/// `operand(q, i)` over ranks q in order 0..p-1.
+template <typename T, typename Operand>
+std::size_t rank_order_mismatches(const T* got, std::size_t n, int p,
+                                  ReduceOp op, Operand operand) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    T acc = operand(0, i);
+    for (int q = 1; q < p; ++q)
+      acc = op == ReduceOp::sum ? static_cast<T>(acc + operand(q, i))
+                                : std::max(acc, operand(q, i));
+    bad += std::memcmp(&got[i], &acc, sizeof(T)) != 0 ? 1 : 0;
+  }
+  return bad;
+}
+
+/// One run of every window call on `team` over buffers at `window`:
+/// reduce_scatter and allreduce as the prior serves them, out of place and
+/// in place, then an explicit direct pair of 17 elements.  Checks every
+/// result bitwise against the scalar rank-order fold, that the prior served
+/// direct and that no staged arm ran (staged arms above the threshold post
+/// flags, direct never does); returns every result byte.
+template <typename T>
+std::vector<std::byte> window_results(rt::Team& team, std::byte* window,
+                                      Datatype d, ReduceOp op) {
+  const int p = team.nranks();
+  const auto pn = static_cast<std::size_t>(p);
+  std::vector<WindowBufs<T>> bufs;
+  carve<T>(reinterpret_cast<std::uintptr_t>(window), p, &bufs);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& b : bufs) {
+    fill_random(b.rs_send, pn * kRsCount, x);
+    std::memcpy(b.rs_inplace, b.rs_send, pn * kRsCount * sizeof(T));
+    fill_random(b.ar_send, kArCount, x);
+    std::memcpy(b.ar_inplace, b.ar_send, kArCount * sizeof(T));
+    fill_random(b.tiny_send, kTinyCount, x);
+    fill_random(b.tiny_rs_send, pn * kTinyCount, x);
+  }
+  coll::CollOpts direct;
+  direct.algorithm = coll::Algorithm::direct;
+  team.run([&](rt::RankCtx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    const WindowBufs<T>& b = bufs[r];
+    coll::reduce_scatter(ctx, b.rs_send, b.rs_out, kRsCount, d, op);
+    b.served[0] = coll::plan::last_plan_word();
+    coll::reduce_scatter(ctx, b.rs_inplace, b.rs_inplace + r * kRsCount,
+                         kRsCount, d, op);
+    coll::allreduce(ctx, b.ar_send, b.ar_out, kArCount, d, op);
+    b.served[1] = coll::plan::last_plan_word();
+    coll::allreduce(ctx, b.ar_inplace, b.ar_inplace, kArCount, d, op);
+    coll::allreduce(ctx, b.tiny_send, b.tiny_out, kTinyCount, d, op, direct);
+    coll::reduce_scatter(ctx, b.tiny_rs_send, b.tiny_rs_out, kTinyCount, d,
+                         op, direct);
+  });
+  EXPECT_EQ(team.total_sync().flag_posts, 0u) << "a staged arm ran";
+  std::size_t bad = 0;
+  std::vector<std::byte> bits;
+  const auto keep = [&bits](const T* v, std::size_t n) {
+    const auto* b = reinterpret_cast<const std::byte*>(v);
+    bits.insert(bits.end(), b, b + n * sizeof(T));
+  };
+  for (std::size_t r = 0; r < pn; ++r) {
+    for (int k = 0; k < 2; ++k)
+      EXPECT_EQ(coll::plan::Plan::unpack(bufs[r].served[k]).algorithm,
+                coll::Algorithm::direct)
+          << "rank " << r << (k == 0 ? " reduce_scatter" : " allreduce");
+    const auto rs_in = [&](int q, std::size_t i) {
+      return bufs[static_cast<std::size_t>(q)].rs_send[r * kRsCount + i];
+    };
+    const auto ar_in = [&](int q, std::size_t i) {
+      return bufs[static_cast<std::size_t>(q)].ar_send[i];
+    };
+    const auto tiny_in = [&](int q, std::size_t i) {
+      return bufs[static_cast<std::size_t>(q)].tiny_send[i];
+    };
+    const auto tiny_rs_in = [&](int q, std::size_t i) {
+      return bufs[static_cast<std::size_t>(q)].tiny_rs_send[r * kTinyCount +
+                                                             i];
+    };
+    const WindowBufs<T>& b = bufs[r];
+    const T* rs_inplace_out = b.rs_inplace + r * kRsCount;
+    bad += rank_order_mismatches(b.rs_out, kRsCount, p, op, rs_in);
+    bad += rank_order_mismatches(rs_inplace_out, kRsCount, p, op, rs_in);
+    bad += rank_order_mismatches(b.ar_out, kArCount, p, op, ar_in);
+    bad += rank_order_mismatches(b.ar_inplace, kArCount, p, op, ar_in);
+    bad += rank_order_mismatches(b.tiny_out, kTinyCount, p, op, tiny_in);
+    bad += rank_order_mismatches(b.tiny_rs_out, kTinyCount, p, op,
+                                 tiny_rs_in);
+    keep(b.rs_out, kRsCount);
+    keep(rs_inplace_out, kRsCount);
+    keep(b.ar_out, kArCount);
+    keep(b.ar_inplace, kArCount);
+    keep(b.tiny_out, kTinyCount);
+    keep(b.tiny_rs_out, kTinyCount);
+  }
+  EXPECT_EQ(bad, 0u) << "elements off the rank-order fold";
+  return bits;
+}
+
+rt::TeamConfig window_cfg(int p, int m, std::size_t heap_bytes) {
+  rt::TeamConfig cfg;
+  cfg.nranks = p;
+  cfg.nsockets = m;
+  cfg.scratch_bytes = 8u << 20;
+  cfg.shared_heap_bytes = heap_bytes;
+  return cfg;
+}
+
+// reduce_scatter and allreduce of 256 KB and up over window buffers give
+// the scalar rank-order bits on both backends, in the team's heap and in a
+// region mapped before the teams, for every shape, dtype and op.
+TEST(ProcessWindows, DirectIsBitwiseRankOrderedOnBothBackends) {
+  for (const auto& [p, m] : kWindowShapes) {
+    const std::size_t bytes = carve<double>(0, p);
+    rt::ShmRegion region = rt::ShmRegion::create_anonymous(bytes);
+    const rt::TeamConfig cfg = window_cfg(p, m, bytes + (1u << 20));
+    rt::ThreadTeam threads(cfg);
+    rt::ProcessTeam procs(cfg);
+    std::byte* heap[2] = {threads.shared_alloc(bytes),
+                          procs.shared_alloc(bytes)};
+    for (const bool in_region : {false, true}) {
+      const auto both = [&](auto zero, Datatype d, ReduceOp op) {
+        using T = decltype(zero);
+        const std::string where =
+            "p=" + std::to_string(p) + " m=" + std::to_string(m) + " " +
+            std::string(dtype_name(d)) + " " + std::string(op_name(op)) +
+            (in_region ? " region" : " team heap");
+        SCOPED_TRACE(where);
+        const auto t = window_results<T>(
+            threads, in_region ? region.data() : heap[0], d, op);
+        const auto f = window_results<T>(
+            procs, in_region ? region.data() : heap[1], d, op);
+        EXPECT_TRUE(t == f) << "thread and process bits differ";
+      };
+      for (const ReduceOp op : {ReduceOp::sum, ReduceOp::max}) {
+        both(float{}, Datatype::f32, op);
+        both(double{}, Datatype::f64, op);
+        both(std::int32_t{}, Datatype::i32, op);
+      }
+    }
+  }
+}
+
+// One rank's send buffer is a private std::vector, so every rank's verdict
+// is negative.  Automatic calls fall back to the staged arm on every rank,
+// with correct results and the same barrier count everywhere, and trace
+// one coll record per call; explicit direct calls throw on every rank, and
+// the team stays usable.
+TEST(ProcessWindows, MixedWindowFallsBackOrThrowsOnEveryRank) {
+  for (const auto& [p, m] : kWindowShapes) {
+    auto& team = process_team(p, m);
+    const auto pn = static_cast<std::size_t>(p);
+    const std::size_t n = 20000;   // 160 KB blocks: above the threshold
+    const std::size_t an = 40000;  // 320 KB allreduces
+    auto* send = reinterpret_cast<double*>(team.shared_alloc(pn * pn * n * 8));
+    auto* out = reinterpret_cast<double*>(team.shared_alloc(pn * n * 8));
+    auto* asend = reinterpret_cast<double*>(team.shared_alloc(pn * an * 8));
+    auto* aout = reinterpret_cast<double*>(team.shared_alloc(pn * an * 8));
+    auto* served = reinterpret_cast<std::uint64_t*>(
+        team.shared_alloc(2 * pn * 8));
+    auto* threw = reinterpret_cast<int*>(team.shared_alloc(pn * sizeof(int)));
+    for (int r = 0; r < p; ++r) {
+      fill_buffer(send + r * pn * n, pn * n, Datatype::f64, r, ReduceOp::sum);
+      fill_buffer(asend + r * an, an, Datatype::f64, r, ReduceOp::sum);
+    }
+    const auto body = [&](rt::RankCtx& ctx, const coll::CollOpts& o) {
+      const int r = ctx.rank();
+      std::vector<double> priv(send + r * pn * n, send + (r + 1) * pn * n);
+      std::vector<double> apriv(asend + r * an, asend + (r + 1) * an);
+      const bool last = r == ctx.nranks() - 1;
+      coll::reduce_scatter(ctx, last ? priv.data() : send + r * pn * n,
+                           out + r * n, n, Datatype::f64, ReduceOp::sum, o);
+      served[2 * r] = coll::plan::last_plan_word();
+      coll::allreduce(ctx, last ? apriv.data() : asend + r * an,
+                      aout + r * an, an, Datatype::f64, ReduceOp::sum, o);
+      served[2 * r + 1] = coll::plan::last_plan_word();
+    };
+    team.run([&](rt::RankCtx& ctx) { body(ctx, {}); });
+    const std::string shape = "p=" + std::to_string(p) + " m=" +
+                              std::to_string(m);
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(team.last_sync(r).barriers, team.last_sync(0).barriers)
+          << shape << " rank " << r;
+      for (int k = 0; k < 2; ++k)
+        EXPECT_EQ(coll::plan::Plan::unpack(served[2 * r + k]).algorithm,
+                  coll::Algorithm::direct)
+            << shape << " rank " << r;
+      EXPECT_TRUE(check_reduced(out + r * n, n, Datatype::f64, p,
+                                ReduceOp::sum, r * n))
+          << shape << " reduce_scatter rank " << r;
+      EXPECT_TRUE(check_reduced(aout + r * an, an, Datatype::f64, p,
+                                ReduceOp::sum))
+          << shape << " allreduce rank " << r;
+    }
+    EXPECT_GT(team.total_sync().flag_posts, 0u) << shape << ": staged arm";
+
+    coll::CollOpts direct;
+    direct.algorithm = coll::Algorithm::direct;
+    team.run([&](rt::RankCtx& ctx) {
+      threw[ctx.rank()] = 0;
+      try {
+        body(ctx, direct);
+      } catch (const Error&) {
+        ++threw[ctx.rank()];
+      }
+    });
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(threw[r], 1) << shape << " rank " << r;
+    team.run([&](rt::RankCtx& ctx) { body(ctx, {}); });
+    for (int r = 0; r < p; ++r)
+      EXPECT_TRUE(check_reduced(out + r * n, n, Datatype::f64, p,
+                                ReduceOp::sum, r * n))
+          << shape << " rank " << r << " after the refused call";
+
+    // A fallback call is one coll record, labelled with the staged arm
+    // that finished it, not a direct record followed by a staged one.
+    rt::TeamConfig tcfg;
+    tcfg.nranks = p;
+    tcfg.nsockets = m;
+    tcfg.scratch_bytes = 16u << 20;
+    tcfg.shared_heap_bytes = 1u << 20;
+    tcfg.trace = trace::Mode::spans;
+    rt::ProcessTeam traced(tcfg);
+    traced.run([&](rt::RankCtx& ctx) { body(ctx, {}); });
+    ASSERT_NE(traced.trace_buffer(), nullptr);
+    const trace::Harvest h(*traced.trace_buffer());
+    const coll::CollOpts defaults;
+    const std::vector<std::uint8_t> staged = {
+        coll::detail::trace_alg_id(coll::plan::staged_reduction_algorithm(
+            coll::CollKind::reduce_scatter, pn * n * 8, defaults,
+            traced.topo())),
+        coll::detail::trace_alg_id(coll::plan::staged_reduction_algorithm(
+            coll::CollKind::allreduce, an * 8, defaults, traced.topo()))};
+    for (int r = 0; r < p; ++r) {
+      std::vector<std::uint8_t> colls;
+      for (const trace::Rec& rec : h.ring(r))
+        if ((rec.flags & trace::kFlagMarker) == 0 &&
+            rec.phase == static_cast<std::uint8_t>(trace::Phase::coll))
+          colls.push_back(rec.variant);
+      EXPECT_EQ(colls, staged) << shape << " rank " << r;
+    }
+  }
+}
+
+// A region a rank maps inside its body exists only in that process — and
+// the children likely map theirs at one same address — so it is never a
+// window: the call falls back and stays correct.
+TEST(ProcessWindows, RegionCreatedInsideARankIsNeverAWindow) {
+  for (const auto& [p, m] : kWindowShapes) {
+    auto& team = process_team(p, m);
+    const auto pn = static_cast<std::size_t>(p);
+    const std::size_t n = 20000;
+    auto* out = reinterpret_cast<double*>(team.shared_alloc(pn * n * 8));
+    auto* covered = reinterpret_cast<int*>(team.shared_alloc(pn * 4));
+    auto* served = reinterpret_cast<std::uint64_t*>(team.shared_alloc(pn * 8));
+    team.run([&](rt::RankCtx& ctx) {
+      const int r = ctx.rank();
+      rt::ShmRegion mine = rt::ShmRegion::create_anonymous(pn * n * 8);
+      auto* s = reinterpret_cast<double*>(mine.data());
+      fill_buffer(s, pn * n, Datatype::f64, r, ReduceOp::sum);
+      covered[r] = ctx.team().windows().covers(s, pn * n * 8) ? 1 : 0;
+      coll::reduce_scatter(ctx, s, out + r * n, n, Datatype::f64,
+                           ReduceOp::sum);
+      served[r] = coll::plan::last_plan_word();
+    });
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(covered[r], 0) << "p=" << p << " rank " << r;
+      EXPECT_EQ(coll::plan::Plan::unpack(served[r]).algorithm,
+                coll::Algorithm::direct);
+      EXPECT_TRUE(check_reduced(out + r * n, n, Datatype::f64, p,
+                                ReduceOp::sum, r * n))
+          << "p=" << p << " m=" << m << " rank " << r;
+    }
+  }
+}
+
+// The happens-before checker shadows the team heap: direct reduce_scatter
+// and allreduce over heap windows on a forked team must stay race-free.
+TEST(ProcessWindows, DirectOverTeamHeapWindowsIsHbClean) {
+  rt::TeamConfig cfg = window_cfg(4, 2, 8u << 20);
+  cfg.hb_check = rt::HbMode::on;
+  rt::ProcessTeam team(cfg);
+  const std::size_t n = 20000, an = 40000;
+  auto* send = reinterpret_cast<double*>(team.shared_alloc(16 * n * 8));
+  auto* out = reinterpret_cast<double*>(team.shared_alloc(4 * n * 8));
+  auto* abuf = reinterpret_cast<double*>(team.shared_alloc(4 * an * 8));
+  for (int r = 0; r < 4; ++r) {
+    fill_buffer(send + r * 4 * n, 4 * n, Datatype::f64, r, ReduceOp::sum);
+    fill_buffer(abuf + r * an, an, Datatype::f64, r, ReduceOp::sum);
+  }
+  team.run([&](rt::RankCtx& ctx) {
+    const int r = ctx.rank();
+    for (int c = 0; c < 2; ++c)
+      coll::reduce_scatter(ctx, send + r * 4 * n, out + r * n, n,
+                           Datatype::f64, ReduceOp::sum);
+    coll::allreduce(ctx, abuf + r * an, abuf + r * an, an, Datatype::f64,
+                    ReduceOp::sum);  // in place
+  });
+  EXPECT_EQ(team.hb_races(), 0u) << team.hb_report();
+  EXPECT_EQ(team.total_sync().flag_posts, 0u) << "a staged arm ran";
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_TRUE(check_reduced(out + r * n, n, Datatype::f64, 4,
+                              ReduceOp::sum, r * n));
+    EXPECT_TRUE(check_reduced(abuf + r * an, an, Datatype::f64, 4,
+                              ReduceOp::sum));
+  }
 }
 
 }  // namespace

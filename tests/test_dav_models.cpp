@@ -22,6 +22,7 @@ using namespace yhccl::coll;
 using namespace yhccl::base;
 namespace md = yhccl::model;
 using test::cached_team;
+using test::check_reduced;
 using test::fill_buffer;
 
 namespace {
@@ -206,6 +207,47 @@ TEST(DavModel, FoldAllreduceIsExactlyPTimesPPlus3S) {
     for (int r = 0; r < p; ++r)
       EXPECT_TRUE(test::check_reduced(recv[r].data(), count, Datatype::f64, p,
                                       ReduceOp::sum))
+          << "p=" << p << " rank " << r;
+  }
+}
+
+TEST(DavModel, DirectReduceScatterIsExactlyPPlus1S) {
+  // Each rank reduces its block of all p send buffers straight into its
+  // recv: loads p·s, stores s over the input s = p·B, against socket-MA's
+  // s(3p+1); two barriers, no flags, one kernel call per slice per rank.
+  for (int p : {2, 3, 4, 8}) {
+    const std::size_t count = 10007;  // ragged against 16 KB slices
+    std::vector<std::vector<double>> send(p), recv(p);
+    for (int r = 0; r < p; ++r) {
+      send[r].resize(count * static_cast<std::size_t>(p));
+      recv[r].resize(count);
+      fill_buffer(send[r].data(), send[r].size(), Datatype::f64, r,
+                  ReduceOp::sum);
+    }
+    CollOpts o;
+    o.slice_max = 16u << 10;
+    auto& team = cached_team(p, 1);
+    const auto dav = measure(team, [&](rt::RankCtx& ctx) {
+      direct_reduce_scatter(ctx, send[ctx.rank()].data(),
+                            recv[ctx.rank()].data(), count, Datatype::f64,
+                            ReduceOp::sum, o);
+    });
+    const auto pp = static_cast<std::uint64_t>(p);
+    const std::size_t B = count * 8, s = B * static_cast<std::size_t>(p);
+    EXPECT_EQ(dav, (pp + 1) * s) << "p=" << p;
+    md::impl::OpGeometry g;
+    g.p = p;
+    g.slice_max = o.slice_max;
+    const auto ops = md::impl::direct_reduce_scatter_ops(s, g);
+    EXPECT_EQ(ops.loads, pp * s) << "p=" << p;
+    EXPECT_EQ(ops.stores, s) << "p=" << p;
+    EXPECT_EQ(ops.barriers, 2 * pp) << "p=" << p;
+    EXPECT_EQ(ops.kernel_calls, pp * ceil_div(B, o.slice_max)) << "p=" << p;
+    EXPECT_EQ(ops.flag_posts + ops.flag_waits, 0u) << "p=" << p;
+    EXPECT_LT(ops.dav(), md::impl::socket_ma_reduce_scatter(s, p, 2)) << "p=" << p;
+    for (int r = 0; r < p; ++r)
+      EXPECT_TRUE(check_reduced(recv[r].data(), count, Datatype::f64, p,
+                                ReduceOp::sum, r * count))
           << "p=" << p << " rank " << r;
   }
 }
@@ -612,6 +654,84 @@ TEST(CounterParity, DirectPullAndPushAcrossTheCut) {
       EXPECT_EQ(push_ops.stores, pull_ops.stores) << "count=" << count;
       EXPECT_EQ(push_ops.barriers, 2u * static_cast<std::uint64_t>(p));
       EXPECT_EQ(pull_ops.barriers, 3u * static_cast<std::uint64_t>(p));
+    }
+  }
+}
+
+// The direct reduce_scatter over window buffers (the team heap) matches
+// its simulator on both backends, for divisible, ragged and sub-slice
+// blocks.  On a forked team whose last rank sends from a private buffer,
+// the automatic call pays direct's first barrier, then runs the §5.1
+// staged arm: one barrier per rank plus that arm's own counts.
+TEST(CounterParity, DirectReduceScatterOnBothBackendsAndItsFallback) {
+  for (auto [p, m] : kParityShapes) {
+    rt::TeamConfig cfg;
+    cfg.nranks = p;
+    cfg.nsockets = m;
+    cfg.scratch_bytes = kParityScratch;
+    cfg.shared_heap_bytes = 4u << 20;
+    rt::ThreadTeam threads(cfg);
+    rt::ProcessTeam procs(cfg);
+    CollOpts o;
+    o.slice_max = 4u << 10;
+    OpGeometry g;
+    g.p = p;
+    g.m = m;
+    g.slice_max = o.slice_max;
+    g.slice_min = o.slice_min;
+    g.dpml_chunk = o.dpml_chunk;
+    g.scratch_bytes = kParityScratch;
+    const auto pn = static_cast<std::size_t>(p);
+    const std::size_t big = 16411;  // p = 2: 256 KB + 192 B, above the cut
+    for (rt::Team* team : {static_cast<rt::Team*>(&threads),
+                           static_cast<rt::Team*>(&procs)}) {
+      const bool forked = team == &procs;
+      auto* send = reinterpret_cast<double*>(
+          team->shared_alloc(pn * pn * big * 8));
+      auto* recv = reinterpret_cast<double*>(team->shared_alloc(pn * big * 8));
+      for (int r = 0; r < p; ++r)
+        fill_buffer(send + r * pn * big, pn * big, Datatype::f64, r,
+                    ReduceOp::sum);
+      CollOpts direct = o;
+      direct.algorithm = Algorithm::direct;
+      for (const std::size_t count : kParityCounts) {
+        team->run([&](rt::RankCtx& ctx) {
+          const int r = ctx.rank();
+          reduce_scatter(ctx, send + r * pn * big, recv + r * big, count,
+                         Datatype::f64, ReduceOp::sum, direct);
+        });
+        EXPECT_TRUE(counts_equal(measured_counts(*team),
+                                 md::impl::direct_reduce_scatter_ops(
+                                     pn * count * 8, g)))
+            << (forked ? "process" : "thread") << " p=" << p << " m=" << m
+            << " count=" << count;
+        for (int r = 0; r < p; ++r)
+          EXPECT_TRUE(check_reduced(recv + r * big, count, Datatype::f64, p,
+                                    ReduceOp::sum, r * count))
+              << "p=" << p << " rank " << r << " count=" << count;
+      }
+      if (!forked) continue;
+      team->run([&](rt::RankCtx& ctx) {
+        const int r = ctx.rank();
+        std::vector<double> priv(send + r * pn * big,
+                                 send + (r + 1) * pn * big);
+        reduce_scatter(ctx,
+                       r == p - 1 ? priv.data() : send + r * pn * big,
+                       recv + r * big, big, Datatype::f64, ReduceOp::sum, o);
+      });
+      const std::size_t s = pn * big * 8;
+      OpCounts want = plan::staged_reduction_algorithm(
+                          CollKind::reduce_scatter, s, o, team->topo()) ==
+                              Algorithm::ma_socket_aware
+                          ? md::impl::socket_ma_reduce_scatter_ops(s, g)
+                          : md::impl::ma_reduce_scatter_ops(s, g);
+      want.barriers += pn;  // direct's first barrier, before its verdict
+      EXPECT_TRUE(counts_equal(measured_counts(*team), want))
+          << "fallback p=" << p << " m=" << m;
+      for (int r = 0; r < p; ++r)
+        EXPECT_TRUE(check_reduced(recv + r * big, big, Datatype::f64, p,
+                                  ReduceOp::sum, r * big))
+            << "fallback p=" << p << " rank " << r;
     }
   }
 }

@@ -249,7 +249,8 @@ TEST_P(FaultRecovery, DieAtFoldBarrierThenFoldAgain) {
     EXPECT_EQ(bad[r], 0) << "rank " << r;
 }
 
-// The direct arm reads peers' own buffers, so it runs on thread teams only.
+// The direct arm reads peers' own buffers: on thread teams anywhere, on
+// forked teams over shared windows (FaultRecoveryProcs below).
 // Killing a rank at its second barrier (reductions written, gathers not yet
 // started) must leave a team whose next direct calls are correct: recovery
 // resets the barriers, and every call republishes its buffer windows.
@@ -337,6 +338,48 @@ TEST(FaultRecoveryThreads, DieInDirectPushThenDirectAgain) {
   for (int r = 0; r < team.nranks(); ++r)
     EXPECT_EQ(bad[r], 0) << "rank " << r;
   run_matrix(team);
+}
+
+// The forked team's direct reduce_scatter over team-heap windows.  Killing
+// rank 2 at the first call's trailing barrier (its block reduced, peers
+// possibly still reading its send buffer) must leave the shrunken team
+// running direct again, correctly: run() freezes the windows anew and
+// every call republishes its buffers.
+TEST(FaultRecoveryProcs, DieInDirectReduceScatterThenDirectAgain) {
+  auto team = make_team(Backend::procs, 4, 2);
+  const std::size_t n = 12001;  // 3 ranks × 96 KB: above the threshold
+  std::vector<double*> sb(4), rb(4);
+  for (int r = 0; r < 4; ++r) {
+    sb[r] = alloc_f64(*team, 4 * n);
+    rb[r] = alloc_f64(*team, n);
+    test::fill_buffer(sb[r], 4 * n, Datatype::f64, r, ReduceOp::sum);
+  }
+  CollOpts direct;
+  direct.algorithm = Algorithm::direct;
+  // iter=1: the first call's trailing barrier.
+  kill_and_recover(*team, "die@barrier:rank=2:iter=1", 2,
+                   [&](rt::RankCtx& ctx) {
+                     reduce_scatter(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
+                                    Datatype::f64, ReduceOp::sum, direct);
+                   });
+  expect_membership_after_recovery(*team, Backend::procs, 2);
+  auto* bad = reinterpret_cast<int*>(team->shared_alloc(4 * sizeof(int)));
+  team->run([&](rt::RankCtx& ctx) {
+    const int r = ctx.rank();
+    for (int c = 0; c < 5; ++c) {
+      std::fill(rb[r], rb[r] + n, -1.0);
+      // Explicit and automatic calls both run the direct arm here.
+      reduce_scatter(ctx, sb[r], rb[r], n, Datatype::f64, ReduceOp::sum,
+                     c % 2 == 0 ? direct : CollOpts{});
+      if (!test::check_reduced(rb[r], n, Datatype::f64, ctx.nranks(),
+                               ReduceOp::sum, static_cast<std::size_t>(r) * n))
+        ++bad[r];
+    }
+  });
+  EXPECT_EQ(team->total_sync().flag_posts, 0u) << "a staged arm ran";
+  for (int r = 0; r < team->nranks(); ++r)
+    EXPECT_EQ(bad[r], 0) << "rank " << r;
+  run_matrix(*team);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FaultRecovery,

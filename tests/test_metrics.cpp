@@ -554,6 +554,45 @@ TEST(MetricsStraggler, QuietTeamFlagsNobody) {
   EXPECT_EQ(s.team.straggler_flags, 0u);
 }
 
+// The detector's verdicts on a synthetic window: 4 ranks pass 8 barriers
+// of run 5, each 1 µs of work apart, and leave each barrier together once
+// the last arrives.  Rank 1 spends longer before one barrier.  3 ms late
+// at the fourth barrier, it is flagged, and nobody else is, although the
+// others leave that barrier late too.  Lateness at the run's first
+// barrier, which has no departure before it (spawn skew), is never
+// examined — nor are the ranks held up by it at the next one.
+TEST(MetricsStraggler, DepartureRelativeTimingSkipsEachRunsFirstBarrier) {
+  const auto snap = [](double late_s, std::uint64_t late_at) {
+    ym::Snapshot s;
+    s.nranks = 4;
+    s.ticks_per_second = 1e9;
+    s.ranks.resize(4);
+    std::uint64_t released = 0;
+    for (std::uint64_t o = 1; o <= 8; ++o) {
+      std::uint64_t arrive[4], last = 0;
+      for (int r = 0; r < 4; ++r) {
+        arrive[r] = released + 1000 + static_cast<std::uint64_t>(r);
+        if (r == 1 && o == late_at)
+          arrive[r] += static_cast<std::uint64_t>(late_s * 1e9);
+        last = std::max(last, arrive[r]);
+      }
+      released = last + 10;
+      for (int r = 0; r < 4; ++r)
+        s.ranks[r].window.push_back(
+            {(std::uint64_t{5} << 24) | o, arrive[r], released});
+    }
+    for (int r = 0; r < 4; ++r) s.ranks[r].rank = r;
+    return s;
+  };
+  ym::StragglerReport rep = ym::detect_stragglers(snap(3e-3, 4));
+  EXPECT_EQ(rep.ordinals, 7);
+  EXPECT_EQ(rep.flagged, std::vector<int>{1});
+
+  rep = ym::detect_stragglers(snap(80e-3, 1));
+  EXPECT_EQ(rep.ordinals, 7);
+  EXPECT_TRUE(rep.flagged.empty());
+}
+
 // ---- serve mode: sampler files + live mirror --------------------------------
 
 TEST(MetricsServe, SamplerExportsAndMirrorAttach) {

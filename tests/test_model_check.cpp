@@ -295,6 +295,27 @@ TEST(McDirect, DroppedTrailingBarrierIsCaughtWithReplayableCounterexample) {
   mc::clear_labels();
 }
 
+// The direct reduce_scatter's trailing barrier keeps a returning rank from
+// refilling its send buffer while a peer still reduces from it; dropping
+// it must produce a counterexample that replays deterministically.
+TEST(McDirectScatter, DroppedTrailingBarrierIsCaughtWithReplayableCounterexample) {
+  mc::clear_labels();
+  const mc::Result found = mc::explore(
+      mc::direct_scatter_spec(2, /*trailing_barrier=*/false), budget());
+  ASSERT_TRUE(found.caught()) << found.execs << " execs, complete="
+                              << found.complete;
+  const mc::Violation& v = found.violations.front();
+  ASSERT_FALSE(v.schedule.empty());
+  for (int round = 0; round < 2; ++round) {
+    const mc::Result rep = mc::replay(
+        mc::direct_scatter_spec(2, /*trailing_barrier=*/false), v.schedule,
+        budget());
+    ASSERT_TRUE(rep.caught()) << "replay round " << round << " was clean";
+    EXPECT_EQ(rep.violations.front().kind, v.kind);
+  }
+  mc::clear_labels();
+}
+
 // The counterexample replay with the flight recorder attached must not
 // perturb the schedule (same violation) and must emit the PR-5 flight JSON.
 TEST(McFlight, CounterexampleReplayYieldsFlightDump) {

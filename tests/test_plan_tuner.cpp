@@ -165,17 +165,22 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
         << "p=" << ranks;
   }
 
-  // Single-socket and ragged topologies fall back to flat MA above the
-  // threshold.
+  // Above the threshold forked teams serve direct; on single-socket and
+  // ragged topologies its staged fallback is flat MA.
   const rt::PlanCaps flat(rt::Topology(6, 1), cache, false),
       ragged(rt::Topology(7, 2), cache, false);
   CollOpts opts;
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 1u << 20,
-                                             opts, flat),
-            Algorithm::ma_flat);
-  EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 1u << 20,
-                                             opts, ragged),
-            Algorithm::ma_flat);
+  for (const rt::PlanCaps* c : {&flat, &ragged}) {
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::allreduce, 1u << 20,
+                                               opts, *c),
+              Algorithm::direct);
+    EXPECT_EQ(plan::staged_reduction_algorithm(CollKind::allreduce, 1u << 20,
+                                               opts, c->topo()),
+              Algorithm::ma_flat);
+    EXPECT_EQ(plan::choose_reduction_algorithm(CollKind::reduce, 1u << 20,
+                                               opts, *c),
+              Algorithm::ma_flat);
+  }
 }
 
 TEST(PlanPrior, NtAdvisoryMatchesPaperSwitchPoint) {
@@ -260,7 +265,7 @@ TEST(PlanPrior, DirectNtAdvisoryFollowsThePushCut) {
   }
 }
 
-TEST(PlanArms, DirectIsAnArmOnlyOnSharedAddressSpaceTeamsAboveTheCut) {
+TEST(PlanArms, DirectIsOnlyEverThePriorsOwnArm) {
   const rt::Topology topo(4, 2);
   const copy::CacheConfig cache;
   const CollOpts opts;
@@ -284,10 +289,21 @@ TEST(PlanArms, DirectIsAnArmOnlyOnSharedAddressSpaceTeamsAboveTheCut) {
                                   std::size_t{32} << 20}) {
     for (const auto kind :
          {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter}) {
-      EXPECT_FALSE(has(algs(kind, bytes, false), Algorithm::direct))
+      // Forked teams: direct in the MA regime, for allreduce and
+      // reduce_scatter only, and then as arm 0.
+      const bool ma_regime = bytes > opts.small_msg_threshold &&
+                             kind != CollKind::reduce;
+      const auto forked = algs(kind, bytes, false);
+      EXPECT_EQ(has(forked, Algorithm::direct), ma_regime)
           << coll::coll_kind_name(kind) << " bytes=" << bytes;
+      if (ma_regime) {
+        EXPECT_EQ(forked.front(), Algorithm::direct);
+        EXPECT_EQ(std::count(forked.begin(), forked.end(), Algorithm::direct),
+                  static_cast<long>(forked.size()) - 3)
+            << "direct only as arm 0 and its pinned-NT variants";
+      }
       if (kind != CollKind::allreduce) {
-        EXPECT_EQ(algs(kind, bytes, true), algs(kind, bytes, false));
+        EXPECT_EQ(algs(kind, bytes, true), forked);
       }
     }
     const bool above_cut = bytes > coll::fold_max_bytes(4);
@@ -402,8 +418,9 @@ TEST(PlanCache, HitMissAccountingAndCorrectResults) {
   EXPECT_EQ(plan::tune_stats(team).entries, 2u);
 }
 
-/// The prior a fresh team serves: process teams the §5.1 rule, thread
-/// teams the direct arm for allreduces above the fold cut.
+/// The prior a fresh team serves: process teams the §5.1 rule with direct
+/// in the MA regime, thread teams the direct arm for allreduces above the
+/// fold cut.
 template <typename TeamT>
 static void query_serves_prior_until_a_commit_exists(Algorithm small_ar,
                                                      Algorithm large_ar) {
@@ -437,7 +454,7 @@ static void query_serves_prior_until_a_commit_exists(Algorithm small_ar,
 
 TEST(PlanCache, QueryServesPriorUntilACommitExists_Processes) {
   query_serves_prior_until_a_commit_exists<rt::ProcessTeam>(
-      Algorithm::dpml_two_level, Algorithm::ma_socket_aware);
+      Algorithm::dpml_two_level, Algorithm::direct);
 }
 
 TEST(PlanCache, QueryServesPriorUntilACommitExists_Threads) {
@@ -869,11 +886,12 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   EXPECT_EQ(served(warmed, 64u << 10).algorithm, Algorithm::dpml_two_level);
   EXPECT_EQ(served(warmed, 64u << 10).source, plan::PlanSource::bench);
   EXPECT_EQ(served(warmed, 4u << 20).algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(served(procs, 4u << 20).algorithm, Algorithm::ma_socket_aware);
+  EXPECT_EQ(served(procs, 4u << 20).algorithm, Algorithm::direct);
   EXPECT_EQ(served(procs, 4u << 20).source, plan::PlanSource::prior);
 
-  // A hand-edited process-signed file naming direct loads nothing for those
-  // entries, and direct on a non-allreduce fails validation outright.
+  // A hand-edited process-signed file naming direct loads only the entry in
+  // the MA regime, where the prior serves direct too, and direct on a
+  // reduce fails validation outright.
   bench::Json doc = plan::save_plans(warmed);
   ASSERT_EQ(doc["plans"].size(), 2u);
   bench::Json edited = bench::Json::array();
@@ -884,10 +902,12 @@ TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
   }
   doc.set("plans", edited);
   rt::ProcessTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
-  EXPECT_EQ(plan::load_plans(fresh, doc), 0);
+  EXPECT_EQ(plan::load_plans(fresh, doc), 1);
+  EXPECT_EQ(served(fresh, 64u << 10).algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(served(fresh, 4u << 20).algorithm, Algorithm::direct);
   bench::Json bad = doc;
   bench::Json entry = doc["plans"].items().front();
-  entry.set("collective", "reduce_scatter");
+  entry.set("collective", "reduce");
   bench::Json arr = bench::Json::array();
   arr.push_back(entry);
   bad.set("plans", arr);
@@ -1032,8 +1052,7 @@ TEST(PlanPersistence, ThreadPlanFileIsSkippedOnProcessTeams) {
   run_logged_allreduce(procs, 1, count, pw);
   EXPECT_EQ(plan::tune_stats(procs).loaded, 0u);
   for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(plan::Plan::unpack(pw[r]).algorithm,
-              Algorithm::ma_socket_aware);
+    EXPECT_EQ(plan::Plan::unpack(pw[r]).algorithm, Algorithm::direct);
     EXPECT_EQ(plan::Plan::unpack(pw[r]).source, plan::PlanSource::prior);
   }
 

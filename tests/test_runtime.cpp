@@ -11,6 +11,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "yhccl/copy/kernels.hpp"
@@ -75,6 +76,108 @@ TEST(ShmRegion, NamedCreateRefusesDuplicates) {
   const std::string name = "/yhccl_dup_" + std::to_string(getpid());
   auto a = ShmRegion::create_named(name, 4096);
   EXPECT_THROW(ShmRegion::create_named(name, 4096), Error);
+}
+
+// The window table lists exactly the live mappings: a move keeps the
+// mapping (one entry, same range), move-assignment unmaps the target's old
+// mapping and destruction the last owner's.
+TEST(ShmRegion, WindowTableTracksCreateMoveAndDestroy) {
+  const int base = ShmWindows::snapshot().size();
+  std::byte* old_c = nullptr;
+  {
+    auto a = ShmRegion::create_anonymous(64 << 10);
+    ShmWindows w = ShmWindows::snapshot();
+    EXPECT_EQ(w.size(), base + 1);
+    EXPECT_TRUE(w.covers(a.data(), a.size()));
+    EXPECT_TRUE(w.covers(a.data() + 100, 1000));
+    EXPECT_FALSE(w.covers(a.data(), a.size() + 1));
+    EXPECT_FALSE(w.covers(a.data() - 1, 2));
+
+    std::byte* const at = a.data();
+    ShmRegion b(std::move(a));
+    w = ShmWindows::snapshot();
+    EXPECT_EQ(w.size(), base + 1);
+    EXPECT_TRUE(w.covers(at, b.size()));
+
+    auto c = ShmRegion::create_anonymous(4096);
+    old_c = c.data();
+    EXPECT_EQ(ShmWindows::snapshot().size(), base + 2);
+    c = std::move(b);  // unmaps c's own mapping
+    w = ShmWindows::snapshot();
+    EXPECT_EQ(w.size(), base + 1);
+    EXPECT_TRUE(w.covers(at, c.size()));
+    EXPECT_FALSE(w.covers(old_c, 1));
+
+    // A named object opened twice is two mappings at two addresses.
+    const std::string name = "/yhccl_win_" + std::to_string(getpid());
+    auto n1 = ShmRegion::create_named(name, 8192);
+    auto n2 = ShmRegion::open_named(name, 8192);
+    w = ShmWindows::snapshot();
+    EXPECT_EQ(w.size(), base + 3);
+    EXPECT_TRUE(w.covers(n1.data(), 8192));
+    EXPECT_TRUE(w.covers(n2.data(), 8192));
+  }
+  const ShmWindows w = ShmWindows::snapshot();
+  EXPECT_EQ(w.size(), base);
+  EXPECT_FALSE(w.covers(old_c, 1));
+}
+
+// Threads creating and destroying regions while another snapshots the
+// table: a slot under edit reads as absent, but edits never hide a region
+// nobody touches, each editor always finds its own live region, and the
+// table ends exact.  A snapshot scans the slots one by one, so it is no
+// atomic cut of the table and its size is not bounded by the live count.
+// (The TSan CI leg runs this for data races on the lock-free slots.)
+TEST(ShmRegion, WindowTableStaysExactUnderConcurrentEdits) {
+  const int base = ShmWindows::snapshot().size();
+  const auto stable = ShmRegion::create_anonymous(4096);
+  std::atomic<bool> started{false}, done{false};
+  std::vector<std::thread> editors;
+  for (int t = 0; t < 3; ++t)
+    editors.emplace_back([t, &started] {
+      while (!started.load()) std::this_thread::yield();
+      for (int i = 0; i < 200; ++i) {
+        auto r = ShmRegion::create_anonymous(4096 * (1 + (i + t) % 4));
+        auto moved = std::move(r);
+        EXPECT_TRUE(ShmWindows::snapshot().covers(moved.data(), moved.size()));
+      }
+    });
+  std::thread reader([&] {
+    started.store(true);
+    do {
+      EXPECT_TRUE(ShmWindows::snapshot().covers(stable.data(), stable.size()));
+    } while (!done.load());
+  });
+  for (auto& e : editors) e.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(ShmWindows::snapshot().size(), base + 1);
+}
+
+// Thread teams share one address space and never list windows; a forked
+// team freezes the parent's mappings, its own included, at every run().
+TEST(ShmRegion, ProcessTeamFreezesTheParentsWindowsAtFork) {
+  TeamConfig cfg;
+  cfg.nranks = 2;
+  cfg.scratch_bytes = 1 << 20;
+  cfg.shared_heap_bytes = 1 << 20;
+  ThreadTeam threads(cfg);
+  threads.run([](RankCtx&) {});
+  EXPECT_EQ(threads.windows().size(), 0);
+
+  ProcessTeam procs(cfg);
+  std::byte* heap = procs.shared_alloc(4096);
+  EXPECT_EQ(procs.windows().size(), 0) << "nothing frozen before run()";
+  auto later = ShmRegion::create_anonymous(4096);
+  auto* seen = reinterpret_cast<int*>(procs.shared_alloc(2 * sizeof(int)));
+  procs.run([&](RankCtx& ctx) {
+    if (ctx.rank() != 0) return;
+    seen[0] = ctx.team().windows().covers(heap, 4096) ? 1 : 0;
+    seen[1] = ctx.team().windows().covers(later.data(), 4096) ? 1 : 0;
+  });
+  EXPECT_EQ(seen[0], 1);
+  EXPECT_EQ(seen[1], 1) << "mapped before run(): inherited at one address";
+  EXPECT_EQ(procs.windows().size(), ShmWindows::snapshot().size());
 }
 
 TEST(ThreadTeamBarrier, StressManyIterations) {
