@@ -7,7 +7,6 @@
 #include "yhccl/common/error.hpp"
 #include "yhccl/common/types.hpp"
 #include "yhccl/coll/coll.hpp"
-#include "yhccl/coll/profiler.hpp"
 #include "yhccl/trace/trace.hpp"
 
 namespace yhccl::coll::detail {

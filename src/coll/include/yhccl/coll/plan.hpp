@@ -19,7 +19,7 @@
 //             persisted in the exact-JSON "yhccl-plan/1" format and loaded
 //             via $YHCCL_PLAN_FILE.
 //   online  — epsilon-greedy exploration refined from measured call times
-//             and profiler wait feedback ($YHCCL_TUNE=online).
+//             and straggler feedback ($YHCCL_TUNE=online).
 //
 // Cross-rank agreement is the load-bearing invariant (ranks running
 // different algorithms for the same collective deadlock).  It holds by
@@ -38,7 +38,6 @@
 
 #include "yhccl/bench/json.hpp"
 #include "yhccl/coll/coll.hpp"
-#include "yhccl/coll/profiler.hpp"
 #include "yhccl/runtime/plan_registry.hpp"
 
 namespace yhccl::coll::plan {
@@ -272,12 +271,5 @@ void validate_plan_json(const bench::Json& doc);
 /// PlanCaps::signature(), so one file warms thread and process teams
 /// alike; the process entries never name direct.
 bench::Json warm_from_bench(const bench::Json& bench_report);
-
-// ---- profiler feedback ------------------------------------------------------
-
-/// Fold a CollProfiler's wait/work split into the registry's per-kind
-/// feedback channels (parent-side, between runs).  Online mode explores
-/// sync-bound collective kinds (wait fraction > 1/2) twice as eagerly.
-void note_profile(rt::Team& team, const CollProfiler& prof);
 
 }  // namespace yhccl::coll::plan

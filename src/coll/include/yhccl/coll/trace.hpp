@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "yhccl/coll/profiler.hpp"
+#include "yhccl/coll/coll.hpp"
 
 namespace yhccl::coll {
 

@@ -93,8 +93,8 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     if (narms_ > 1) {
       const std::uint64_t seq = ctx.next_tune_seq();
       std::uint32_t eps = reg->eps_mille();
-      const auto wait = reg->class_wait(static_cast<int>(kind));
-      if (wait > 0.5) eps = eps * 2 > 1000 ? 1000 : eps * 2;
+      if (reg->wait_bound(static_cast<int>(kind)))
+        eps = eps * 2 > 1000 ? 1000 : eps * 2;
       const std::uint64_t coin = key_.hash(caps.machine_signature(), osig);
       const std::uint64_t mix =
           rt::plan_mix64(coin ^ seq * 0x9e3779b97f4a7c15ull);

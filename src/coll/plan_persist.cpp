@@ -1,5 +1,5 @@
-// Plan persistence ("yhccl-plan/1"), offline warming from bench reports
-// and the profiler feedback hook (docs/tuning.md).
+// Plan persistence ("yhccl-plan/1") and offline warming from bench reports
+// (docs/tuning.md).
 #include <algorithm>
 #include <bit>
 #include <cctype>
@@ -454,17 +454,6 @@ Json warm_from_bench(const Json& report) {
     }
   doc.set("plans", std::move(arr));
   return doc;
-}
-
-void note_profile(rt::Team& team, const CollProfiler& prof) {
-  auto* reg = team.plan_registry();
-  for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k) {
-    const auto& r = prof.get(static_cast<CollKind>(k));
-    if (r.calls == 0 || r.seconds <= 0) continue;
-    const double f =
-        std::clamp(r.wait_seconds / r.seconds, 0.0, 1.0);
-    reg->fold_class_wait(k, f);
-  }
 }
 
 }  // namespace yhccl::coll::plan

@@ -46,8 +46,9 @@ IsaTier force_isa(IsaTier t) noexcept;
 bool isa_from_string(const char* s, IsaTier& out) noexcept;
 
 // ---- per-tier kernel-call counters ------------------------------------------
-// Thread-local tally of dispatched kernel calls per tier, so the profiler
-// can record which tier actually ran inside a collective.
+// Thread-local tally of dispatched kernel calls per tier, so the team's
+// counters (Team::total_kernels) and the bench harness can record which
+// tier actually ran inside a collective.
 
 struct KernelCounts {
   std::uint64_t calls[kNumIsaTiers] = {};
@@ -67,7 +68,7 @@ struct KernelCounts {
     return *this;
   }
   /// Tier with the most calls (scalar when empty) — the "which kernel ran"
-  /// answer for a profile record.
+  /// answer for a bench series.
   IsaTier dominant() const noexcept {
     int best = 0;
     for (int i = 1; i < kNumIsaTiers; ++i)

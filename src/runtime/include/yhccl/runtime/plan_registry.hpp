@@ -43,7 +43,7 @@ std::uint32_t tune_eps_mille_from_env();
 /// Arms per plan slot.  The collective layer derives at most this many
 /// candidate schedules per key (algorithm x NT / slice variants).
 inline constexpr int kPlanMaxArms = 6;
-/// Per-class feedback channels in the header (one per collective kind).
+/// Per-class wait-bound flags in the header (one per collective kind).
 inline constexpr int kPlanClasses = 8;
 /// Slots in every team's registry (open addressing, bounded probe).
 inline constexpr std::uint32_t kPlanSlots = 512;
@@ -227,11 +227,13 @@ class PlanRegistry {
 
   PlanRegistryStats stats() const noexcept;
 
-  /// Per-collective-class wait-fraction EWMA fed back from the profiler
-  /// (plan::note_profile); biases online exploration toward sync-bound
-  /// collectives.  Single-writer (parent-side, team quiesced).
-  double class_wait(int cls) const noexcept;
-  void fold_class_wait(int cls, double wait_fraction) noexcept;
+  /// Per-collective-class wait-bound flag: set when Team::straggler_check
+  /// flags a straggler on a team that has run the class, never cleared.
+  /// Online exploration doubles epsilon for wait-bound classes.  The
+  /// metrics sampler thread may set it while ranks run; a set-once relaxed
+  /// flag makes that race harmless (a rank sees it now or on a later call).
+  bool wait_bound(int cls) const noexcept;
+  void mark_wait_bound(int cls) noexcept;
 
  private:
   PlanRegistry(std::uint32_t slots, std::uint32_t eps_mille) noexcept
@@ -256,7 +258,9 @@ class PlanRegistry {
   mc::atomic<std::uint64_t> loaded_{0};
   mc::atomic<std::uint64_t> quarantines_{0};
   mc::atomic<std::uint64_t> inflight_{0};
-  mc::atomic<std::uint64_t> class_wait_bits_[kPlanClasses]{};
+  /// A word per class, not a packed mask: the header keeps its size, so
+  /// the slot table keeps its offset in the plans section.
+  mc::atomic<std::uint64_t> wait_bound_[kPlanClasses]{};
 };
 
 }  // namespace yhccl::rt

@@ -53,7 +53,7 @@ struct ResiliencePolicy {
 };
 
 /// Counters the retry loop maintains (parent-side, per team).  Folded into
-/// CollProfiler reports and the yhccl-chaos/1 campaign schema.
+/// the metrics team gauges and the yhccl-chaos/1 campaign schema.
 struct ResilienceStats {
   std::uint64_t faults = 0;       ///< classified faults caught by run()
   std::uint64_t retries = 0;      ///< re-issues after recover()

@@ -308,9 +308,9 @@ class Team {
   metrics::Mode metrics_mode() const noexcept { return metrics_mode_; }
   /// Run the straggler detector over the current barrier-arrival windows:
   /// newly flagged ranks bump the straggler gauge, land a Phase::straggler
-  /// instant on the control ring, and push wait pressure into the tuner's
-  /// per-kind feedback channels (the note_profile route).  Called by the
-  /// serve-mode sampler every tick; callable directly by tests/tools.
+  /// instant on the control ring, and mark every collective kind the team
+  /// ran as wait-bound for the tuner.  Called by the serve-mode sampler
+  /// every tick; callable directly by tests/tools.
   /// Empty report when metrics are off.
   metrics::StragglerReport straggler_check();
 

@@ -158,19 +158,14 @@ PlanRegistryStats PlanRegistry::stats() const noexcept {
   return st;
 }
 
-double PlanRegistry::class_wait(int cls) const noexcept {
-  if (cls < 0 || cls >= kPlanClasses) return 0;
-  return std::bit_cast<double>(
-      class_wait_bits_[cls].load(std::memory_order_relaxed));
+bool PlanRegistry::wait_bound(int cls) const noexcept {
+  return cls >= 0 && cls < kPlanClasses &&
+         wait_bound_[cls].load(std::memory_order_relaxed) != 0;
 }
 
-void PlanRegistry::fold_class_wait(int cls, double wait_fraction) noexcept {
-  if (cls < 0 || cls >= kPlanClasses) return;
-  const double old = class_wait(cls);
-  const double next =
-      old == 0 ? wait_fraction : 0.5 * old + 0.5 * wait_fraction;
-  class_wait_bits_[cls].store(std::bit_cast<std::uint64_t>(next),
-                              std::memory_order_relaxed);
+void PlanRegistry::mark_wait_bound(int cls) noexcept {
+  if (cls >= 0 && cls < kPlanClasses)
+    wait_bound_[cls].store(1, std::memory_order_relaxed);
 }
 
 }  // namespace yhccl::rt

@@ -624,16 +624,11 @@ metrics::StragglerReport Team::straggler_check() {
     control_instant(trace::Phase::straggler, static_cast<std::uint64_t>(r));
   }
   if (!fresh.empty()) {
-    // A flagged straggler means the team is wait-bound right now: feed a
-    // saturated wait fraction into the tuner's per-class profile for every
-    // collective kind this team actually ran (note_profile's channel).
-    bool ran[metrics::kCollSlots] = {};
+    // A flagged straggler means the team is wait-bound right now.
     for (const auto& rs : snap.ranks)
       for (const auto& cell : rs.cells)
         if (cell.coll > 0 && cell.coll < metrics::kCollSlots)
-          ran[cell.coll] = true;
-    for (int id = 1; id < metrics::kCollSlots; ++id)
-      if (ran[id]) plans_->fold_class_wait(id - 1, 1.0);
+          plans_->mark_wait_bound(cell.coll - 1);
   }
   return rep;
 }

@@ -1,7 +1,6 @@
 #include "yhccl/trace/export.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 
 namespace yhccl::trace {
@@ -126,41 +125,6 @@ bench::Json Harvest::chrome_json() const {
   }
   root.set("traceEvents", std::move(events));
   return root;
-}
-
-SkewRollup Harvest::skew() const {
-  struct Group {
-    std::uint64_t t_min = ~0ull, t_max = 0;
-    int stamps = 0;
-    std::uint8_t coll = 0;
-  };
-  std::map<std::uint64_t, Group> by_ordinal;
-  for (int r = 0; r < nranks_; ++r) {
-    for (const Rec& rec : rings_[static_cast<std::size_t>(r)]) {
-      if (rec.phase != static_cast<std::uint8_t>(Phase::barrier)) continue;
-      if (rec.flags != 0) continue;    // stall markers carry no arrival pair
-      if (rec.variant != 0) continue;  // node scope only: full-team skew
-      auto& g = by_ordinal[rec.arg];
-      g.t_min = std::min(g.t_min, rec.t0);
-      g.t_max = std::max(g.t_max, rec.t0);
-      ++g.stamps;
-      g.coll = rec.coll;  // identical across ranks (SPMD call sequence)
-    }
-  }
-  SkewRollup roll;
-  for (const auto& [ordinal, g] : by_ordinal) {
-    (void)ordinal;
-    // Require every active rank's stamp: a wrapped ring or an aborted run
-    // may retain only some arrivals, and a partial max-min underestimates.
-    if (g.stamps != nranks_) continue;
-    const double skew =
-        static_cast<double>(g.t_max - g.t_min) * sec_per_tick_;
-    auto& k = roll.by_coll[g.coll < kMaxCollIds ? g.coll : 0];
-    ++k.barriers;
-    k.skew_sum += skew;
-    k.skew_max = std::max(k.skew_max, skew);
-  }
-  return roll;
 }
 
 bench::Json Harvest::flight_json(const FlightContext& fc,

@@ -2,8 +2,6 @@
 //   * Harvest      — snapshot of every ring of a quiesced team
 //   * chrome_json  — Chrome trace-event JSON (chrome://tracing / Perfetto),
 //                    one pid per rank, built on the exact-int64 bench writer
-//   * skew         — per-barrier arrival skew (max-minus-min rank arrival)
-//                    rolled up per collective kind, for CollProfiler
 //   * flight_json  — last-N-events-per-rank dump with the abort site/epoch
 //
 // Harvesting is parent-side only: call with no run() in flight (threads
@@ -27,16 +25,6 @@ struct FlightContext {
   std::uint64_t epoch = 0;         ///< team epoch the fault was raised in
 };
 
-/// Per-collective-kind barrier-skew rollup (index = coll id; 0 = outside).
-struct SkewRollup {
-  struct Kind {
-    std::uint64_t barriers = 0;  ///< node barriers with full-team stamps
-    double skew_sum = 0;         ///< sum of per-barrier max-min arrival (s)
-    double skew_max = 0;         ///< worst single barrier (s)
-  };
-  Kind by_coll[kMaxCollIds];
-};
-
 class Harvest {
  public:
   explicit Harvest(const TraceBuffer& buf);
@@ -55,10 +43,6 @@ class Harvest {
   /// Chrome trace-event JSON: "M" process_name metadata per rank, "X"
   /// complete events for spans, "i" instants (markers become "_stall").
   bench::Json chrome_json() const;
-
-  /// Arrival skew of every node-scope barrier all active ranks stamped
-  /// (grouped by the per-rank barrier ordinal the spans carry).
-  SkewRollup skew() const;
 
   /// Flight-recorder dump: the last `last_n` events of every rank plus the
   /// abort site (from the dying/surviving ranks' Phase::fault records).

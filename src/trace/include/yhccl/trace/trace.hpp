@@ -74,23 +74,7 @@ enum class Phase : std::uint8_t {
   kCount_,
 };
 
-constexpr int kNumPhases = static_cast<int>(Phase::kCount_);
 const char* phase_name(Phase p) noexcept;
-
-/// Phases whose span duration is attributable synchronization wait (the
-/// wait/work split CollProfiler reports).  copy/reduce spans are work;
-/// fifo/rndv spans include copies, but on this runtime's channels the copy
-/// cost is tiny against the progress waits they wrap, so they count as wait.
-constexpr bool is_wait_phase(Phase p) noexcept {
-  switch (p) {
-    case Phase::barrier:
-    case Phase::flag_wait:
-    case Phase::fifo:
-    case Phase::rndv:
-    case Phase::pagelock: return true;
-    default: return false;
-  }
-}
 
 /// Collective-kind ids stamped into records: 0 = outside any collective,
 /// 1 + coll::CollKind otherwise.  The name table mirrors coll_kind_name
@@ -250,18 +234,6 @@ class TraceBuffer {
 };
 
 namespace detail {
-/// Wait ticks accumulated by wait-phase spans since the rank was installed;
-/// CollProfiler's WaitScope reads deltas of this.
-struct WaitTicks {
-  std::uint64_t t[kNumPhases] = {};
-  std::uint64_t total() const noexcept {
-    std::uint64_t s = 0;
-    for (int p = 0; p < kNumPhases; ++p)
-      if (is_wait_phase(static_cast<Phase>(p))) s += t[p];
-    return s;
-  }
-};
-
 /// Per-thread (post-fork: per-process) tracer context installed by
 /// Team::run.  Null buf ⇒ every span/instant is a single dead branch.
 struct TraceCtx {
@@ -269,7 +241,6 @@ struct TraceCtx {
   int ring = 0;           ///< my ring index (== rank)
   std::uint8_t coll = 0;  ///< current collective-kind id (0 = none)
   std::uint8_t depth = 0; ///< CollScope nesting (fallback arms re-enter)
-  WaitTicks waits;
 };
 inline thread_local TraceCtx tl_trace;
 }  // namespace detail
@@ -292,11 +263,9 @@ class Span {
   Span& operator=(const Span&) = delete;
   ~Span() {
     if (buf_ == nullptr) return;
-    auto& c = detail::tl_trace;
-    const std::uint64_t t1 = trace_now();
-    if (is_wait_phase(ph_)) c.waits.t[static_cast<int>(ph_)] += t1 - t0_;
-    buf_->push(c.ring, Rec{t0_, t1, arg_, static_cast<std::uint8_t>(ph_),
-                           c.coll, var_, 0, 0});
+    const auto& c = detail::tl_trace;
+    buf_->push(c.ring, Rec{t0_, trace_now(), arg_,
+                           static_cast<std::uint8_t>(ph_), c.coll, var_, 0, 0});
   }
 
   bool active() const noexcept { return buf_ != nullptr; }
@@ -382,23 +351,10 @@ class TraceRunScope {
     c.ring = ring;
     c.coll = 0;
     c.depth = 0;
-    c.waits = detail::WaitTicks{};
   }
   ~TraceRunScope() { detail::tl_trace = detail::TraceCtx{}; }
   TraceRunScope(const TraceRunScope&) = delete;
   TraceRunScope& operator=(const TraceRunScope&) = delete;
-};
-
-/// Delta of this thread's accumulated wait ticks, as seconds — how the
-/// profiler splits a collective's wall time into wait vs. work.  Zero when
-/// tracing is off (the profiler then reports no wait attribution).
-class WaitScope {
- public:
-  WaitScope() noexcept : start_(detail::tl_trace.waits.total()) {}
-  double wait_seconds() const noexcept;
-
- private:
-  std::uint64_t start_;
 };
 
 }  // namespace yhccl::trace

@@ -214,11 +214,4 @@ double TraceBuffer::ticks_per_second() const noexcept {
   return hz;
 }
 
-double WaitScope::wait_seconds() const noexcept {
-  auto& c = detail::tl_trace;
-  if (c.buf == nullptr) return 0;
-  const std::uint64_t ticks = c.waits.total() - start_;
-  return static_cast<double>(ticks) / c.buf->ticks_per_second();
-}
-
 }  // namespace yhccl::trace

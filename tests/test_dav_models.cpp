@@ -614,15 +614,20 @@ TEST(CounterParity, MatrixOnThreadTeams) {
 // private cache puts the cut at s = 8 KB, so the counts sit just below,
 // at and just above it, then ragged and divisible well past it, over
 // 4 KB slices.  Each call must match the simulator of the schedule the
-// pure cut predicts, and the two simulators must agree on DAV.
+// pure cut predicts, and the two simulators must agree on DAV.  Both
+// backends run it over window buffers (the team heap), so a forked team
+// takes the single-copy path too.
 TEST(CounterParity, DirectPullAndPushAcrossTheCut) {
+  constexpr std::size_t kMaxCount = 4096;
   for (auto [p, m] : kParityShapes) {
     rt::TeamConfig cfg;
     cfg.nranks = p;
     cfg.nsockets = m;
     cfg.scratch_bytes = kParityScratch;
+    cfg.shared_heap_bytes = 1u << 20;
     cfg.cache.l2_per_core = 16u << 10;
-    rt::ThreadTeam team(cfg);
+    rt::ThreadTeam threads(cfg);
+    rt::ProcessTeam procs(cfg);
     CollOpts o;
     o.algorithm = Algorithm::direct;
     o.slice_max = 4u << 10;
@@ -630,30 +635,45 @@ TEST(CounterParity, DirectPullAndPushAcrossTheCut) {
     g.p = p;
     g.m = m;
     g.slice_max = o.slice_max;
-    for (const std::size_t count :
-         {std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
-          std::size_t{3003}, std::size_t{4096}}) {
-      team.run([&](rt::RankCtx& ctx) {
-        std::vector<double> send(count), recv(count);
-        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                    ReduceOp::sum);
-        allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                  ReduceOp::sum, o);
-      });
-      const std::size_t s = count * 8;
-      const bool push = coll::detail::direct_pushes(s, p, cfg.cache);
-      EXPECT_EQ(push, s > 8u << 10) << "count=" << count;
-      const OpCounts pull_ops = md::impl::xpmem_allreduce_ops(s, g);
-      const OpCounts push_ops = md::impl::direct_push_allreduce_ops(s, g);
-      EXPECT_TRUE(counts_equal(measured_counts(team),
-                               push ? push_ops : pull_ops))
-          << (push ? "push" : "pull") << " p=" << p << " m=" << m
-          << " count=" << count;
-      // Same bytes either way; the push passes one barrier less.
-      EXPECT_EQ(push_ops.loads, pull_ops.loads) << "count=" << count;
-      EXPECT_EQ(push_ops.stores, pull_ops.stores) << "count=" << count;
-      EXPECT_EQ(push_ops.barriers, 2u * static_cast<std::uint64_t>(p));
-      EXPECT_EQ(pull_ops.barriers, 3u * static_cast<std::uint64_t>(p));
+    const auto pn = static_cast<std::size_t>(p);
+    for (rt::Team* team : {static_cast<rt::Team*>(&threads),
+                           static_cast<rt::Team*>(&procs)}) {
+      const char* backend = team == &procs ? "process" : "thread";
+      auto* send = reinterpret_cast<double*>(
+          team->shared_alloc(pn * kMaxCount * 8));
+      auto* recv = reinterpret_cast<double*>(
+          team->shared_alloc(pn * kMaxCount * 8));
+      for (const std::size_t count :
+           {std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
+            std::size_t{3003}, kMaxCount}) {
+        for (int r = 0; r < p; ++r)
+          fill_buffer(send + r * kMaxCount, count, Datatype::f64, r,
+                      ReduceOp::sum);
+        team->run([&](rt::RankCtx& ctx) {
+          const int r = ctx.rank();
+          allreduce(ctx, send + r * kMaxCount, recv + r * kMaxCount, count,
+                    Datatype::f64, ReduceOp::sum, o);
+        });
+        const std::size_t s = count * 8;
+        const bool push = coll::detail::direct_pushes(s, p, cfg.cache);
+        EXPECT_EQ(push, s > 8u << 10) << "count=" << count;
+        const OpCounts pull_ops = md::impl::xpmem_allreduce_ops(s, g);
+        const OpCounts push_ops = md::impl::direct_push_allreduce_ops(s, g);
+        EXPECT_TRUE(counts_equal(measured_counts(*team),
+                                 push ? push_ops : pull_ops))
+            << backend << " " << (push ? "push" : "pull") << " p=" << p
+            << " m=" << m << " count=" << count;
+        for (int r = 0; r < p; ++r)
+          EXPECT_TRUE(check_reduced(recv + r * kMaxCount, count,
+                                    Datatype::f64, p, ReduceOp::sum))
+              << backend << " p=" << p << " rank " << r
+              << " count=" << count;
+        // Same bytes either way; the push passes one barrier less.
+        EXPECT_EQ(push_ops.loads, pull_ops.loads) << "count=" << count;
+        EXPECT_EQ(push_ops.stores, pull_ops.stores) << "count=" << count;
+        EXPECT_EQ(push_ops.barriers, 2u * static_cast<std::uint64_t>(p));
+        EXPECT_EQ(pull_ops.barriers, 3u * static_cast<std::uint64_t>(p));
+      }
     }
   }
 }

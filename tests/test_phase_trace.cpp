@@ -1,7 +1,7 @@
 // Tests for the intra-collective phase tracer (src/trace): ring semantics,
 // span nesting across every collective arm, thread-vs-process harvest
-// parity, flight-recorder dumps on injected rank death, barrier-skew
-// rollup into the profiler, and the off-mode zero-impact guarantee.
+// parity, flight-recorder dumps on injected rank death, and the off-mode
+// zero-impact guarantee.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -20,7 +20,6 @@
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
-#include "yhccl/coll/profiler.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/thread_team.hpp"
 #include "yhccl/trace/export.hpp"
@@ -69,7 +68,7 @@ void run_schedule(rt::RankCtx& ctx) {
 
 constexpr int kScheduleColls = 5;
 
-TEST(PhaseTrace, CollIdNamesMirrorProfilerKinds) {
+TEST(PhaseTrace, CollIdNamesMirrorCollKinds) {
   EXPECT_STREQ(trace::coll_id_name(0), "");  // outside any collective
   for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k) {
     const auto kind = static_cast<CollKind>(k);
@@ -359,42 +358,6 @@ TEST(PhaseTrace, FlightDumpOnInjectedDeathAtBarrier) {
     }
     unsetenv("YHCCL_TRACE_DIR");
   }
-}
-
-TEST(PhaseTrace, SkewRollupAndWaitAttributionReachProfiler) {
-  auto team = make_team(Backend::threads, 4, 2, trace::Mode::spans);
-  std::vector<CollProfiler> prof(4);
-  team->run([&](rt::RankCtx& ctx) {
-    const std::size_t n = 4096;
-    std::vector<double> s(n, 1), r(n);
-    CollOpts ma;
-    ma.algorithm = Algorithm::ma_flat;
-    for (int it = 0; it < 3; ++it)
-      allreduce(prof[ctx.rank()], ctx, s.data(), r.data(), n, Datatype::f64,
-                ReduceOp::sum, ma);
-  });
-
-  // Wait/work split: with tracing on, the profiled wrapper attributes the
-  // barrier/flag spin time; work + wait partitions the wall time.
-  for (int r = 0; r < 4; ++r) {
-    const auto& rec = prof[r].get(CollKind::allreduce);
-    EXPECT_GT(rec.wait_seconds, 0.0) << "rank " << r;
-    EXPECT_LE(rec.work_seconds(), rec.seconds) << "rank " << r;
-  }
-
-  trace::Harvest h(*team->trace_buffer());
-  const trace::SkewRollup rollup = h.skew();
-  CollProfiler merged = prof[0];
-  merge_trace_skew(merged, rollup);
-  const auto& rec = merged.get(CollKind::allreduce);
-  EXPECT_GT(rec.skew_barriers, 0u);
-  EXPECT_GE(rec.skew_max, rec.skew_mean());
-  EXPECT_GE(rec.skew_mean(), 0.0);
-
-  const bench::Json j = merged.report_json();
-  const bench::Json& jr = j["kinds"]["allreduce"];
-  EXPECT_EQ(jr["skew"]["barriers"].as_uint(), rec.skew_barriers);
-  EXPECT_GT(jr["wait_seconds"].as_double(), 0.0);
 }
 
 }  // namespace

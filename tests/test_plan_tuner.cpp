@@ -17,8 +17,9 @@
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
-#include "yhccl/coll/profiler.hpp"
+#include "yhccl/metrics/metrics.hpp"
 #include "yhccl/model/dav_model.hpp"
+#include "yhccl/runtime/fault.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/thread_team.hpp"
 
@@ -1121,20 +1122,34 @@ TEST(PlanPersistence, PlanFileEnvWarmsTheRegistryOnFirstUse) {
   EXPECT_THROW(plan::validate_plan_json(bad), Error);
 }
 
-// ---- profiler feedback -------------------------------------------------------
+// ---- straggler feedback ------------------------------------------------------
 
-TEST(PlanFeedback, ProfilerWaitFractionBiasesTheRegistry) {
-  rt::ThreadTeam team(tuned_cfg(4, 2, rt::TuneMode::online));
-  coll::CollProfiler prof;
-  prof.add(CollKind::allreduce, 1024, 1.0, copy::Dav{}, {}, {},
-           /*wait_seconds=*/0.9);
-  plan::note_profile(team, prof);
-  EXPECT_NEAR(team.plan_registry()->class_wait(
-                  static_cast<int>(CollKind::allreduce)),
-              0.9, 1e-12);
-  EXPECT_EQ(team.plan_registry()->class_wait(
-                static_cast<int>(CollKind::broadcast)),
-            0.0);
+TEST(PlanFeedback, StragglerMarksTheKindsThatRanWaitBound) {
+  rt::TeamConfig cfg = tuned_cfg(4, 2, rt::TuneMode::online);
+  cfg.metrics = metrics::Mode::on;
+  cfg.sync_timeout = 20.0;
+  rt::ThreadTeam team(cfg);
+  // Rank 2 stalls 80 ms at its 4th barrier arrival, as in
+  // MetricsStraggler.DetectorFlagsInjectedStall, then the team runs one
+  // allreduce and no broadcast.
+  team.set_fault_plan(
+      rt::FaultPlan::parse("stall@barrier:rank=2:ms=80:iter=3"));
+  team.run([](rt::RankCtx& ctx) {
+    for (int i = 0; i < 8; ++i) ctx.barrier();
+    std::vector<double> send(1024, 1.0), recv(1024);
+    coll::allreduce(ctx, send.data(), recv.data(), send.size(),
+                    Datatype::f64, ReduceOp::sum);
+  });
+  const auto* reg = team.plan_registry();
+  const int allreduce = static_cast<int>(CollKind::allreduce);
+  const int broadcast = static_cast<int>(CollKind::broadcast);
+  EXPECT_FALSE(reg->wait_bound(allreduce)) << "set before any flag";
+
+  const metrics::StragglerReport rep = team.straggler_check();
+  ASSERT_EQ(rep.flagged.size(), 1u);
+  EXPECT_EQ(rep.flagged[0], 2);
+  EXPECT_TRUE(reg->wait_bound(allreduce));
+  EXPECT_FALSE(reg->wait_bound(broadcast));
 }
 
 // ---- the warm path allocates nothing -----------------------------------------
