@@ -41,6 +41,14 @@ void scalar_copy(void* dst, const void* src, std::size_t n) noexcept;
 /// hand-written SIMD loops; the tab04 bench compares all of them.
 void erms_copy(void* dst, const void* src, std::size_t n) noexcept;
 
+/// Called by a freshly forked rank before its first copy: from then on
+/// every copy and reduce entry point of this process reads one byte per
+/// 64 KB of its destination before the first store, so the kernel maps the
+/// rank's not-yet-mapped shared pages by read fault-around, ~1 fault per
+/// 16 pages instead of one per page.  Off by default: where the pages stay
+/// mapped (thread teams) the reads would be pure cost.
+void enable_dst_prefault() noexcept;
+
 /// The size-threshold heuristic used by libc memmove: temporal below the
 /// threshold, non-temporal at/above it.  This is the baseline the paper's
 /// adaptive-copy replaces.

@@ -6,18 +6,25 @@
 #include "yhccl/analysis/hb.hpp"
 #include "yhccl/copy/dav.hpp"
 #include "yhccl/copy/dispatch.hpp"
+#include "prefault.hpp"
 
 namespace yhccl::copy {
+
+bool detail::g_dst_prefault = false;
+
+void enable_dst_prefault() noexcept { detail::g_dst_prefault = true; }
 
 // Every copy entry point reports its source/destination ranges to the
 // happens-before checker before touching memory.  With the checker off
 // (the default) each hook is a thread-local load and an untaken branch —
-// nothing on the hot path.
+// nothing on the hot path.  In a forked rank each then prefaults its
+// destination (prefault.hpp) before the first store.
 
 void scalar_copy(void* dst, const void* src, std::size_t n) noexcept {
   if (n == 0) return;  // callers may pass null pointers for empty copies
   analysis::hb_read(src, n, "scalar_copy(src)");
   analysis::hb_write(dst, n, "scalar_copy(dst)");
+  detail::prefault_dst(dst, n);
   std::memcpy(dst, src, n);
   dav_add(n, n);
 }
@@ -26,6 +33,7 @@ void t_copy(void* dst, const void* src, std::size_t n) noexcept {
   if (n == 0) return;
   analysis::hb_read(src, n, "t_copy(src)");
   analysis::hb_write(dst, n, "t_copy(dst)");
+  detail::prefault_dst(dst, n);
   const KernelTable& k = kernels();
   k.copy_t(dst, src, n);
   kernel_count_add(k.tier);
@@ -36,6 +44,7 @@ void nt_copy(void* dst, const void* src, std::size_t n) noexcept {
   if (n == 0) return;
   analysis::hb_read(src, n, "nt_copy(src)");
   analysis::hb_write(dst, n, "nt_copy(dst)");
+  detail::prefault_dst(dst, n);
   const KernelTable& k = kernels();
   k.copy_nt(dst, src, n);
   kernel_count_add(k.tier);
@@ -46,6 +55,7 @@ void erms_copy(void* dst, const void* src, std::size_t n) noexcept {
   if (n == 0) return;
   analysis::hb_read(src, n, "erms_copy(src)");
   analysis::hb_write(dst, n, "erms_copy(dst)");
+  detail::prefault_dst(dst, n);
 #if defined(__x86_64__) || defined(__i386__)
   auto* d = static_cast<std::uint8_t*>(dst);
   const auto* s = static_cast<const std::uint8_t*>(src);

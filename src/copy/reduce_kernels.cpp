@@ -5,17 +5,21 @@
 #include "yhccl/copy/dav.hpp"
 #include "yhccl/copy/dispatch.hpp"
 #include "yhccl/copy/kernels.hpp"
+#include "prefault.hpp"
 
 namespace yhccl::copy {
 
 // All three entry points funnel into the tier table's single-pass m-ary
 // kernel, so every (op, dtype, tier, store-type) combination shares one
 // code path and one DAV accounting rule: (m+1)·n bytes for m operands.
+// In a forked rank each prefaults its destination (prefault.hpp) before the
+// first store.
 
 void reduce_inplace(void* dst, const void* src, std::size_t n, Datatype d,
                     ReduceOp op) noexcept {
   analysis::hb_read(src, n, "reduce_inplace(src)");
   analysis::hb_write(dst, n, "reduce_inplace(dst)");
+  detail::prefault_dst(dst, n);
   const void* srcs[2] = {dst, src};
   const KernelTable& k = kernels();
   k.reduce(dst, srcs, 2, n, d, op, /*nt_store=*/false);
@@ -28,6 +32,7 @@ void reduce_out(void* out, const void* a, const void* b, std::size_t n,
   analysis::hb_read(a, n, "reduce_out(a)");
   analysis::hb_read(b, n, "reduce_out(b)");
   analysis::hb_write(out, n, "reduce_out(out)");
+  detail::prefault_dst(out, n);
   const void* srcs[2] = {a, b};
   const KernelTable& k = kernels();
   k.reduce(out, srcs, 2, n, d, op, nt_store);
@@ -51,6 +56,7 @@ void reduce_out_multi(void* out, const void* const* srcs, int m,
   for (int i = 0; i < m; ++i)
     analysis::hb_read(srcs[i], n, "reduce_out_multi(src)");
   analysis::hb_write(out, n, "reduce_out_multi(out)");
+  detail::prefault_dst(out, n);
   const KernelTable& k = kernels();
   k.reduce(out, srcs, m, n, d, op, nt_store);
   kernel_count_add(k.tier);

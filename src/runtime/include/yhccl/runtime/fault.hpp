@@ -6,11 +6,12 @@
 //
 //  * Liveness slots — one cacheline per rank: a heartbeat counter bumped on
 //    every backoff step / fault point, the rank's current collective
-//    sequence number, its pid, and two tombstones (`left`: the rank exited
+//    sequence number, its pid, two tombstones (`left`: the rank exited
 //    the SPMD function; `dead`: its process died — written by the parent's
-//    reaped-child bookkeeping or by the injector).  Watchdog expiries are
-//    classified against these slots into PeerDead / PeerDiverged / Timeout
-//    instead of one generic "sync timeout" error.
+//    reaped-child bookkeeping or by the injector) and a forked rank's posted
+//    completion (`done`).  Watchdog expiries are classified against these
+//    slots into PeerDead / PeerDiverged / Timeout instead of one generic
+//    "sync timeout" error.
 //
 //  * The abort word — a single epoch-stamped word the *first* detecting
 //    rank CASes from 0.  Every spin loop polls it, so all survivors leave
@@ -64,7 +65,13 @@ struct alignas(kCacheline) HeartbeatSlot {
   mc::atomic<int> pid{0};             ///< rank pid (== parent for threads)
   mc::atomic<std::uint8_t> left{0};   ///< rank exited the SPMD function
   mc::atomic<std::uint8_t> dead{0};   ///< rank process died (reap/probe)
+  /// A forked rank's posted completion (1 ok, 2 failed), release-stored
+  /// after its last write to the team mapping; ProcessTeam's run() returns
+  /// on it instead of on the rank's reaping.
+  mc::atomic<std::uint8_t> done{0};
 };
+static_assert(sizeof(HeartbeatSlot) == kCacheline,
+              "a liveness slot is one cache line");
 
 /// Fault-detection state embedded in TeamShared.
 struct FaultState {
@@ -203,9 +210,10 @@ void fault_poll_abort();
 /// iter) match.  Cheap no-op without an installed context.
 void fault_point(const char* site);
 
-/// Scan peers' `dead` tombstones (written by the parent's reap loop the
-/// moment a child exits abnormally); classify + raise on the first hit so a
-/// real process death is detected at reap latency, not watchdog latency.
+/// Scan peers' `dead` tombstones (written by the parent's wait loop the
+/// moment a child exits without posting `done`, reaped at once); classify +
+/// raise on the first hit so a real process death is detected at reap
+/// latency, not watchdog latency.
 void fault_check_dead();
 
 /// Watchdog expiry: classify the failure against the liveness slots, CAS

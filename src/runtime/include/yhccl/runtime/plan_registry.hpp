@@ -132,7 +132,6 @@ struct PlanSlot {
   /// observes the cleared word (model-checked: protocol "quarantine").
   mc::atomic<std::uint64_t> quar{0};
   mc::atomic<std::uint64_t> hits{0};
-  mc::atomic<std::uint64_t> wait_ewma{0};  ///< wait-fraction EWMA (bits)
   mc::atomic<std::uint64_t> arm_ewma[kPlanMaxArms]{};  ///< seconds (bits)
   mc::atomic<std::uint32_t> arm_n[kPlanMaxArms]{};     ///< samples per arm
 
@@ -228,12 +227,14 @@ class PlanRegistry {
   PlanRegistryStats stats() const noexcept;
 
   /// Per-collective-class wait-bound flag: set when Team::straggler_check
-  /// flags a straggler on a team that has run the class, never cleared.
-  /// Online exploration doubles epsilon for wait-bound classes.  The
-  /// metrics sampler thread may set it while ranks run; a set-once relaxed
-  /// flag makes that race harmless (a rank sees it now or on a later call).
+  /// flags a fresh straggler on a team that has run the class, cleared by
+  /// a sweep that flags nobody and by Team::recover().  Online exploration
+  /// doubles epsilon for wait-bound classes.  The metrics sampler thread
+  /// may flip it while ranks run; a relaxed flag makes that race harmless
+  /// (a rank sees the change now or on a later call).
   bool wait_bound(int cls) const noexcept;
   void mark_wait_bound(int cls) noexcept;
+  void clear_wait_bound() noexcept;
 
  private:
   PlanRegistry(std::uint32_t slots, std::uint32_t eps_mille) noexcept

@@ -168,4 +168,8 @@ void PlanRegistry::mark_wait_bound(int cls) noexcept {
     wait_bound_[cls].store(1, std::memory_order_relaxed);
 }
 
+void PlanRegistry::clear_wait_bound() noexcept {
+  for (auto& flag : wait_bound_) flag.store(0, std::memory_order_relaxed);
+}
+
 }  // namespace yhccl::rt

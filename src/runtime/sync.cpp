@@ -25,8 +25,9 @@ void SpinGuard::relax() {
   }
   spins_ = 0;
   // Once per cycle: keep my liveness slot beating, leave together with the
-  // rest of the team if anyone raised the abort word, and detect a reaped
-  // sibling's death at reap latency instead of watchdog latency.
+  // rest of the team if anyone raised the abort word — the parent raises it
+  // when it reaps a sibling that died before posting its completion — and
+  // so detect that death at reap latency instead of watchdog latency.
   detail::fault_heartbeat();
   fault_poll_abort();
   if (++yields_ < 256) {

@@ -121,7 +121,8 @@ Team::Team(TeamConfig cfg, bool forked_ranks)
       with_hb ? analysis::HbChecker::required_bytes(hb_cells) : 0;
 
   // Phase tracer: rings live in the same shared mapping so fork()ed ranks'
-  // records survive their exit and the parent harvests them after reaping.
+  // records survive their exit and the parent harvests them once each rank
+  // has posted its completion.
   trace_mode_ = trace::resolve_mode(cfg_.trace);
   const std::uint32_t trace_slots =
       trace_mode_ == trace::Mode::off ? 0 : trace::slots_from_env();
@@ -425,8 +426,9 @@ void Team::run_once(const std::function<void(RankCtx&)>& fn) {
 
 FaultInfo Team::recover() {
   // run() is synchronous, so reaching here means every surviving rank has
-  // quiesced: threads are joined and child processes reaped.  No rank holds
-  // a lock or sits in a spin loop — shared state can be rebuilt in place.
+  // quiesced: threads are joined, and child processes have posted their
+  // completion or been reaped.  No rank holds a lock or sits in a spin loop
+  // — shared state can be rebuilt in place.
   auto& fs = shared_->fault;
   const FaultInfo info = last_fault();
 
@@ -499,8 +501,11 @@ FaultInfo Team::recover() {
     slot.pid.store(0, std::memory_order_relaxed);
     slot.left.store(0, std::memory_order_relaxed);
     slot.dead.store(0, std::memory_order_relaxed);
+    slot.done.store(0, std::memory_order_relaxed);
   }
   fs.abort_word.store(0, std::memory_order_relaxed);
+  // The rebuilt team starts with no straggler history behind it.
+  plans_->clear_wait_bound();
 
   // The race checker must see the re-initialization as a global
   // synchronization point: everything before recovery happens-before
@@ -629,6 +634,9 @@ metrics::StragglerReport Team::straggler_check() {
       for (const auto& cell : rs.cells)
         if (cell.coll > 0 && cell.coll < metrics::kCollSlots)
           plans_->mark_wait_bound(cell.coll - 1);
+  } else if (rep.flagged.empty()) {
+    // ...and a sweep that flags nobody means it no longer is.
+    plans_->clear_wait_bound();
   }
   return rep;
 }
@@ -737,7 +745,6 @@ Team::IntegrityReport Team::verify_integrity(bool repair) {
       s.fields.store(0, std::memory_order_relaxed);
       s.quar.store(0, std::memory_order_relaxed);
       s.hits.store(0, std::memory_order_relaxed);
-      s.wait_ewma.store(0, std::memory_order_relaxed);
       for (int a = 0; a < kPlanMaxArms; ++a) {
         s.arm_ewma[a].store(0, std::memory_order_relaxed);
         s.arm_n[a].store(0, std::memory_order_relaxed);

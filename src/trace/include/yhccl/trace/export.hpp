@@ -5,7 +5,8 @@
 //   * flight_json  — last-N-events-per-rank dump with the abort site/epoch
 //
 // Harvesting is parent-side only: call with no run() in flight (threads
-// joined / children reaped), which is exactly when Team::run has returned.
+// joined / children posted their completion), which is exactly when
+// Team::run has returned.
 #pragma once
 
 #include <cstdint>

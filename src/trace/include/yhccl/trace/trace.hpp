@@ -4,7 +4,8 @@
 // MAP_SHARED mapping (plus one "control" ring the parent writes while the
 // team is quiesced), so the tracer works identically for thread-backed and
 // fork()-backed rank teams: children's records survive their _exit and the
-// parent harvests every ring after join/waitpid.
+// parent harvests every ring after thread-join, or after acquiring each
+// child's posted completion (HeartbeatSlot::done).
 //
 // The hot path is wait-free and cheap by construction:
 //   * a Span's constructor is one thread-local load + one predictable branch
@@ -185,7 +186,8 @@ class TraceBuffer {
   }
 
   /// Records ever pushed to `ring` (acquire: pairs with push's release; the
-  /// harvesting parent additionally orders via thread-join / waitpid).
+  /// harvesting parent additionally orders via thread-join or the
+  /// release/acquire of a forked rank's posted completion).
   std::uint64_t count(int ring) const noexcept {
     return ring_next(ring)->load(std::memory_order_acquire);
   }

@@ -1,6 +1,9 @@
 // Unit tests for the copy kernels (§4.1): correctness across sizes and
-// alignments, DAV accounting, and the policy decision logic of Algorithm 1.
+// alignments, DAV accounting, the policy decision logic of Algorithm 1, and
+// how a forked rank faults in a shared destination.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cstring>
 #include <vector>
@@ -8,6 +11,8 @@
 #include "yhccl/copy/dav.hpp"
 #include "yhccl/copy/kernels.hpp"
 #include "yhccl/copy/policy.hpp"
+#include "yhccl/copy/reduce_kernels.hpp"
+#include "yhccl/runtime/process_team.hpp"
 
 namespace yc = yhccl::copy;
 
@@ -163,6 +168,83 @@ TEST(Dav, ScopeDeltaIsolatesMeasurement) {
   yc::DavScope scope;
   yc::t_copy(b.data(), a.data(), 512);
   EXPECT_EQ(scope.delta().total(), 1024u);
+}
+
+long minor_faults() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
+// A forked rank does not inherit the page-table entries of the team's
+// shared mapping, so each destination page it stores to first would take a
+// write fault.  The kernels read one byte per 64 KB block first, and a read
+// fault maps the whole fault-around window: ~one fault per 16 pages.  The
+// child first checks that this kernel has shmem read fault-around at all
+// (read-then-write cheaper than write-only on two probe ranges).
+TEST(CopyFaults, ForkedRankMapsSharedDestinationsByFaultAround) {
+  constexpr std::size_t kWindow = 64u << 10;
+  constexpr std::size_t kProbe = 4 * kWindow;
+  constexpr std::size_t kRange = 1u << 20;
+  constexpr std::size_t kPage = 4096;
+  yhccl::rt::TeamConfig cfg;
+  cfg.nranks = 1;
+  cfg.scratch_bytes = 1 << 20;
+  cfg.shared_heap_bytes = 2 * kProbe + 2 * kRange + kWindow;
+  yhccl::rt::ProcessTeam team(cfg);
+  auto* probe_rw = reinterpret_cast<unsigned char*>(
+      team.shared_alloc(kProbe, kWindow));
+  auto* probe_w = reinterpret_cast<unsigned char*>(
+      team.shared_alloc(kProbe, kWindow));
+  auto* copy_dst = team.shared_alloc(kRange, kWindow);
+  auto* reduce_dst = team.shared_alloc(kRange, kWindow);
+  auto* faults = reinterpret_cast<long*>(team.shared_alloc(4 * sizeof(long)));
+  // Fault-around maps only pages the shared object already holds: make
+  // them resident, as the previous run() of a real job would have.
+  std::memset(probe_rw, 0, kProbe);
+  std::memset(probe_w, 0, kProbe);
+  std::memset(copy_dst, 0, kRange);
+  std::memset(reduce_dst, 0, kRange);
+  // Private sources: fork copies their page-table entries, so reading
+  // them in the child takes no fault.
+  const std::vector<float> src(kRange / sizeof(float), 1.0f);
+  std::vector<float> warm(1024);
+
+  team.run([&](yhccl::rt::RankCtx&) {
+    // Fault in the code and stack the measured calls use.
+    const void* srcs[2] = {src.data(), src.data()};
+    yc::t_copy(warm.data(), src.data(), warm.size() * sizeof(float));
+    yc::reduce_out_multi(warm.data(), srcs, 2, warm.size() * sizeof(float),
+                         yhccl::Datatype::f32, yhccl::ReduceOp::sum, false);
+    const long f0 = minor_faults();
+    for (std::size_t off = 0; off < kProbe; off += kWindow)
+      (void)*static_cast<volatile unsigned char*>(probe_rw + off);
+    for (std::size_t off = 0; off < kProbe; off += kPage)
+      *static_cast<volatile unsigned char*>(probe_rw + off) = 1;
+    const long f1 = minor_faults();
+    for (std::size_t off = 0; off < kProbe; off += kPage)
+      *static_cast<volatile unsigned char*>(probe_w + off) = 1;
+    const long f2 = minor_faults();
+    yc::t_copy(copy_dst, src.data(), kRange);
+    const long f3 = minor_faults();
+    yc::reduce_out_multi(reduce_dst, srcs, 2, kRange, yhccl::Datatype::f32,
+                         yhccl::ReduceOp::sum, false);
+    const long f4 = minor_faults();
+    faults[0] = f1 - f0;
+    faults[1] = f2 - f1;
+    faults[2] = f3 - f2;
+    faults[3] = f4 - f3;
+  });
+  if (faults[0] >= faults[1])
+    GTEST_SKIP() << "no shmem read fault-around here: read-then-write took "
+                 << faults[0] << " faults, write-only " << faults[1];
+  const long windows = static_cast<long>(kRange / kWindow);  // 16
+  EXPECT_LE(faults[2], 2 * windows) << "t_copy into 1 MB of fresh shared pages";
+  EXPECT_LE(faults[3], 2 * windows)
+      << "reduce_out_multi into 1 MB of fresh shared pages";
+  const auto* sum = reinterpret_cast<const float*>(reduce_dst);
+  EXPECT_EQ(sum[0], 2.0f);
+  EXPECT_EQ(sum[kRange / sizeof(float) - 1], 2.0f);
 }
 
 }  // namespace

@@ -1124,6 +1124,8 @@ TEST(PlanPersistence, PlanFileEnvWarmsTheRegistryOnFirstUse) {
 
 // ---- straggler feedback ------------------------------------------------------
 
+// The flag follows the straggler: a sweep that flags nobody clears it, and
+// so does recover().
 TEST(PlanFeedback, StragglerMarksTheKindsThatRanWaitBound) {
   rt::TeamConfig cfg = tuned_cfg(4, 2, rt::TuneMode::online);
   cfg.metrics = metrics::Mode::on;
@@ -1132,24 +1134,46 @@ TEST(PlanFeedback, StragglerMarksTheKindsThatRanWaitBound) {
   // Rank 2 stalls 80 ms at its 4th barrier arrival, as in
   // MetricsStraggler.DetectorFlagsInjectedStall, then the team runs one
   // allreduce and no broadcast.
-  team.set_fault_plan(
-      rt::FaultPlan::parse("stall@barrier:rank=2:ms=80:iter=3"));
-  team.run([](rt::RankCtx& ctx) {
-    for (int i = 0; i < 8; ++i) ctx.barrier();
-    std::vector<double> send(1024, 1.0), recv(1024);
-    coll::allreduce(ctx, send.data(), recv.data(), send.size(),
-                    Datatype::f64, ReduceOp::sum);
-  });
+  const auto stalled_run = [&] {
+    team.set_fault_plan(
+        rt::FaultPlan::parse("stall@barrier:rank=2:ms=80:iter=3"));
+    team.run([](rt::RankCtx& ctx) {
+      for (int i = 0; i < 8; ++i) ctx.barrier();
+      std::vector<double> send(1024, 1.0), recv(1024);
+      coll::allreduce(ctx, send.data(), recv.data(), send.size(),
+                      Datatype::f64, ReduceOp::sum);
+    });
+    team.set_fault_plan(rt::FaultPlan{});
+  };
+  stalled_run();
   const auto* reg = team.plan_registry();
   const int allreduce = static_cast<int>(CollKind::allreduce);
   const int broadcast = static_cast<int>(CollKind::broadcast);
   EXPECT_FALSE(reg->wait_bound(allreduce)) << "set before any flag";
 
-  const metrics::StragglerReport rep = team.straggler_check();
+  metrics::StragglerReport rep = team.straggler_check();
   ASSERT_EQ(rep.flagged.size(), 1u);
   EXPECT_EQ(rep.flagged[0], 2);
   EXPECT_TRUE(reg->wait_bound(allreduce));
   EXPECT_FALSE(reg->wait_bound(broadcast));
+
+  // A quiet run long enough to push the stall out of every rank's barrier
+  // window: the next sweep flags nobody and the team is no longer
+  // wait-bound.
+  team.run([](rt::RankCtx& ctx) {
+    for (int i = 0; i < metrics::kWindowSlots + 8; ++i) ctx.barrier();
+  });
+  rep = team.straggler_check();
+  EXPECT_TRUE(rep.flagged.empty());
+  EXPECT_FALSE(reg->wait_bound(allreduce)) << "kept after a clean sweep";
+
+  // Flagged afresh, then recovered: the rebuilt team starts unflagged.
+  stalled_run();
+  rep = team.straggler_check();
+  ASSERT_EQ(rep.flagged.size(), 1u);
+  EXPECT_TRUE(reg->wait_bound(allreduce));
+  team.recover();
+  EXPECT_FALSE(reg->wait_bound(allreduce)) << "kept across recover()";
 }
 
 // ---- the warm path allocates nothing -----------------------------------------

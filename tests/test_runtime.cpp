@@ -3,8 +3,11 @@
 // transfers, the remote-buffer registry, and the fork()-backed team.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <atomic>
 #include <cstdio>
@@ -451,6 +454,67 @@ TEST(ProcessTeam, FailedRankSurfacesAsError) {
                }),
                Error);
   team.run([](RankCtx&) {});  // usable afterwards
+}
+
+// ---- posted completion and deferred reaping ---------------------------------
+
+TeamConfig posted_cfg() {
+  TeamConfig cfg;
+  cfg.nranks = 4;
+  cfg.scratch_bytes = 1 << 20;
+  cfg.shared_heap_bytes = 1 << 20;
+  return cfg;
+}
+
+// run() returns once every rank posted; the destructor reaps whatever the
+// next run() did not, so no child outlives the team.
+TEST(ProcessTeam, DestructionReapsEveryDeferredRank) {
+  {
+    ProcessTeam team(posted_cfg());
+    for (int i = 0; i < 50; ++i) team.run([](RankCtx& ctx) { ctx.barrier(); });
+  }
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// A caller that reaps the team's posted ranks itself (a blanket
+// waitpid(-1) loop, a SIGCHLD handler) leaves the team ECHILD to swallow.
+TEST(ProcessTeam, ForeignReapOfAPostedRankIsTolerated) {
+  const auto reap_all = [] {
+    int status = 0;
+    while (waitpid(-1, &status, 0) > 0) {
+    }
+    EXPECT_EQ(errno, ECHILD);
+  };
+  {
+    ProcessTeam team(posted_cfg());
+    team.run([](RankCtx& ctx) { ctx.barrier(); });
+    reap_all();
+    EXPECT_NO_THROW(team.run([](RankCtx& ctx) { ctx.barrier(); }));
+    reap_all();
+  }  // must not hang on the ranks reaped above
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// A rank that dies before it posts is reaped at once and classified as a
+// death, exactly like an injected one.
+TEST(ProcessTeam, RankKilledBeforePostingIsADeath) {
+  ProcessTeam team(posted_cfg());
+  try {
+    team.run([](RankCtx& ctx) {
+      if (ctx.rank() == 2) ::raise(SIGKILL);
+      ctx.barrier();
+    });
+    ADD_FAILURE() << "run() returned despite a killed rank";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.fault_kind(), FaultKind::peer_dead) << e.what();
+    EXPECT_EQ(e.fault_rank(), 2) << e.what();
+  }
 }
 
 }  // namespace
