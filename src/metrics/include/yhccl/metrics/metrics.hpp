@@ -214,11 +214,11 @@ class MetricsBuffer {
   int nranks() const noexcept { return nranks_; }
   Mode mode() const noexcept { return mode_; }
   /// Timestamp origin: trace_now() at create; every stamp is later.
-  std::uint64_t t_origin() const noexcept { return tsc0_; }
-  /// Ticks-per-second calibration (the TraceBuffer scheme: derived lazily
-  /// from (trace_now, wall) pairs and cached in this shared header, so
-  /// every reader — either side of a fork() — converts identically).
-  double ticks_per_second() const noexcept;
+  std::uint64_t t_origin() const noexcept { return clock_.tsc0; }
+  /// Ticks-per-second calibration for converting stamps.
+  double ticks_per_second() const noexcept {
+    return clock_.ticks_per_second();
+  }
 
   TeamGauges& team() const noexcept {
     return *reinterpret_cast<TeamGauges*>(base());
@@ -250,9 +250,7 @@ class MetricsBuffer {
 
   int nranks_ = 0;
   Mode mode_ = Mode::off;
-  std::uint64_t tsc0_ = 0;  ///< trace_now() at create
-  double wall0_ = 0;        ///< wall_seconds() at create
-  mutable mc::atomic<std::uint64_t> hz_bits_{0};  ///< cached calibration
+  trace::ClockOrigin clock_;  ///< started at create
 };
 
 // ---- hot-path hooks ---------------------------------------------------------

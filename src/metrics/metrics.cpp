@@ -1,14 +1,10 @@
 #include "yhccl/metrics/metrics.hpp"
 
-#include <time.h>
-
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <string>
-
-#include "yhccl/common/time.hpp"
 
 namespace yhccl::metrics {
 
@@ -118,41 +114,8 @@ MetricsBuffer* MetricsBuffer::create(void* mem, std::size_t bytes, int nranks,
   buf->mode_ = mode;
   new (&buf->team()) TeamGauges();
   for (int r = 0; r < nranks; ++r) new (&buf->rank(r)) RankSlot();
-  buf->wall0_ = wall_seconds();
-  buf->tsc0_ = trace::trace_now();
+  buf->clock_.start();
   return buf;
-}
-
-double MetricsBuffer::ticks_per_second() const noexcept {
-  std::uint64_t bits = hz_bits_.load(std::memory_order_acquire);
-  if (bits != 0) {
-    double hz;
-    std::memcpy(&hz, &bits, sizeof hz);
-    return hz;
-  }
-  // The TraceBuffer calibration scheme: ratio over the interval since
-  // create, padded with a short busy sample so an immediate export (unit
-  // tests) is not noise; the first calibrator's value is CAS-published in
-  // the shared header so all readers — either side of a fork() — convert
-  // ticks identically.
-  double wall1 = wall_seconds();
-  std::uint64_t tsc1 = trace::trace_now();
-  while (wall1 - wall0_ < 2e-3) {
-    timespec ts{0, 200'000};
-    nanosleep(&ts, nullptr);
-    wall1 = wall_seconds();
-    tsc1 = trace::trace_now();
-  }
-  double hz = static_cast<double>(tsc1 - tsc0_) / (wall1 - wall0_);
-  if (!(hz > 0)) hz = 1e9;  // defensive: never divide by zero downstream
-  std::memcpy(&bits, &hz, sizeof bits);
-  std::uint64_t expect = 0;
-  if (!hz_bits_.compare_exchange_strong(expect, bits,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    std::memcpy(&hz, &expect, sizeof hz);
-  }
-  return hz;
 }
 
 }  // namespace yhccl::metrics

@@ -75,8 +75,9 @@ class PageLockTable {
   void lock(std::uintptr_t src_page);
   void unlock(std::uintptr_t src_page) noexcept;
 
-  /// Force-release every lock.  Only safe on a quiesced team — used by
-  /// Team::recover() to free locks a dead rank took to its grave.
+  /// Force-release every lock.  Only safe while no holder runs (the model
+  /// checker resets the table between schedules; Team::recover() rebuilds
+  /// the whole control block instead).
   void reset() noexcept;
 
  private:

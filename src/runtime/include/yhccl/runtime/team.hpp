@@ -186,16 +186,16 @@ class Team {
   int nranks() const noexcept { return nranks_; }
 
   // ---- fault detection & recovery (docs/robustness.md) ---------------------
-  /// Recover the team after a failed run(): re-initializes every piece of
-  /// shared synchronization state (barriers, progress flags, FIFO channels,
-  /// rendezvous descriptors, buffer registry, page locks), clears the abort
-  /// word, bumps the team epoch so stale in-flight writes from the faulting
-  /// rank are fenced out, and — for process-backed teams — excludes ranks
-  /// whose process died (thread-backed ranks always rejoin, restoring full
-  /// membership).  Shared-heap allocations survive.  Must be called from the
-  /// parent with no run() in flight (run() is synchronous, so any return —
-  /// normal or thrown — leaves the team quiesced).  Returns the fault the
-  /// team is recovering from (kind none when no abort was raised).
+  /// Recover the team after a failed run(): for process-backed teams,
+  /// excludes ranks whose process died (thread-backed ranks always rejoin,
+  /// restoring full membership); then rebuilds the control block and the
+  /// FIFO channels as construction builds them for that membership, keeping
+  /// only the heap cursor (shared-heap allocations survive), the injection
+  /// count and the team epoch, which it bumps so stale in-flight writes from
+  /// the faulting rank are fenced out.  Must be called from the parent with
+  /// no run() in flight (run() is synchronous, so any return — normal or
+  /// thrown — leaves the team quiesced).  Returns the fault the team is
+  /// recovering from (kind none when no abort was raised).
   FaultInfo recover();
 
   /// The abort raised by the last failed run (kind none if none).
@@ -386,6 +386,9 @@ class Team {
   /// Write the flight-recorder dump for the abort currently recorded in the
   /// team's fault word (flight mode only; no-op when already dumped).
   void flight_dump();
+  /// Build the control block and the channel descriptors as a fresh team
+  /// of the current topology has them (construction and recover()).
+  void init_sync_sections();
   /// One attempt of run(): the pre-resilience body, byte for byte.
   void run_once(const std::function<void(RankCtx&)>& fn);
   /// (Re-)write the arena section directory for the current team epoch.

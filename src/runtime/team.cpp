@@ -9,6 +9,7 @@
 #include <fstream>
 #include <new>
 #include <numeric>
+#include <type_traits>
 
 #include "yhccl/analysis/hb.hpp"
 #include "yhccl/common/error.hpp"
@@ -21,6 +22,14 @@ namespace yhccl::rt {
 
 namespace {
 constexpr std::size_t kPageAlign = 4096;
+
+// recover() rebuilds shared state by placement-new alone.
+static_assert(std::is_trivially_destructible_v<TeamShared> &&
+                  std::is_trivially_destructible_v<FifoChannel>,
+              "team sections are rebuilt in place without destruction");
+
+/// A channel at rest: empty ring, no rendezvous descriptor posted.
+void init_channel(FifoChannel& ch) noexcept { new (&ch) FifoChannel(); }
 
 /// Satellite route into the watchdog: TeamConfig wins, then
 /// $YHCCL_SYNC_TIMEOUT (strictly validated), else leave the process-wide
@@ -165,12 +174,7 @@ Team::Team(TeamConfig cfg, bool forked_ranks)
         "section alignment");
 
   region_ = ShmRegion::create_anonymous(section_off_[kMaxSections]);
-  shared_ = new (section(Section::control)) TeamShared();
-  barrier_init(shared_->node_barrier, static_cast<std::uint32_t>(p));
-  for (int s = 0; s < cfg_.nsockets; ++s)
-    barrier_init(shared_->socket_barrier[s],
-                 static_cast<std::uint32_t>(topo().socket_size(s)));
-  for (FifoChannel& ch : channels()) new (&ch) FifoChannel();
+  init_sync_sections();
 
   if (with_hb) {
     hb_ = analysis::HbChecker::create(section(Section::hb), hb_bytes,
@@ -455,70 +459,35 @@ FaultInfo Team::recover() {
     active_ = std::move(survivors);
     nranks_ = static_cast<int>(active_.size());
   }
-  const int nsockets = std::min(cfg_.nsockets, nranks_);
   // Cached plans persist across recovery (slot updates are single-word
   // atomics, so an abort cannot tear them); the refreshed caps key the
   // shrunken topology into its own plan space, so plans cached for the old
   // shape simply stop matching.
-  caps_ = caps_for(Topology(nranks_, nsockets));
+  caps_ = caps_for(Topology(nranks_, std::min(cfg_.nsockets, nranks_)));
 
-  // Re-initialize every piece of shared synchronization state the aborted
-  // collective may have left torn.
-  barrier_init(shared_->node_barrier, static_cast<std::uint32_t>(nranks_));
-  for (int s = 0; s < kMaxSockets; ++s)
-    barrier_init(shared_->socket_barrier[s],
-                 s < nsockets
-                     ? static_cast<std::uint32_t>(topo().socket_size(s))
-                     : 0);
-  for (int r = 0; r < kMaxRanks; ++r) {
-    shared_->step[r].v.store(0, std::memory_order_relaxed);
-    shared_->flag[r].v.store(0, std::memory_order_relaxed);
-    shared_->persist[r] = TeamShared::Persist{};
-    shared_->dav_out[r] = copy::Dav{};
-    shared_->time_out[r] = 0;
-    shared_->kernels_out[r] = copy::KernelCounts{};
-    shared_->sync_out[r] = SyncCounts{};
-    for (int s = 0; s < kRegistrySlots; ++s) {
-      auto& w = shared_->registry[r][s];
-      w.ptr.store(nullptr, std::memory_order_relaxed);
-      w.bytes.store(0, std::memory_order_relaxed);
-      w.pid.store(0, std::memory_order_relaxed);
-      w.seq.store(0, std::memory_order_relaxed);
-    }
-  }
-  for (FifoChannel& ch : channels()) {
-    ch.~FifoChannel();
-    new (&ch) FifoChannel();  // drops orphaned rendezvous descriptors
-  }
-  shared_->page_locks.reset();  // releases locks held by the dead rank
+  // Rebuild the control block and the channels as construction builds them
+  // for this membership, so nothing an aborted run left torn survives.
+  // Three fields are carried: the heap cursor (heap allocations and the fold
+  // stages survive), the injection count (`:once=1` plans must not re-fire
+  // on the retry) and the team epoch, bumped so a stale rank resumed from
+  // before recovery hits the epoch fence in fault_point.
+  const std::uint64_t heap_cursor =
+      shared_->heap_cursor.load(std::memory_order_relaxed);
+  const std::uint64_t new_epoch = team_epoch() + 1;
+  const std::uint64_t inject_fired =
+      fs.inject_fired.load(std::memory_order_relaxed);
+  init_sync_sections();
+  shared_->heap_cursor.store(heap_cursor, std::memory_order_relaxed);
+  fs.team_epoch.store(new_epoch, std::memory_order_release);
+  fs.inject_fired.store(inject_fired, std::memory_order_relaxed);
 
-  // Liveness slots and the abort word restart clean.
-  for (int r = 0; r < kMaxFaultRanks; ++r) {
-    auto& slot = fs.hb[r];
-    slot.beat.store(0, std::memory_order_relaxed);
-    slot.seq.store(0, std::memory_order_relaxed);
-    slot.epoch.store(0, std::memory_order_relaxed);
-    slot.pid.store(0, std::memory_order_relaxed);
-    slot.left.store(0, std::memory_order_relaxed);
-    slot.dead.store(0, std::memory_order_relaxed);
-    slot.done.store(0, std::memory_order_relaxed);
-  }
-  fs.abort_word.store(0, std::memory_order_relaxed);
-  // The rebuilt team starts with no straggler history behind it.
-  plans_->clear_wait_bound();
-
-  // The race checker must see the re-initialization as a global
-  // synchronization point: everything before recovery happens-before
-  // everything after (including the dead rank's last writes).
+  // Service hooks.  The race checker sees the rebuild as a global
+  // synchronization point (everything before recovery happens-before
+  // everything after, the dead rank's last writes included), the tuner
+  // drops its straggler history, and the parent-side control ring records
+  // the new epoch.
   if (hb_ != nullptr) hb_->on_recover();
-
-  // New epoch: a stale rank resumed from before recovery hits the epoch
-  // fence in fault_point instead of tearing the rebuilt state.
-  const std::uint64_t new_epoch =
-      fs.team_epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-
-  // Recovery epochs land on the parent-side control ring (no rank context
-  // is installed here, so the instant is pushed by hand).
+  plans_->clear_wait_bound();
   control_instant(trace::Phase::recover, new_epoch);
   metrics_fold_team();  // epoch and (possibly shrunken) membership gauges
   flight_dumped_ = false;  // the next epoch's fault deserves its own dump
@@ -528,6 +497,16 @@ FaultInfo Team::recover() {
   // happened under the old epoch cannot be replayed into the new one.
   stamp_sections();
   return info;
+}
+
+void Team::init_sync_sections() {
+  shared_ = new (section(Section::control)) TeamShared();
+  const Topology& t = topo();
+  barrier_init(shared_->node_barrier, static_cast<std::uint32_t>(t.nranks()));
+  for (int s = 0; s < t.nsockets(); ++s)
+    barrier_init(shared_->socket_barrier[s],
+                 static_cast<std::uint32_t>(t.socket_size(s)));
+  for (FifoChannel& ch : channels()) init_channel(ch);
 }
 
 void Team::stamp_sections() {
@@ -777,10 +756,7 @@ Team::IntegrityReport Team::verify_integrity(bool repair) {
       note(who + ": rendezvous retired more descriptors than posted");
       bad = true;
     }
-    if (bad && repair) {
-      ch.~FifoChannel();
-      new (&ch) FifoChannel();
-    }
+    if (bad && repair) init_channel(ch);
   }
 
   if (repair && !rep.findings.empty()) stamp_sections();

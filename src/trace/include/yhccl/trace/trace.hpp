@@ -138,6 +138,20 @@ inline std::uint64_t trace_now() noexcept {
 #endif
 }
 
+/// A tick origin and its ticks-per-second calibration, embedded in the
+/// shared headers of the trace and metrics buffers.  The calibration is
+/// derived from (trace_now, wall-clock) pairs at start() vs. first use and
+/// cached in the shared header, so readers on either side of a fork()
+/// convert ticks identically.
+struct ClockOrigin {
+  std::uint64_t tsc0 = 0;  ///< trace_now() at start()
+  double wall0 = 0;        ///< wall_seconds() at start()
+  mutable mc::atomic<std::uint64_t> hz_bits{0};  ///< cached calibration
+
+  void start() noexcept;
+  double ticks_per_second() const noexcept;
+};
+
 /// Variant byte for copy/reduce spans: bit 0 = non-temporal store path,
 /// bits 1-2 = ISA tier (copy::IsaTier; passed as int to keep trace a leaf).
 constexpr std::uint8_t copy_variant(bool nt, int isa_tier) noexcept {
@@ -168,7 +182,7 @@ class TraceBuffer {
   std::uint32_t slots() const noexcept { return slots_; }
   Mode mode() const noexcept { return mode_; }
   /// Timestamp origin: trace_now() at create; every record is later.
-  std::uint64_t t_origin() const noexcept { return tsc0_; }
+  std::uint64_t t_origin() const noexcept { return clock_.tsc0; }
 
   /// Append one record (single writer per ring; wait-free).  The release
   /// store of the counter publishes the slot; the hb hook documents the
@@ -203,10 +217,10 @@ class TraceBuffer {
     return ring_slot(ring, i & mask_);
   }
 
-  /// Ticks-per-second calibration for converting record timestamps; derived
-  /// from (trace_now, wall-clock) pairs at create vs. first use and cached
-  /// in the shared header, so harvests on either side of a fork() agree.
-  double ticks_per_second() const noexcept;
+  /// Ticks-per-second calibration for converting record timestamps.
+  double ticks_per_second() const noexcept {
+    return clock_.ticks_per_second();
+  }
 
  private:
   TraceBuffer() = default;
@@ -230,9 +244,7 @@ class TraceBuffer {
   std::uint64_t mask_ = 0;
   std::size_t stride_ = 0;
   Mode mode_ = Mode::off;
-  std::uint64_t tsc0_ = 0;   ///< trace_now() at create
-  double wall0_ = 0;         ///< wall_seconds() at create
-  mutable mc::atomic<std::uint64_t> hz_bits_{0};  ///< cached calibration
+  ClockOrigin clock_;  ///< started at create
 };
 
 namespace detail {

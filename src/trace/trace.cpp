@@ -177,38 +177,46 @@ TraceBuffer* TraceBuffer::create(void* mem, std::size_t bytes, int nranks,
   buf->mode_ = mode;
   for (int r = 0; r < buf->nrings(); ++r)
     new (buf->ring_next(r)) mc::atomic<std::uint64_t>(0);
-  buf->wall0_ = wall_seconds();
-  buf->tsc0_ = trace_now();
+  buf->clock_.start();
   return buf;
 }
 
-double TraceBuffer::ticks_per_second() const noexcept {
-  std::uint64_t bits = hz_bits_.load(std::memory_order_acquire);
+// ---------------------------------------------------------------------------
+// ClockOrigin
+// ---------------------------------------------------------------------------
+
+void ClockOrigin::start() noexcept {
+  wall0 = wall_seconds();
+  tsc0 = trace_now();
+}
+
+double ClockOrigin::ticks_per_second() const noexcept {
+  std::uint64_t bits = hz_bits.load(std::memory_order_acquire);
   if (bits != 0) {
     double hz;
     std::memcpy(&hz, &bits, sizeof hz);
     return hz;
   }
-  // Calibrate against the wall clock over the interval since create; pad
+  // Calibrate against the wall clock over the interval since start(); pad
   // with a short busy sample when a harvest runs immediately after
   // construction (unit tests) so the ratio is not noise.
   double wall1 = wall_seconds();
   std::uint64_t tsc1 = trace_now();
-  while (wall1 - wall0_ < 2e-3) {
+  while (wall1 - wall0 < 2e-3) {
     timespec ts{0, 200'000};
     nanosleep(&ts, nullptr);
     wall1 = wall_seconds();
     tsc1 = trace_now();
   }
-  double hz = static_cast<double>(tsc1 - tsc0_) / (wall1 - wall0_);
+  double hz = static_cast<double>(tsc1 - tsc0) / (wall1 - wall0);
   if (!(hz > 0)) hz = 1e9;  // defensive: never divide by zero downstream
   std::memcpy(&bits, &hz, sizeof bits);
   std::uint64_t expect = 0;
   // First calibrator wins; concurrent harvesters adopt its value so every
   // export of this buffer converts ticks identically (incl. across fork()).
-  if (!hz_bits_.compare_exchange_strong(expect, bits,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
+  if (!hz_bits.compare_exchange_strong(expect, bits,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
     std::memcpy(&hz, &expect, sizeof hz);
   }
   return hz;

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
@@ -247,6 +248,173 @@ TEST_P(FaultRecovery, DieAtFoldBarrierThenFoldAgain) {
   });
   for (int r = 0; r < team->nranks(); ++r)
     EXPECT_EQ(bad[r], 0) << "rank " << r;
+}
+
+// The shared-heap cursor is one of the three fields recover() carries across
+// its rebuild of the control block: allocations made after a recovery land
+// past every allocation made before it and past both fold stages, also when
+// the recovery shrinks a process team's membership.
+TEST_P(FaultRecovery, HeapCursorSurvivesRecovery) {
+  auto team = make_team(GetParam(), 4, 2);
+  std::vector<std::pair<const std::byte*, std::size_t>> before;
+  for (int s = 0; s < 2; ++s)
+    before.emplace_back(team->fold_stage(static_cast<std::uint64_t>(s)),
+                        rt::kFoldStageBytes);
+  before.emplace_back(team->shared_alloc(1000), 1000);
+  before.emplace_back(team->shared_alloc(4096, 4096), 4096);
+  const std::byte* end = nullptr;
+  for (const auto& [p, n] : before) end = std::max(end, p + n);
+
+  kill_and_recover(*team, "die@barrier:rank=1:iter=0", 1,
+                   [](rt::RankCtx& ctx) { ctx.barrier(); });
+  expect_membership_after_recovery(*team, GetParam(), 1);
+
+  const std::byte* after = team->shared_alloc(64);
+  EXPECT_GE(after, end) << "a post-recovery allocation overlaps older ones";
+  for (const auto& [p, n] : before)
+    EXPECT_TRUE(after >= p + n || after + 64 <= p)
+        << "overlaps the allocation at heap offset "
+        << (p - team->fold_stage(0));
+}
+
+namespace {
+
+/// Byte range of one field inside a TeamShared.
+struct FieldRange {
+  const char* name;
+  std::size_t off;
+  std::size_t bytes;
+};
+
+template <class T>
+FieldRange field(const char* name, const rt::TeamShared& sh, const T& f) {
+  return {name,
+          static_cast<std::size_t>(reinterpret_cast<const std::byte*>(&f) -
+                                   reinterpret_cast<const std::byte*>(&sh)),
+          sizeof(T)};
+}
+
+std::vector<std::byte> bytes_of(const rt::TeamShared& sh) {
+  std::vector<std::byte> b(sizeof(rt::TeamShared));
+  std::memcpy(b.data(), &sh, b.size());
+  return b;
+}
+
+/// Names the byte ranges of `b` that differ from `a` outside `skip`, by the
+/// field of `names` they fall in ("" when none differ).
+std::string control_block_diff(const std::vector<std::byte>& a,
+                               const std::vector<std::byte>& b,
+                               const std::vector<FieldRange>& skip,
+                               const std::vector<FieldRange>& names) {
+  const auto in = [](const FieldRange& f, std::size_t i) {
+    return i >= f.off && i < f.off + f.bytes;
+  };
+  std::string out;
+  const FieldRange* last = nullptr;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == b[i] ||
+        std::any_of(skip.begin(), skip.end(),
+                    [&](const FieldRange& f) { return in(f, i); }))
+      continue;
+    const auto it = std::find_if(names.begin(), names.end(),
+                                 [&](const FieldRange& f) { return in(f, i); });
+    const FieldRange* f = it == names.end() ? nullptr : &*it;
+    if (f != nullptr && f == last) continue;
+    last = f;
+    out += f != nullptr ? std::string(f->name)
+                        : "byte " + std::to_string(i);
+    out += "; ";
+  }
+  return out;
+}
+
+}  // namespace
+
+// recover() rebuilds the control block as construction builds it: after a
+// workload that dirties it (barrier senses, progress and generic flags,
+// registry windows, persistent sequences, a page lock taken to the grave, the
+// abort word and liveness slots of an injected death), every byte equals a
+// fresh team of the recovered membership except the three carried fields
+// and the section directory (stamped under the new epoch; audited by
+// verify_integrity).  The process team shrinks 4 -> 3, so its node and
+// socket barrier counts must match a fresh 3-rank team's.
+TEST_P(FaultRecovery, RecoveredControlBlockEqualsAFreshOne) {
+  auto team = make_team(GetParam(), 4, 2);
+  const std::size_t n = 512;
+  std::vector<double*> sb(4), rb(4);
+  for (int r = 0; r < 4; ++r) {
+    sb[r] = alloc_f64(*team, n);
+    rb[r] = alloc_f64(*team, n);
+    test::fill_buffer(sb[r], n, Datatype::f64, r, ReduceOp::sum);
+  }
+  team->run([&](rt::RankCtx& ctx) {
+    allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n, Datatype::f64,
+              ReduceOp::sum);
+    ctx.socket_barrier();
+  });
+  team->set_fault_plan(
+      rt::FaultPlan::parse("die@barrier:rank=1:iter=0:once=1"));
+  // The victim, rank 1, dirties every field itself before it dies, so the
+  // dirt does not depend on how far the survivors get before the abort.
+  EXPECT_THROW(team->run([&](rt::RankCtx& ctx) {
+    ctx.publish_buffer(0, rb[ctx.rank()], n * sizeof(double));
+    ctx.flag(ctx.rank()).store(7, std::memory_order_release);
+    ctx.step_publish(rt::RankCtx::step_value(ctx.next_seq(), 1));
+    if (ctx.rank() == 1) ctx.page_locks().lock(0x1000);
+    ctx.barrier();
+  }),
+               Error);
+  team->set_fault_plan(rt::FaultPlan{});
+  const std::vector<std::byte> dirty = bytes_of(team->shared());
+  team->recover();
+  expect_membership_after_recovery(*team, GetParam(), 1);
+
+  rt::TeamConfig fresh_cfg = team->config();
+  fresh_cfg.nranks = team->nranks();
+  std::unique_ptr<rt::Team> fresh;
+  if (GetParam() == Backend::procs)
+    fresh = std::make_unique<rt::ProcessTeam>(fresh_cfg);
+  else
+    fresh = std::make_unique<rt::ThreadTeam>(fresh_cfg);
+
+  const rt::TeamShared& sh = team->shared();
+  const std::vector<FieldRange> carried = {
+      field("heap_cursor", sh, sh.heap_cursor),
+      field("fault.team_epoch", sh, sh.fault.team_epoch),
+      field("fault.inject_fired", sh, sh.fault.inject_fired),
+      field("sections", sh, sh.sections),
+  };
+  const std::vector<FieldRange> names = {
+      field("node_barrier", sh, sh.node_barrier),
+      field("socket_barrier", sh, sh.socket_barrier),
+      field("step", sh, sh.step),
+      field("flag", sh, sh.flag),
+      field("registry", sh, sh.registry),
+      field("dav_out", sh, sh.dav_out),
+      field("time_out", sh, sh.time_out),
+      field("kernels_out", sh, sh.kernels_out),
+      field("sync_out", sh, sh.sync_out),
+      field("persist", sh, sh.persist),
+      field("page_locks", sh, sh.page_locks),
+      field("fault.abort_word", sh, sh.fault.abort_word),
+      field("fault.hb", sh, sh.fault.hb),
+  };
+  const std::vector<std::byte> clean = bytes_of(fresh->shared());
+  // The workload really left the block dirty...
+  const std::string was = control_block_diff(clean, dirty, carried, names);
+  for (const char* f : {"step", "flag", "registry", "persist", "page_locks",
+                        "fault.abort_word", "fault.hb"})
+    EXPECT_NE(was.find(std::string(f) + ";"), std::string::npos)
+        << f << " was not dirtied: " << was;
+  // ...and the recovered one equals the fresh one.
+  EXPECT_EQ(control_block_diff(clean, bytes_of(sh), carried, names), "");
+  EXPECT_EQ(sh.node_barrier.nparticipants,
+            static_cast<std::uint32_t>(team->nranks()));
+  EXPECT_EQ(team->team_epoch(), fresh->team_epoch() + 1);
+  EXPECT_EQ(sh.fault.inject_fired.load(), 1u);
+  const auto rep = team->verify_integrity(/*repair=*/false);
+  EXPECT_TRUE(rep.ok()) << (rep.ok() ? "" : rep.findings.front());
+  run_matrix(*team);
 }
 
 // The direct arm reads peers' own buffers: on thread teams anywhere, on
