@@ -9,9 +9,12 @@
 //               | alltoall
 //   -m min:max  message size sweep in bytes (powers of two)
 //   -c          validate results against a reference reduction
-//   -a          auto | ma | socket-ma | dpml-2l   (reductions only)
-//               | fold   (allreduce up to fold_max_bytes(ranks) only)
-//               | direct (allreduce only; ranks are threads here)
+//   -a          auto, or an arm the collective has a row for in the arm
+//               table (yhccl/coll/arm_table.hpp): e.g. ma, socket-ma,
+//               dpml-2l, fold (allreduce up to fold_max_bytes(ranks)),
+//               direct (ranks are threads here), pipelined (bcast,
+//               allgather).  Any other name exits 2 and lists the valid
+//               ones.
 //
 // Prints the OSU columns: size, average latency (us), min/max across
 // repetitions.
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/extra.hpp"
 #include "yhccl/common/time.hpp"
@@ -42,6 +46,7 @@ struct Args {
 
 Args parse(int argc, char** argv) {
   Args a;
+  std::string algo = "auto";
   if (argc > 1 && argv[1][0] != '-') a.collective = argv[1];
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
@@ -60,14 +65,25 @@ Args parse(int argc, char** argv) {
                         : std::strtoull(range.c_str() + colon + 1, nullptr,
                                         10);
     } else if (s == "-a") {
-      const std::string v = next();
-      if (v == "ma") a.algo = coll::Algorithm::ma_flat;
-      else if (v == "socket-ma") a.algo = coll::Algorithm::ma_socket_aware;
-      else if (v == "dpml-2l") a.algo = coll::Algorithm::dpml_two_level;
-      else if (v == "fold") a.algo = coll::Algorithm::fold;
-      else if (v == "direct") a.algo = coll::Algorithm::direct;
+      algo = next();
     }
   }
+  // The arms of the collective: its rows (alltoall has none).
+  const auto kind = a.collective == "bcast"
+                        ? coll::CollKind::broadcast
+                        : coll::coll_kind_from_name(a.collective);
+  std::string valid = "auto";
+  for (const coll::ArmRow& row : coll::arm_rows())
+    if (kind && row.kind == *kind)
+      valid += std::string(" ") + coll::algorithm_name(row.algorithm);
+  const auto alg = coll::algorithm_from_name(algo);
+  if (!alg || (*alg != coll::Algorithm::automatic &&
+               (!kind || coll::find_arm(*kind, *alg) == nullptr))) {
+    std::fprintf(stderr, "osu_microbench: -a %s: %s runs one of: %s\n",
+                 algo.c_str(), a.collective.c_str(), valid.c_str());
+    std::exit(2);
+  }
+  a.algo = *alg;
   return a;
 }
 

@@ -31,6 +31,7 @@
 #include <bit>
 #include <cstddef>
 
+#include "yhccl/common/coll_names.hpp"
 #include "yhccl/common/types.hpp"
 #include "yhccl/copy/policy.hpp"
 #include "yhccl/runtime/team.hpp"
@@ -38,50 +39,6 @@
 namespace yhccl::coll {
 
 using rt::RankCtx;
-
-enum class CollKind : int {
-  allreduce,
-  reduce,
-  reduce_scatter,
-  broadcast,
-  allgather,
-  kCount_,
-};
-
-constexpr const char* coll_kind_name(CollKind k) noexcept {
-  switch (k) {
-    case CollKind::allreduce: return "allreduce";
-    case CollKind::reduce: return "reduce";
-    case CollKind::reduce_scatter: return "reduce_scatter";
-    case CollKind::broadcast: return "broadcast";
-    case CollKind::allgather: return "allgather";
-    default: return "?";
-  }
-}
-
-enum class Algorithm : int {
-  automatic,        ///< paper §5.1 switching rules (tuner-eligible)
-  ma_flat,          ///< movement-avoiding reduction, single level (§3.3)
-  ma_socket_aware,  ///< two-level socket-aware MA (§3.3, Fig. 7)
-  dpml_two_level,   ///< hierarchical parallel reduction for small messages
-  pipelined,        ///< sliced pipeline (broadcast/allgather only, §3.4)
-  fold,             ///< one-barrier staged fold (small allreduce only)
-  direct,           ///< single-copy allreduce/reduce_scatter (shared
-                    ///< address space or shared windows only)
-};
-
-constexpr const char* algorithm_name(Algorithm a) noexcept {
-  switch (a) {
-    case Algorithm::automatic: return "auto";
-    case Algorithm::ma_flat: return "ma";
-    case Algorithm::ma_socket_aware: return "socket-ma";
-    case Algorithm::dpml_two_level: return "dpml-2l";
-    case Algorithm::pipelined: return "pipelined";
-    case Algorithm::fold: return "fold";
-    case Algorithm::direct: return "direct";
-  }
-  return "?";
-}
 
 /// Largest allreduce message the fold arm serves on a p-rank team: each
 /// rank owns one power-of-two slot of the team's fold stage, so p·s never
@@ -109,6 +66,21 @@ struct CollOpts {
 };
 
 // ---- generic, algorithm-switching entry points ----------------------------
+
+/// The arguments of one collective call.  Broadcast's buffer is `recv`;
+/// `op` and `root` are ignored where the collective takes none.
+struct CollArgs {
+  const void* send = nullptr;
+  void* recv = nullptr;
+  std::size_t count = 0;
+  Datatype dtype = Datatype::f64;
+  ReduceOp op = ReduceOp::sum;
+  int root = 0;
+};
+
+/// Any collective: the per-kind entry points below, by kind.
+void collective(RankCtx& ctx, CollKind kind, const CollArgs& args,
+                const CollOpts& opts = {});
 
 void reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                     std::size_t count, Datatype d, ReduceOp op,

@@ -174,13 +174,12 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
 
 // ---- candidate arms ---------------------------------------------------------
 
-/// Candidate schedules the online mode explores for a key: for reductions
-/// the prior's algorithm and the DPML/MA arms (socket-aware only on valid
-/// topologies; fold and direct are only ever arm 0, because the buckets
-/// they may serve are exactly those whose prior picks them) plus
-/// pinned-NT variants of the prior's choice; for broadcast/allgather
-/// alternative pipeline slice sizes plus pinned-NT variants.  Arm 0 is
-/// always the analytic prior, and arm[i].arm == i.  Pure function of
+/// Candidate schedules the online mode explores for a key.  Arm 0 is the
+/// analytic prior; then the other arm-table rows of the key's collective
+/// whose need the team's caps meet, in table order (a row whose need
+/// depends on the call, fold or direct, is only ever the prior's arm 0);
+/// for broadcast/allgather alternative pipeline slice sizes; then
+/// pinned-NT variants of the prior.  arm[i].arm == i.  Pure function of
 /// (key, opts, caps), so all ranks enumerate identical tables.
 struct ArmTable {
   Plan arm[rt::kPlanMaxArms];

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
 
@@ -283,20 +284,20 @@ ArmTable arms(const PlanKey& key, const CollOpts& opts,
   const auto add = [&t](const Plan& p) { t.arm[t.n++] = p; };
   const Plan prior = prior_plan(key, opts, caps);
   add(prior);
-  if (is_reduction(key.kind)) {
-    // Direct is only ever arm 0: the prior serves it in every bucket where
-    // it may run, and fold buckets keep the table both backends share.
-    const Algorithm alts[] = {Algorithm::dpml_two_level, Algorithm::ma_flat,
-                              Algorithm::ma_socket_aware};
-    for (const Algorithm a : alts) {
-      if (a == prior.algorithm) continue;
-      if (a == Algorithm::ma_socket_aware && !socket_topology(caps.topo()))
-        continue;
-      Plan p = prior;
-      p.algorithm = a;
-      add(p);
-    }
-  } else if (opts.slice_max == CollOpts{}.slice_max) {
+  // The other rows of the key's collective, in table order.  A row whose
+  // need depends on the call (fold, direct) is only ever arm 0: the prior
+  // serves it in every bucket where it may run, and fold buckets keep the
+  // table both backends share.
+  for (const ArmRow& row : arm_rows()) {
+    if (row.kind != key.kind || row.algorithm == prior.algorithm) continue;
+    if (call_dependent(row.need)) continue;
+    if (row.need == ArmNeed::socket_topology && !socket_topology(caps.topo()))
+      continue;
+    Plan p = prior;
+    p.algorithm = row.algorithm;
+    add(p);
+  }
+  if (!is_reduction(key.kind) && opts.slice_max == CollOpts{}.slice_max) {
     // Alternative pipeline depths around the paper's Imax = 256 KB; apply()
     // honors them only when the caller kept the default, so these arms are
     // meaningful exactly when they are enumerated.

@@ -10,7 +10,10 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/common/error.hpp"
 
@@ -42,52 +45,19 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-bool kind_from_name(const std::string& s, CollKind* out) {
-  for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k)
-    if (s == coll_kind_name(static_cast<CollKind>(k))) {
-      *out = static_cast<CollKind>(k);
-      return true;
-    }
-  return false;
-}
+constexpr Datatype kDtypes[] = {Datatype::u8, Datatype::i32, Datatype::i64,
+                                Datatype::f32, Datatype::f64};
+constexpr ReduceOp kOps[] = {ReduceOp::sum, ReduceOp::prod, ReduceOp::max,
+                             ReduceOp::min, ReduceOp::band, ReduceOp::bor};
+constexpr NtChoice kNts[] = {NtChoice::adaptive, NtChoice::temporal,
+                             NtChoice::stream};
 
-bool dtype_from_name(const std::string& s, Datatype* out) {
-  for (const auto d : {Datatype::u8, Datatype::i32, Datatype::i64,
-                       Datatype::f32, Datatype::f64})
-    if (s == dtype_name(d)) {
-      *out = d;
-      return true;
-    }
-  return false;
-}
-
-bool op_from_name(const std::string& s, ReduceOp* out) {
-  for (const auto o : {ReduceOp::sum, ReduceOp::prod, ReduceOp::max,
-                       ReduceOp::min, ReduceOp::band, ReduceOp::bor})
-    if (s == op_name(o)) {
-      *out = o;
-      return true;
-    }
-  return false;
-}
-
-bool alg_from_name(const std::string& s, Algorithm* out) {
-  for (const auto a :
-       {Algorithm::automatic, Algorithm::ma_flat, Algorithm::ma_socket_aware,
-        Algorithm::dpml_two_level, Algorithm::pipelined, Algorithm::fold,
-        Algorithm::direct})
-    if (s == algorithm_name(a)) {
-      *out = a;
-      return true;
-    }
-  return false;
-}
-
-bool nt_from_name(const std::string& s, NtChoice* out) {
-  for (const auto n :
-       {NtChoice::adaptive, NtChoice::temporal, NtChoice::stream})
-    if (s == nt_choice_name(n)) {
-      *out = n;
+/// The value of `all` whose `name` is `s`.
+template <typename E, std::size_t N, typename Name>
+bool from_name(const std::string& s, const E (&all)[N], Name name, E* out) {
+  for (const E v : all)
+    if (s == name(v)) {
+      *out = v;
       return true;
     }
   return false;
@@ -111,56 +81,49 @@ bool log2_field(std::uint64_t bytes, std::uint8_t* out) {
   return true;
 }
 
-/// Map a bench-report arm label onto a schedulable algorithm.  Baseline
-/// arms (MPI, rings, Rabenseifner, "auto" itself) are not plans and are
-/// skipped by returning false.
+/// Bench-report labels that are not an algorithm_name.
+constexpr std::pair<std::string_view, Algorithm> kBenchAliases[] = {
+    {"dpml", Algorithm::dpml_two_level},
+    {"dpml-two-level", Algorithm::dpml_two_level},
+    {"yhccl-dpml", Algorithm::dpml_two_level},
+    {"ma-socket", Algorithm::ma_socket_aware},
+    {"flat-ma", Algorithm::ma_flat},
+    {"ma-flat", Algorithm::ma_flat},
+};
+
+/// Map a bench-report arm label, in any case, onto a named algorithm.
+/// Baseline arms (MPI, rings, Rabenseifner, "auto" itself) are not plans
+/// and are skipped by returning false.
 bool normalize_bench_arm(std::string name, Algorithm* out) {
   std::transform(name.begin(), name.end(), name.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  if (name == "dpml-2l" || name == "dpml" || name == "dpml-two-level" ||
-      name == "yhccl-dpml") {
-    *out = Algorithm::dpml_two_level;
-    return true;
-  }
-  if (name == "socket-ma" || name == "ma-socket" || name == "yhccl-socket-ma") {
-    *out = Algorithm::ma_socket_aware;
-    return true;
-  }
-  if (name == "ma" || name == "flat-ma" || name == "ma-flat" ||
-      name == "yhccl-ma") {
-    *out = Algorithm::ma_flat;
-    return true;
-  }
-  if (name == "pipelined" || name == "yhccl-pipelined") {
-    *out = Algorithm::pipelined;
-    return true;
-  }
-  if (name == "fold" || name == "yhccl-fold") {
-    *out = Algorithm::fold;
-    return true;
-  }
-  if (name == "direct" || name == "yhccl-direct") {
-    *out = Algorithm::direct;
-    return true;
-  }
-  return false;
+  for (const auto& [alias, alg] : kBenchAliases)
+    if (name == alias) {
+      *out = alg;
+      return true;
+    }
+  // Otherwise a row's name, bare or behind "yhccl-" (DPML's prefixed
+  // label is "yhccl-dpml", an alias above).
+  std::string_view v = name;
+  const bool prefixed = v.starts_with("yhccl-");
+  if (prefixed) v.remove_prefix(6);
+  const auto a = algorithm_from_name(v);
+  if (!a || *a == Algorithm::automatic ||
+      (prefixed && *a == Algorithm::dpml_two_level))
+    return false;
+  *out = *a;
+  return true;
 }
 
-/// May a plan naming `alg` serve `key` on a team with `caps`?  Never a
-/// pipeline for a reduction; direct only in the buckets where the
-/// default-option prior serves it on this backend (a forked team's window
-/// verdict falls back there); fold only where the default-option prior
-/// picks it (there every call of the bucket fits its fold stage, on either
-/// backend).
+/// May a plan naming `alg` serve `key` on a team with `caps`?  Only if
+/// the collective has a row for it, and a row whose need depends on the
+/// call (fold, direct) only where the default-option prior serves it on
+/// this backend, as in arms(): there every call of the bucket fits the
+/// fold stage, and a forked team's negative window verdict falls back.
 bool servable(Algorithm alg, const PlanKey& key, const rt::PlanCaps& caps) {
-  if (is_reduction(key.kind) && alg == Algorithm::pipelined) return false;
-  if (alg != Algorithm::fold && alg != Algorithm::direct) return true;
-  const CollOpts defaults{};
-  const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, defaults);
-  if (alg == Algorithm::direct)
-    return serves_direct(key.kind, rep, defaults, caps);
-  return staged_reduction_algorithm(key.kind, rep, defaults, caps.topo()) ==
-         Algorithm::fold;
+  const ArmRow* row = find_arm(key.kind, alg);
+  return row != nullptr && (!call_dependent(row->need) ||
+                            prior_plan(key, CollOpts{}, caps).algorithm == alg);
 }
 
 Json entry_to_json(std::uint64_t sig, const PlanKey& key, const Plan& p) {
@@ -215,24 +178,26 @@ void validate_plan_json(const Json& doc) {
     check(e["arm"].as_int() >= 0 && e["arm"].as_int() < rt::kPlanMaxArms,
           "arm outside the arm table", i);
     check(e["nt_prior"].is_bool(), "nt_prior", i);
-    CollKind kind;
     Datatype d;
     ReduceOp op;
-    Algorithm alg;
     NtChoice nt;
-    check(kind_from_name(e["collective"].as_string(), &kind),
-          "unknown collective", i);
-    check(dtype_from_name(e["dtype"].as_string(), &d), "unknown dtype", i);
-    check(op_from_name(e["op"].as_string(), &op), "unknown op", i);
-    check(alg_from_name(e["algorithm"].as_string(), &alg) &&
-              alg != Algorithm::automatic,
-          "unknown algorithm", i);
-    check(alg != Algorithm::fold || kind == CollKind::allreduce,
-          "the fold algorithm serves allreduce only", i);
-    check(alg != Algorithm::direct || kind == CollKind::allreduce ||
-              kind == CollKind::reduce_scatter,
-          "the direct algorithm serves allreduce/reduce_scatter only", i);
-    check(nt_from_name(e["nt"].as_string(), &nt), "unknown nt", i);
+    const auto kind = coll_kind_from_name(e["collective"].as_string());
+    check(kind.has_value(), "unknown collective", i);
+    check(from_name(e["dtype"].as_string(), kDtypes, dtype_name, &d),
+          "unknown dtype", i);
+    check(from_name(e["op"].as_string(), kOps, op_name, &op), "unknown op", i);
+    const auto alg = algorithm_from_name(e["algorithm"].as_string());
+    check(alg && *alg != Algorithm::automatic, "unknown algorithm", i);
+    // An arm that runs only where the prior serves it (fold, direct) must
+    // name a collective it has a row for.  load_plans maps any other
+    // arm under broadcast/allgather to the pipeline and drops the rest.
+    if (find_arm(*kind, *alg) == nullptr &&
+        std::ranges::any_of(arm_rows(), [&](const ArmRow& r) {
+          return r.algorithm == *alg && call_dependent(r.need);
+        }))
+      check(false, arm_serves_only(*alg).c_str(), i);
+    check(from_name(e["nt"].as_string(), kNts, nt_choice_name, &nt),
+          "unknown nt", i);
     check(e["ranks"].as_int() >= 1 && e["sockets"].as_int() >= 1 &&
               e["sockets"].as_int() <= e["ranks"].as_int(),
           "bad shape", i);
@@ -299,17 +264,19 @@ int load_plans(rt::Team& team, const Json& doc) {
   for (const auto& e : doc["plans"].items()) {
     if (e["signature"].as_string() != mysig) continue;
     PlanKey key;
-    kind_from_name(e["collective"].as_string(), &key.kind);
-    dtype_from_name(e["dtype"].as_string(), &key.dtype);
-    op_from_name(e["op"].as_string(), &key.op);
+    key.kind = *coll_kind_from_name(e["collective"].as_string());
+    from_name(e["dtype"].as_string(), kDtypes, dtype_name, &key.dtype);
+    from_name(e["op"].as_string(), kOps, op_name, &key.op);
     key.ranks = static_cast<int>(e["ranks"].as_int());
     key.sockets = static_cast<int>(e["sockets"].as_int());
     key.bucket = static_cast<std::uint8_t>(e["bucket"].as_int());
     if (key.ranks != topo.nranks() || key.sockets != topo.nsockets())
       continue;
     Plan p;
-    alg_from_name(e["algorithm"].as_string(), &p.algorithm);
-    nt_from_name(e["nt"].as_string(), &p.nt);
+    p.algorithm = *algorithm_from_name(e["algorithm"].as_string());
+    // Broadcast and allgather run the pipeline whatever arm an entry names.
+    if (!is_reduction(key.kind)) p.algorithm = Algorithm::pipelined;
+    from_name(e["nt"].as_string(), kNts, nt_choice_name, &p.nt);
     log2_field(e["slice_max"].as_uint(), &p.slice_log2);
     log2_field(e["dpml_chunk"].as_uint(), &p.chunk_log2);
     p.nt_prior = e["nt_prior"].as_bool();
@@ -320,7 +287,6 @@ int load_plans(rt::Team& team, const Json& doc) {
     if (!servable(p.algorithm, key, caps)) continue;
     // Online refinement indexes the key's arm statistics with it.
     if (p.arm >= arms(key, defaults, caps).n) continue;
-    if (!is_reduction(key.kind)) p.algorithm = Algorithm::pipelined;
     auto* slot = reg->acquire(key.hash(caps.signature(), dsig),
                               key.packed_fields());
     if (slot == nullptr) continue;  // probe window full: drop this entry
@@ -394,19 +360,18 @@ Json warm_from_bench(const Json& report) {
   std::map<std::uint64_t, Best> best[2];
   const CollOpts defaults{};
   for (const auto& s : report["series"].items()) {
-    CollKind kind;
+    const auto kind = coll_kind_from_name(s["collective"].as_string());
     Algorithm alg;
-    if (!kind_from_name(s["collective"].as_string(), &kind)) continue;
-    if (!normalize_bench_arm(s["algorithm"].as_string(), &alg)) continue;
-    if (is_reduction(kind) == (alg == Algorithm::pipelined)) continue;
+    if (!kind || !normalize_bench_arm(s["algorithm"].as_string(), &alg))
+      continue;
     const int ranks = static_cast<int>(s["ranks"].as_int());
     const int sockets = static_cast<int>(s["sockets"].as_int());
     if (ranks < 1 || sockets < 1 || sockets > ranks) continue;
     const double median = s["time"]["median_s"].as_double();
     if (median <= 0) continue;
     PlanKey key;
-    key.kind = kind;
-    key.bucket = bucket_of(kind, s["bytes"].as_uint(), defaults);
+    key.kind = *kind;
+    key.bucket = bucket_of(*kind, s["bytes"].as_uint(), defaults);
     key.ranks = ranks;
     key.sockets = sockets;
     for (const bool shared : {false, true}) {

@@ -40,9 +40,7 @@ constexpr const char* kCsvHeader = "kind,count,dtype,op,root,seconds";
 }
 
 CollKind parse_kind(std::size_t ln, const std::string& s) {
-  for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k)
-    if (s == coll_kind_name(static_cast<CollKind>(k)))
-      return static_cast<CollKind>(k);
+  if (const auto k = coll_kind_from_name(s)) return *k;
   raise_at(ln, "unknown collective kind '" + s + "'");
 }
 
@@ -142,12 +140,13 @@ CollTrace CollTrace::from_csv(const std::string& csv) {
 
 namespace {
 
-template <typename Fn>
-void traced(CollTrace& trace, TraceEvent e, const Fn& fn) {
+/// Run one collective through collective() and record it with its time.
+void traced(CollTrace& trace, RankCtx& ctx, CollKind kind,
+            const CollArgs& args, const CollOpts& opts) {
   const Timer timer;
-  fn();
-  e.seconds = timer.elapsed();
-  trace.record(e);
+  collective(ctx, kind, args, opts);
+  trace.record({kind, args.count, args.dtype, args.op, args.root,
+                timer.elapsed()});
 }
 
 }  // namespace
@@ -155,34 +154,32 @@ void traced(CollTrace& trace, TraceEvent e, const Fn& fn) {
 void allreduce(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
                std::size_t count, Datatype d, ReduceOp op,
                const CollOpts& opts) {
-  traced(trace, {CollKind::allreduce, count, d, op, 0, 0},
-         [&] { allreduce(ctx, send, recv, count, d, op, opts); });
+  traced(trace, ctx, CollKind::allreduce, {send, recv, count, d, op, 0}, opts);
 }
 
 void reduce(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
             std::size_t count, Datatype d, ReduceOp op, int root,
             const CollOpts& opts) {
-  traced(trace, {CollKind::reduce, count, d, op, root, 0},
-         [&] { reduce(ctx, send, recv, count, d, op, root, opts); });
+  traced(trace, ctx, CollKind::reduce, {send, recv, count, d, op, root}, opts);
 }
 
 void reduce_scatter(CollTrace& trace, RankCtx& ctx, const void* send,
                     void* recv, std::size_t count, Datatype d, ReduceOp op,
                     const CollOpts& opts) {
-  traced(trace, {CollKind::reduce_scatter, count, d, op, 0, 0},
-         [&] { reduce_scatter(ctx, send, recv, count, d, op, opts); });
+  traced(trace, ctx, CollKind::reduce_scatter, {send, recv, count, d, op, 0},
+         opts);
 }
 
 void broadcast(CollTrace& trace, RankCtx& ctx, void* buf, std::size_t count,
                Datatype d, int root, const CollOpts& opts) {
-  traced(trace, {CollKind::broadcast, count, d, ReduceOp::sum, root, 0},
-         [&] { broadcast(ctx, buf, count, d, root, opts); });
+  traced(trace, ctx, CollKind::broadcast,
+         {buf, buf, count, d, ReduceOp::sum, root}, opts);
 }
 
 void allgather(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
                std::size_t count, Datatype d, const CollOpts& opts) {
-  traced(trace, {CollKind::allgather, count, d, ReduceOp::sum, 0, 0},
-         [&] { allgather(ctx, send, recv, count, d, opts); });
+  traced(trace, ctx, CollKind::allgather,
+         {send, recv, count, d, ReduceOp::sum, 0}, opts);
 }
 
 ReplayResult replay(RankCtx& ctx, const CollTrace& trace,
@@ -194,20 +191,10 @@ ReplayResult replay(RankCtx& ctx, const CollTrace& trace,
   const auto p = static_cast<std::size_t>(ctx.nranks());
   for (const auto& e : trace.events()) {
     const std::size_t bytes = e.count * dtype_size(e.dtype);
-    switch (e.kind) {
-      case CollKind::reduce_scatter:
-        max_send = std::max(max_send, bytes * p);
-        max_recv = std::max(max_recv, bytes);
-        break;
-      case CollKind::allgather:
-        max_send = std::max(max_send, bytes);
-        max_recv = std::max(max_recv, bytes * p);
-        break;
-      default:
-        max_send = std::max(max_send, bytes);
-        max_recv = std::max(max_recv, bytes);
-        break;
-    }
+    max_send = std::max(
+        max_send, e.kind == CollKind::reduce_scatter ? bytes * p : bytes);
+    max_recv =
+        std::max(max_recv, e.kind == CollKind::allgather ? bytes * p : bytes);
   }
   if (send_buf.size() < max_send) send_buf.assign(max_send, 1);
   if (recv_buf.size() < max_recv) recv_buf.assign(max_recv, 0);
@@ -215,29 +202,10 @@ ReplayResult replay(RankCtx& ctx, const CollTrace& trace,
   ReplayResult r;
   const Timer timer;
   for (const auto& e : trace.events()) {
-    switch (e.kind) {
-      case CollKind::allreduce:
-        allreduce(ctx, send_buf.data(), recv_buf.data(), e.count, e.dtype,
-                  e.op, opts);
-        break;
-      case CollKind::reduce:
-        reduce(ctx, send_buf.data(), recv_buf.data(), e.count, e.dtype,
-               e.op, e.root, opts);
-        break;
-      case CollKind::reduce_scatter:
-        reduce_scatter(ctx, send_buf.data(), recv_buf.data(), e.count,
-                       e.dtype, e.op, opts);
-        break;
-      case CollKind::broadcast:
-        broadcast(ctx, recv_buf.data(), e.count, e.dtype, e.root, opts);
-        break;
-      case CollKind::allgather:
-        allgather(ctx, send_buf.data(), recv_buf.data(), e.count, e.dtype,
-                  opts);
-        break;
-      default:
-        raise("replay: unsupported event kind");
-    }
+    collective(ctx, e.kind,
+               {send_buf.data(), recv_buf.data(), e.count, e.dtype, e.op,
+                e.root},
+               opts);
     ++r.events;
     r.payload_bytes += e.count * dtype_size(e.dtype);
   }

@@ -20,15 +20,13 @@ namespace yhccl::metrics {
 namespace {
 
 int coll_id_from_name(const std::string& s) noexcept {
-  for (int i = 1; i < kCollSlots; ++i)
-    if (s == coll_slot_name(i)) return i;
-  return 0;
+  const auto k = coll::coll_kind_from_name(s);
+  return k ? 1 + static_cast<int>(*k) : 0;
 }
 
 int alg_id_from_name(const std::string& s) noexcept {
-  for (int i = 1; i < kAlgSlots; ++i)
-    if (s == alg_slot_name(i)) return i;
-  return 0;
+  const auto a = coll::algorithm_from_name(s);
+  return a ? 1 + static_cast<int>(*a) : 0;
 }
 
 double median_of(std::vector<double> v) {
@@ -212,7 +210,7 @@ bench::Json Snapshot::to_json() const {
       const std::uint64_t gge = r.plan_gauge[c];
       if (!gauge_valid(gge)) continue;
       bench::Json p = bench::Json::object();
-      p.set("coll", coll_slot_name(c));
+      p.set("coll", trace::coll_id_name(c));
       p.set("alg", alg_slot_name(gauge_alg(gge)));
       p.set("arm", static_cast<std::int64_t>(gauge_arm(gge)));
       p.set("source", static_cast<std::int64_t>(gauge_source(gge)));
@@ -234,7 +232,7 @@ bench::Json Snapshot::to_json() const {
     bench::Json cells = bench::Json::array();
     for (const CellSnap& c : r.cells) {
       bench::Json e = bench::Json::object();
-      e.set("coll", coll_slot_name(c.coll));
+      e.set("coll", trace::coll_id_name(c.coll));
       e.set("alg", alg_slot_name(c.alg));
       e.set("size_bucket", static_cast<std::int64_t>(c.size_bucket));
       e.set("calls", c.calls);
@@ -410,7 +408,7 @@ std::string Snapshot::prometheus() const {
       appendf(out,
               "yhccl_coll_calls_total{rank=\"%d\",coll=\"%s\",alg=\"%s\","
               "size_bucket=\"%d\"} %llu\n",
-              r.rank, coll_slot_name(c.coll), alg_slot_name(c.alg),
+              r.rank, trace::coll_id_name(c.coll), alg_slot_name(c.alg),
               c.size_bucket, static_cast<unsigned long long>(c.calls));
   emit_meta(out, "yhccl_coll_payload_bytes_total",
             "Collective payload bytes by rank/collective/algorithm/size "
@@ -421,7 +419,7 @@ std::string Snapshot::prometheus() const {
       appendf(out,
               "yhccl_coll_payload_bytes_total{rank=\"%d\",coll=\"%s\","
               "alg=\"%s\",size_bucket=\"%d\"} %llu\n",
-              r.rank, coll_slot_name(c.coll), alg_slot_name(c.alg),
+              r.rank, trace::coll_id_name(c.coll), alg_slot_name(c.alg),
               c.size_bucket, static_cast<unsigned long long>(c.bytes));
 
   // Latency histograms, aggregated per (coll, alg) across ranks and size
@@ -442,7 +440,7 @@ std::string Snapshot::prometheus() const {
   emit_meta(out, "yhccl_coll_latency_seconds",
             "Collective call latency by collective/algorithm.", "histogram");
   for (const auto& [key, a] : aggs) {
-    const char* coll = coll_slot_name(key.first);
+    const char* coll = trace::coll_id_name(key.first);
     const char* alg = alg_slot_name(key.second);
     std::uint64_t cum = 0;
     for (int b = 0; b < kLatBuckets - 1; ++b) {
@@ -1035,7 +1033,7 @@ std::string render_top(const Snapshot& snap, const Snapshot* prev,
     std::string plan = "-";
     for (int c = kCollSlots - 1; c >= 1; --c)
       if (gauge_valid(r.plan_gauge[c])) {
-        plan = std::string(coll_slot_name(c)) + ":" +
+        plan = std::string(trace::coll_id_name(c)) + ":" +
                alg_slot_name(gauge_alg(r.plan_gauge[c])) + "#" +
                std::to_string(gauge_arm(r.plan_gauge[c]));
         break;
@@ -1073,8 +1071,8 @@ std::string render_top(const Snapshot& snap, const Snapshot* prev,
   for (const auto& [key, a] : aggs) {
     std::uint64_t total = 0;
     for (int b = 0; b < kLatBuckets; ++b) total += a.hist[b];
-    const std::string name = std::string(coll_slot_name(key.first)) + "/" +
-                             alg_slot_name(key.second);
+    const std::string name = std::string(trace::coll_id_name(key.first)) +
+                             "/" + alg_slot_name(key.second);
     appendf(out, " %-28s  %7llu  %9s  %8.1fus %8.1fus %8.1fus\n",
             name.c_str(), static_cast<unsigned long long>(a.calls),
             human_bytes(static_cast<double>(a.bytes)).c_str(),

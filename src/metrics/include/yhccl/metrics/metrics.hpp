@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "yhccl/common/coll_names.hpp"
 #include "yhccl/common/error.hpp"
 #include "yhccl/common/types.hpp"
 #include "yhccl/mc/atomic.hpp"
@@ -59,10 +60,10 @@ int interval_ms_from_env();
 // ---- registry geometry ------------------------------------------------------
 
 /// Collective-kind ids: 0 = outside/unknown, 1 + coll::CollKind otherwise —
-/// the same convention as trace::coll_id_name (test_metrics pins them).
-inline constexpr int kCollSlots = 6;
+/// the same convention as trace::coll_id_name.
+inline constexpr int kCollSlots = 1 + coll::kCollKindCount;
 /// Algorithm ids: 0 = unknown, 1 + coll::Algorithm otherwise.
-inline constexpr int kAlgSlots = 8;
+inline constexpr int kAlgSlots = 1 + coll::kAlgorithmCount;
 /// log2 size classes over payload bytes (covers 0 .. >8 GiB).
 inline constexpr int kSizeBuckets = 34;
 /// log2 latency histogram buckets over TSC ticks.
@@ -71,8 +72,12 @@ inline constexpr int kLatBuckets = 32;
 inline constexpr int kWindowSlots = 128;
 inline constexpr int kCellCount = kCollSlots * kAlgSlots * kSizeBuckets;
 
-const char* coll_slot_name(int id) noexcept;
-const char* alg_slot_name(int id) noexcept;
+/// Slot labels: trace::coll_id_name for kinds, and coll::algorithm_name
+/// for algorithms ("?" for slot 0).
+constexpr const char* alg_slot_name(int id) noexcept {
+  return id == 0 ? "?"
+                 : coll::algorithm_name(static_cast<coll::Algorithm>(id - 1));
+}
 
 /// log2 bucketing shared by the latency histograms and the size classes:
 /// bucket 0 holds exactly {0}; bucket b >= 1 covers [2^(b-1), 2^b); the

@@ -56,39 +56,6 @@ int interval_ms_from_env() {
 }
 
 // ---------------------------------------------------------------------------
-// Name tables
-// ---------------------------------------------------------------------------
-
-const char* coll_slot_name(int id) noexcept {
-  // 1 + coll::CollKind, the trace::coll_id_name convention (test_metrics
-  // pins this to coll_kind_name).
-  switch (id) {
-    case 0: return "";
-    case 1: return "allreduce";
-    case 2: return "reduce";
-    case 3: return "reduce_scatter";
-    case 4: return "broadcast";
-    case 5: return "allgather";
-    default: return "?";
-  }
-}
-
-const char* alg_slot_name(int id) noexcept {
-  // 1 + coll::Algorithm; test_metrics pins this to algorithm_name.
-  switch (id) {
-    case 0: return "?";
-    case 1: return "automatic";
-    case 2: return "ma_flat";
-    case 3: return "ma_socket_aware";
-    case 4: return "dpml_two_level";
-    case 5: return "pipelined";
-    case 6: return "fold";
-    case 7: return "direct";
-    default: return "?";
-  }
-}
-
-// ---------------------------------------------------------------------------
 // MetricsBuffer
 // ---------------------------------------------------------------------------
 

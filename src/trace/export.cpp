@@ -234,9 +234,7 @@ bool validate_chrome(const bench::Json& j, std::string* err) {
     if (e["name"].as_string() == phase_name(Phase::coll)) {
       const bench::Json& alg = e["args"]["alg"];
       if (!alg.is_integer() || alg.as_int() < 0 ||
-          alg.as_int() >= kMaxAlgIds ||
-          std::string(alg_id_name(static_cast<std::uint8_t>(alg.as_int()))) ==
-              "?")
+          alg.as_int() >= coll::kAlgorithmCount)
         return fail(err, at + "coll span without a known alg id");
     }
   }

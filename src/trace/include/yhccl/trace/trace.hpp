@@ -25,6 +25,7 @@
 #include <cstdint>
 
 #include "yhccl/analysis/hb.hpp"
+#include "yhccl/common/coll_names.hpp"
 #include "yhccl/common/error.hpp"
 #include "yhccl/common/types.hpp"
 #include "yhccl/mc/atomic.hpp"
@@ -78,16 +79,18 @@ enum class Phase : std::uint8_t {
 const char* phase_name(Phase p) noexcept;
 
 /// Collective-kind ids stamped into records: 0 = outside any collective,
-/// 1 + coll::CollKind otherwise.  The name table mirrors coll_kind_name
-/// (trace sits below yhccl_coll; test_phase_trace pins the two together).
-inline constexpr int kMaxCollIds = 8;
-const char* coll_id_name(std::uint8_t id) noexcept;
+/// 1 + coll::CollKind otherwise, named by coll::coll_kind_name.
+constexpr const char* coll_id_name(std::uint8_t id) noexcept {
+  return id == 0 ? ""
+                 : coll::coll_kind_name(static_cast<coll::CollKind>(id - 1));
+}
 
 /// Algorithm ids in the variant byte of Phase::coll records: coll::Algorithm
-/// (0 = auto).  The name table mirrors coll::algorithm_name (pinned by
-/// test_phase_trace); the Chrome export and trace_check use it.
-inline constexpr int kMaxAlgIds = 8;
-const char* alg_id_name(std::uint8_t id) noexcept;
+/// (0 = auto), named by coll::algorithm_name; the Chrome export and
+/// trace_check use it.
+constexpr const char* alg_id_name(std::uint8_t id) noexcept {
+  return coll::algorithm_name(static_cast<coll::Algorithm>(id));
+}
 
 /// Where a fault was raised/injected (variant byte of Phase::fault records).
 enum class Site : std::uint8_t {

@@ -79,32 +79,6 @@ const char* phase_name(Phase p) noexcept {
   }
 }
 
-const char* coll_id_name(std::uint8_t id) noexcept {
-  // 1 + coll::CollKind; test_phase_trace pins this to coll_kind_name.
-  switch (id) {
-    case 0: return "";
-    case 1: return "allreduce";
-    case 2: return "reduce";
-    case 3: return "reduce_scatter";
-    case 4: return "broadcast";
-    case 5: return "allgather";
-    default: return "?";
-  }
-}
-
-const char* alg_id_name(std::uint8_t id) noexcept {
-  switch (id) {
-    case 0: return "auto";
-    case 1: return "ma";
-    case 2: return "socket-ma";
-    case 3: return "dpml-2l";
-    case 4: return "pipelined";
-    case 5: return "fold";
-    case 6: return "direct";
-    default: return "?";
-  }
-}
-
 const char* site_name(Site s) noexcept {
   switch (s) {
     case Site::unknown: return "unknown";

@@ -14,6 +14,7 @@
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
+#include "yhccl/metrics/export.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -564,6 +565,130 @@ TEST(CollEdge, DirectArmServesAllreduceAndReduceScatterOnly) {
   for (int r = 0; r < 4; ++r)
     EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, 4,
                               ReduceOp::sum, r * n));
+}
+
+// Every collective × every Algorithm as an explicit opts.algorithm on a
+// p = 4, m = 2 thread team.  Columns follow Algorithm: auto, ma, socket-ma,
+// dpml-2l, pipelined, fold, direct.  'r' runs the named arm and reduces
+// correctly, 'p' runs the pipeline whatever arm is named (broadcast and
+// allgather have no other), 'x' throws yhccl::Error on every rank before
+// any rank synchronises (an arm the collective has no implementation for).
+TEST(CollEdge, ExplicitArmMatrix) {
+  constexpr int p = 4;
+  constexpr std::size_t n = 256;  // 2 KB per rank: inside the fold cut
+  const std::pair<CollKind, const char*> kExpected[] = {
+      {CollKind::allreduce, "rrrrxrr"},
+      {CollKind::reduce, "rrrrxxx"},
+      {CollKind::reduce_scatter, "rrrrxxr"},
+      {CollKind::broadcast, "ppppppp"},
+      {CollKind::allgather, "ppppppp"},
+  };
+  rt::TeamConfig cfg;
+  cfg.nranks = p;
+  cfg.nsockets = 2;
+  cfg.metrics = metrics::Mode::on;
+  rt::ThreadTeam team(cfg);
+  // Calls per rank landed in the metrics cell of (kind, algorithm) so far.
+  const auto calls = [&](CollKind k, Algorithm a) {
+    std::uint64_t c = 0;
+    for (const auto& r :
+         metrics::Snapshot::capture(*team.metrics_buffer()).ranks)
+      for (const auto& cell : r.cells)
+        if (cell.coll == 1 + static_cast<int>(k) &&
+            cell.alg == 1 + static_cast<int>(a))
+          c += cell.calls;
+    return c;
+  };
+  std::vector<std::vector<double>> send(p), recv(p);
+  for (const auto& [kind, row] : kExpected) {
+    for (int ai = 0; row[ai] != '\0'; ++ai) {
+      const auto alg = static_cast<Algorithm>(ai);
+      const char want = row[ai];
+      const std::string cell = std::string(coll_kind_name(kind)) + " × " +
+                               algorithm_name(alg);
+      for (int r = 0; r < p; ++r) {
+        send[r].assign(n * p, 0.0);
+        recv[r].assign(n * p, 0.0);
+        fill_buffer(send[r].data(), n * p, Datatype::f64, r, ReduceOp::sum);
+      }
+      const Algorithm ran = want == 'p' ? Algorithm::pipelined : alg;
+      const std::uint64_t before = calls(kind, ran);
+      bool threw[p] = {};
+      CollOpts o;
+      o.algorithm = alg;
+      team.run([&](RankCtx& ctx) {
+        const int r = ctx.rank();
+        try {
+          switch (kind) {
+            case CollKind::allreduce:
+              allreduce(ctx, send[r].data(), recv[r].data(), n,
+                        Datatype::f64, ReduceOp::sum, o);
+              break;
+            case CollKind::reduce:
+              reduce(ctx, send[r].data(), recv[r].data(), n, Datatype::f64,
+                     ReduceOp::sum, /*root=*/0, o);
+              break;
+            case CollKind::reduce_scatter:
+              reduce_scatter(ctx, send[r].data(), recv[r].data(), n,
+                             Datatype::f64, ReduceOp::sum, o);
+              break;
+            case CollKind::broadcast:
+              broadcast(ctx, send[r].data(), n, Datatype::f64, /*root=*/0,
+                        o);
+              break;
+            default:
+              allgather(ctx, send[r].data(), recv[r].data(), n,
+                        Datatype::f64, o);
+              break;
+          }
+        } catch (const Error&) {
+          threw[r] = true;
+        }
+      });
+      for (int r = 0; r < p; ++r)
+        EXPECT_EQ(threw[r], want == 'x') << cell << " rank " << r;
+      if (want == 'x') continue;
+      if (alg != Algorithm::automatic || want == 'p') {
+        EXPECT_EQ(calls(kind, ran) - before, std::uint64_t{p}) << cell;
+      }
+      for (int r = 0; r < p; ++r) {
+        switch (kind) {
+          case CollKind::allreduce:
+            EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, p,
+                                      ReduceOp::sum))
+                << cell << " rank " << r;
+            break;
+          case CollKind::reduce:
+            if (r == 0) {
+              EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, p,
+                                        ReduceOp::sum))
+                  << cell;
+            }
+            break;
+          case CollKind::reduce_scatter:
+            EXPECT_TRUE(check_reduced(recv[r].data(), n, Datatype::f64, p,
+                                      ReduceOp::sum, r * n))
+                << cell << " rank " << r;
+            break;
+          case CollKind::broadcast:
+            EXPECT_TRUE(std::equal(send[r].begin(), send[r].begin() + n,
+                                   send[0].begin()))
+                << cell << " rank " << r;
+            break;
+          default:
+            for (int b = 0; b < p; ++b) {
+              std::vector<double> want_block(n);
+              fill_buffer(want_block.data(), n, Datatype::f64, b,
+                          ReduceOp::sum);
+              EXPECT_TRUE(std::equal(want_block.begin(), want_block.end(),
+                                     recv[r].begin() + b * n))
+                  << cell << " rank " << r << " block " << b;
+            }
+            break;
+        }
+      }
+    }
+  }
 }
 
 TEST(CollEdge, DpmlFlatModeMatchesReference) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "yhccl/baselines/baselines.hpp"
+#include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
@@ -385,13 +386,13 @@ TEST(DavModel, TimeFromDav) {
 }
 
 // ---- operation-count parity matrix ------------------------------------------
-// Every collective arm × team shape × (divisible and ragged) message size,
+// Every arm-table row × team shape × (divisible and ragged) message size,
 // on both the thread and the fork() backend: the measured deterministic
 // counters — DAV loads/stores, kernel dispatches, barrier arrivals and
-// progress-flag posts/waits — must equal the md::impl::*_ops simulators
-// EXACTLY.  This is the seed matrix for the bench comparator's counter
-// gate (docs/benchmarking.md): if an implementation's loop structure
-// drifts, this is the test that names the counter that moved.
+// progress-flag posts/waits — must equal the row's ops() model EXACTLY.
+// This is the seed matrix for the bench comparator's counter gate
+// (docs/benchmarking.md): if an implementation's loop structure drifts,
+// this is the test that names the counter that moved.
 
 using OpCounts = md::impl::OpCounts;
 using OpGeometry = md::impl::OpGeometry;
@@ -428,141 +429,21 @@ OpCounts measured_counts(rt::Team& team) {
          << line("flag_waits", got.flag_waits, want.flag_waits);
 }
 
-/// One parity arm: how to run the implementation and which simulator
-/// predicts it.  `count` is the per-rank block for scatter-shaped input
-/// (model s = p·count·esize) and the whole vector otherwise (s = count·esize).
-struct ParityArm {
-  const char* name;
-  bool scatter_shaped;
-  OpCounts (*model)(std::size_t, const OpGeometry&);
-  void (*run)(rt::RankCtx&, std::size_t count, const CollOpts&);
-  bool thread_only = false;  ///< xpmem needs a shared address space
-  bool fold_sized = false;   ///< runs only counts within fold_max_bytes(p)
-  bool above_fold_cut = false;  ///< runs only counts past fold_max_bytes(p)
-};
-
-const ParityArm kParityArms[] = {
-    {"ma_reduce_scatter", true, md::impl::ma_reduce_scatter_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count * ctx.nranks()), recv(count);
-       fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       ma_reduce_scatter(ctx, send.data(), recv.data(), count, Datatype::f64,
-                         ReduceOp::sum, o);
-     }},
-    {"socket_ma_reduce_scatter", true,
-     md::impl::socket_ma_reduce_scatter_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count * ctx.nranks()), recv(count);
-       fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       socket_ma_reduce_scatter(ctx, send.data(), recv.data(), count,
-                                Datatype::f64, ReduceOp::sum, o);
-     }},
-    {"dpml_reduce_scatter", true, md::impl::dpml_reduce_scatter_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count * ctx.nranks()), recv(count);
-       fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       dpml_two_level_reduce_scatter(ctx, send.data(), recv.data(), count,
-                                     Datatype::f64, ReduceOp::sum, o);
-     }},
-    {"ma_allreduce", false, md::impl::ma_allreduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       ma_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                    ReduceOp::sum, o);
-     }},
-    {"socket_ma_allreduce", false, md::impl::socket_ma_allreduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       socket_ma_allreduce(ctx, send.data(), recv.data(), count,
-                           Datatype::f64, ReduceOp::sum, o);
-     }},
-    {"dpml_allreduce", false, md::impl::dpml_allreduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       dpml_two_level_allreduce(ctx, send.data(), recv.data(), count,
-                                Datatype::f64, ReduceOp::sum, o);
-     }},
-    {"ma_reduce", false, md::impl::ma_reduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       ma_reduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                 ReduceOp::sum, /*root=*/0, o);
-     }},
-    {"socket_ma_reduce", false, md::impl::socket_ma_reduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       socket_ma_reduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                        ReduceOp::sum, /*root=*/0, o);
-     }},
-    {"dpml_reduce", false, md::impl::dpml_reduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       dpml_two_level_reduce(ctx, send.data(), recv.data(), count,
-                             Datatype::f64, ReduceOp::sum, /*root=*/0, o);
-     }},
-    {"pipelined_broadcast", false, md::impl::pipelined_broadcast_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> buf(count);
-       fill_buffer(buf.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       pipelined_broadcast(ctx, buf.data(), count, Datatype::f64,
-                           /*root=*/0, o);
-     }},
-    {"pipelined_allgather", false, md::impl::pipelined_allgather_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count * ctx.nranks());
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       pipelined_allgather(ctx, send.data(), recv.data(), count,
-                           Datatype::f64, o);
-     }},
-    {"xpmem_allreduce", false, md::impl::xpmem_allreduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts&) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       xpmem_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                       ReduceOp::sum);
-     },
-     /*thread_only=*/true},
-    {"fold_allreduce", false, md::impl::fold_allreduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       fold_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                      ReduceOp::sum, o);
-     },
-     /*thread_only=*/false, /*fold_sized=*/true},
-    // The automatic allreduce above the fold cut: a thread team serves the
-    // single-copy direct arm, whose counters are the XPMEM model's.
-    {"direct_allreduce (automatic)", false, md::impl::xpmem_allreduce_ops,
-     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
-       std::vector<double> send(count), recv(count);
-       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
-                   ReduceOp::sum);
-       allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                 ReduceOp::sum, o);
-       EXPECT_EQ(plan::Plan::unpack(plan::last_plan_word()).algorithm,
-                 Algorithm::direct);
-     },
-     /*thread_only=*/true, /*fold_sized=*/false, /*above_fold_cut=*/true},
-};
+/// The table's rows plus one test-local row: the XPMEM baseline, which
+/// runs the direct allreduce's pull schedule with baseline copy semantics.
+std::vector<ArmRow> parity_rows() {
+  std::vector<ArmRow> rows(arm_rows().begin(), arm_rows().end());
+  rows.push_back(
+      {CollKind::allreduce, Algorithm::direct, ArmNeed::single_copy,
+       [](std::size_t s, const OpGeometry& g, const rt::PlanCaps&) {
+         return md::impl::xpmem_allreduce_ops(s, g);
+       },
+       [](rt::RankCtx& ctx, const CollArgs& c, const CollOpts&) {
+         xpmem_allreduce(ctx, c.send, c.recv, c.count, c.dtype, c.op);
+         return true;
+       }});
+  return rows;
+}
 
 /// Shapes: flat even/odd, even p over even sockets, and the ragged p=3
 /// over m=2 split where one socket has 2 ranks and the other 1.
@@ -573,12 +454,23 @@ constexpr std::pair<int, int> kParityShapes[] = {
 constexpr std::size_t kParityCounts[] = {4096, 3003, 17};
 /// Fold-sized counts: the 4 KB cut of p <= 4, an odd size, and tiny.
 constexpr std::size_t kFoldParityCounts[] = {512, 301, 17};
-/// Past the fold cut of every parity shape (8 KB at p = 2): divisible,
-/// ragged, and one element past the p = 2 cut.
-constexpr std::size_t kAboveCutParityCounts[] = {4096, 3003, 1025};
 
-void run_parity_matrix(rt::Team& team, int p, int m,
-                       bool is_thread_team = true) {
+/// A team whose shared heap holds every rank's parity buffers, so the
+/// single-copy rows run on a forked team too (its buffers are windows).
+rt::TeamConfig parity_cfg(int p, int m) {
+  rt::TeamConfig cfg;
+  cfg.nranks = p;
+  cfg.nsockets = m;
+  cfg.scratch_bytes = kParityScratch;
+  cfg.shared_heap_bytes = 4u << 20;
+  return cfg;
+}
+
+/// Walk every row on `team`: each count the row's need admits, run with
+/// the row named explicitly, must match the row's model exactly.  `count`
+/// is the per-rank block for reduce_scatter (model s = p·count·esize) and
+/// the whole vector otherwise (s = count·esize).
+void run_parity_matrix(rt::Team& team, int p, int m) {
   CollOpts o;
   o.slice_max = 4u << 10;
   OpGeometry g;
@@ -589,24 +481,39 @@ void run_parity_matrix(rt::Team& team, int p, int m,
   g.dpml_chunk = o.dpml_chunk;
   g.scratch_bytes = kParityScratch;
   g.dpml_flat = o.dpml_flat;
-  for (const auto& arm : kParityArms) {
-    if (arm.thread_only && !is_thread_team) continue;
-    const auto& counts = arm.fold_sized       ? kFoldParityCounts
-                         : arm.above_fold_cut ? kAboveCutParityCounts
-                                              : kParityCounts;
-    for (std::size_t count : counts) {
-      team.run([&](rt::RankCtx& ctx) { arm.run(ctx, count, o); });
-      const std::size_t s =
-          count * 8 * (arm.scatter_shaped ? static_cast<std::size_t>(p) : 1);
-      EXPECT_TRUE(counts_equal(measured_counts(team), arm.model(s, g)))
-          << arm.name << " p=" << p << " m=" << m << " count=" << count;
+  const auto pn = static_cast<std::size_t>(p);
+  const std::size_t stride = pn * kParityCounts[0];
+  auto* send =
+      reinterpret_cast<double*>(team.shared_alloc(pn * stride * 8));
+  auto* recv =
+      reinterpret_cast<double*>(team.shared_alloc(pn * stride * 8));
+  for (const ArmRow& row : parity_rows()) {
+    o.algorithm = row.algorithm;
+    const bool scatter = row.kind == CollKind::reduce_scatter;
+    for (const std::size_t count : row.need == ArmNeed::fold_stage
+                                       ? kFoldParityCounts
+                                       : kParityCounts) {
+      team.run([&](rt::RankCtx& ctx) {
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        fill_buffer(send + r * stride, scatter ? pn * count : count,
+                    Datatype::f64, ctx.rank(), ReduceOp::sum);
+        const CollArgs call{send + r * stride, recv + r * stride, count,
+                           Datatype::f64, ReduceOp::sum, /*root=*/0};
+        EXPECT_TRUE(row.run(ctx, call, o));
+      });
+      const std::size_t s = count * 8 * (scatter ? pn : 1);
+      EXPECT_TRUE(counts_equal(measured_counts(team),
+                               row.ops(s, g, team.caps())))
+          << coll_kind_name(row.kind) << " " << algorithm_name(row.algorithm)
+          << " p=" << p << " m=" << m << " count=" << count;
     }
   }
 }
 
 TEST(CounterParity, MatrixOnThreadTeams) {
   for (auto [p, m] : kParityShapes) {
-    run_parity_matrix(cached_team(p, m, kParityScratch), p, m);
+    rt::ThreadTeam team(parity_cfg(p, m));
+    run_parity_matrix(team, p, m);
   }
 }
 
@@ -758,13 +665,8 @@ TEST(CounterParity, DirectReduceScatterOnBothBackendsAndItsFallback) {
 
 TEST(CounterParity, MatrixOnProcessTeams) {
   for (auto [p, m] : kParityShapes) {
-    rt::TeamConfig cfg;
-    cfg.nranks = p;
-    cfg.nsockets = m;
-    cfg.scratch_bytes = kParityScratch;
-    cfg.shared_heap_bytes = 4u << 20;
-    rt::ProcessTeam team(cfg);
-    run_parity_matrix(team, p, m, /*is_thread_team=*/false);
+    rt::ProcessTeam team(parity_cfg(p, m));
+    run_parity_matrix(team, p, m);
   }
 }
 

@@ -13,13 +13,16 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <set>
 #include <tuple>
 #include <vector>
 
 #include "yhccl/bench/harness.hpp"
+#include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
+#include "yhccl/metrics/export.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/thread_team.hpp"
 #include "yhccl/trace/export.hpp"
@@ -77,13 +80,71 @@ TEST(PhaseTrace, CollIdNamesMirrorCollKinds) {
   }
 }
 
-TEST(PhaseTrace, AlgIdNamesMirrorAlgorithmNames) {
-  for (int a = 0; a <= static_cast<int>(Algorithm::direct); ++a) {
+// One name table: every Algorithm and CollKind round-trips through its
+// name, and after one explicit call of every arm-table row the Chrome
+// trace's coll spans and the metrics cells name exactly the table's
+// (collective, algorithm) pairs.
+TEST(PhaseTrace, ArmNamesRoundTripThroughTheTableAndTheExports) {
+  for (int a = 0; a < kAlgorithmCount; ++a) {
     const auto alg = static_cast<Algorithm>(a);
-    EXPECT_STREQ(trace::alg_id_name(coll::detail::trace_alg_id(alg)),
-                 algorithm_name(alg));
+    EXPECT_EQ(algorithm_from_name(algorithm_name(alg)), alg);
   }
-  EXPECT_STREQ(trace::alg_id_name(trace::kMaxAlgIds), "?");
+  for (int k = 0; k < kCollKindCount; ++k) {
+    const auto kind = static_cast<CollKind>(k);
+    EXPECT_EQ(coll_kind_from_name(coll_kind_name(kind)), kind);
+  }
+  EXPECT_FALSE(algorithm_from_name("automatic"));
+  EXPECT_FALSE(algorithm_from_name("ma_flat"));
+
+  rt::TeamConfig cfg;
+  cfg.nranks = 4;
+  cfg.nsockets = 2;
+  cfg.trace = trace::Mode::spans;
+  cfg.metrics = metrics::Mode::on;
+  rt::ThreadTeam team(cfg);
+  std::set<std::pair<std::string, std::string>> rows;
+  for (const ArmRow& row : arm_rows()) {
+    rows.emplace(coll_kind_name(row.kind), algorithm_name(row.algorithm));
+    CollOpts o;
+    o.algorithm = row.algorithm;
+    team.run([&](rt::RankCtx& ctx) {
+      const std::size_t n = 256;  // inside the fold cut
+      std::vector<double> send(4 * n, 1.0), recv(4 * n);
+      switch (row.kind) {
+        case CollKind::allreduce:
+          allreduce(ctx, send.data(), recv.data(), n, Datatype::f64,
+                    ReduceOp::sum, o);
+          break;
+        case CollKind::reduce:
+          reduce(ctx, send.data(), recv.data(), n, Datatype::f64,
+                 ReduceOp::sum, 0, o);
+          break;
+        case CollKind::reduce_scatter:
+          reduce_scatter(ctx, send.data(), recv.data(), n, Datatype::f64,
+                         ReduceOp::sum, o);
+          break;
+        case CollKind::broadcast:
+          broadcast(ctx, send.data(), n, Datatype::f64, 0, o);
+          break;
+        default:
+          allgather(ctx, send.data(), recv.data(), n, Datatype::f64, o);
+          break;
+      }
+    });
+  }
+  std::set<std::pair<std::string, std::string>> spans, cells;
+  const bench::Json chrome = trace::Harvest(*team.trace_buffer()).chrome_json();
+  for (const bench::Json& e : chrome["traceEvents"].items())
+    if (e["name"].is_string() && e["name"].as_string() == "coll")
+      spans.emplace(e["cat"].as_string(),
+                    e["args"]["algorithm"].as_string());
+  const bench::Json snap =
+      metrics::Snapshot::capture(*team.metrics_buffer()).to_json();
+  for (const bench::Json& r : snap["ranks"].items())
+    for (const bench::Json& c : r["cells"].items())
+      cells.emplace(c["coll"].as_string(), c["alg"].as_string());
+  EXPECT_EQ(spans, rows);
+  EXPECT_EQ(cells, rows);
 }
 
 TEST(PhaseTrace, OffModeAllocatesNoRingsAndKeepsCountersExact) {

@@ -318,6 +318,403 @@ TEST(PlanArms, DirectIsOnlyEverThePriorsOwnArm) {
   }
 }
 
+// Plan files and the per-slot arm statistics index arms by position, so
+// the candidate sequence is pinned: algorithm/nt/slice_log2 per index for
+// every kind × bucket × shape, on the caps of both backends (default
+// cache and options).
+namespace {
+
+std::string arm_sequence(CollKind kind, std::size_t bytes, int p, int m,
+                         bool shared) {
+  const rt::Topology topo(p, m);
+  const CollOpts opts;
+  const auto key =
+      plan::make_key(kind, bytes, Datatype::f64, ReduceOp::sum, topo, opts);
+  const plan::ArmTable t = plan::arms(
+      key, opts, rt::PlanCaps(topo, copy::CacheConfig{}, shared));
+  std::string out = std::string(coll::coll_kind_name(kind)) + " " +
+                    std::to_string(bytes) + " " + std::to_string(p) + "," +
+                    std::to_string(m) + (shared ? " threads:" : " forked:");
+  for (int a = 0; a < t.n; ++a)
+    out += std::string(" ") + coll::algorithm_name(t.arm[a].algorithm) +
+           "/" + plan::nt_choice_name(t.arm[a].nt) + "/" +
+           std::to_string(t.arm[a].slice_log2);
+  return out;
+}
+
+constexpr const char* kPinnedArmSequences[] = {
+    "allreduce 8 2,1 forked: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 8 2,1 threads: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 8 3,2 forked: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 8 3,2 threads: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 8 4,2 forked: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 8 4,2 threads: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 4096 2,1 forked: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 4096 2,1 threads: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 4096 3,2 forked: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 4096 3,2 threads: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 4096 4,2 forked: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 4096 4,2 threads: fold/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 fold/stream/0 fold/temporal/0",
+    "allreduce 65536 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "allreduce 65536 2,1 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 65536 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "allreduce 65536 3,2 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 65536 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "allreduce 65536 4,2 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 1048576 2,1 forked: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 1048576 2,1 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 1048576 3,2 forked: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 1048576 3,2 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 1048576 4,2 forked: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 1048576 4,2 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 33554432 2,1 forked: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 33554432 2,1 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 33554432 3,2 forked: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 33554432 3,2 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 33554432 4,2 forked: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "allreduce 33554432 4,2 threads: direct/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce 8 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 8 2,1 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 8 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 8 3,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 8 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 8 4,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 4096 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 4096 2,1 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 4096 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 4096 3,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 4096 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 4096 4,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 65536 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 65536 2,1 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 65536 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 65536 3,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 65536 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 65536 4,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce 1048576 2,1 forked: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 1048576 2,1 threads: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 1048576 3,2 forked: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 1048576 3,2 threads: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 1048576 4,2 forked: socket-ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/stream/0 socket-ma/temporal/0",
+    "reduce 1048576 4,2 threads: socket-ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/stream/0 socket-ma/temporal/0",
+    "reduce 33554432 2,1 forked: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 33554432 2,1 threads: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 33554432 3,2 forked: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 33554432 3,2 threads: ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/stream/0 ma/temporal/0",
+    "reduce 33554432 4,2 forked: socket-ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/stream/0 socket-ma/temporal/0",
+    "reduce 33554432 4,2 threads: socket-ma/adaptive/0 dpml-2l/adaptive/0 "
+    "ma/adaptive/0 socket-ma/stream/0 socket-ma/temporal/0",
+    "reduce_scatter 8 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 8 2,1 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 8 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 8 3,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 8 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 8 4,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 4096 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 4096 2,1 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 4096 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 4096 3,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 4096 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 4096 4,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 65536 2,1 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 65536 2,1 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 65536 3,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 65536 3,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 65536 4,2 forked: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 65536 4,2 threads: dpml-2l/adaptive/0 ma/adaptive/0 "
+    "socket-ma/adaptive/0 dpml-2l/stream/0 dpml-2l/temporal/0",
+    "reduce_scatter 1048576 2,1 forked: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 1048576 2,1 threads: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 1048576 3,2 forked: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 1048576 3,2 threads: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 1048576 4,2 forked: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 socket-ma/adaptive/0 "
+    "direct/stream/0 direct/temporal/0",
+    "reduce_scatter 1048576 4,2 threads: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 socket-ma/adaptive/0 "
+    "direct/stream/0 direct/temporal/0",
+    "reduce_scatter 33554432 2,1 forked: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 33554432 2,1 threads: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 33554432 3,2 forked: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 33554432 3,2 threads: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 direct/stream/0 direct/temporal/0",
+    "reduce_scatter 33554432 4,2 forked: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 socket-ma/adaptive/0 "
+    "direct/stream/0 direct/temporal/0",
+    "reduce_scatter 33554432 4,2 threads: direct/adaptive/0 "
+    "dpml-2l/adaptive/0 ma/adaptive/0 socket-ma/adaptive/0 "
+    "direct/stream/0 direct/temporal/0",
+    "broadcast 8 2,1 forked: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "broadcast 8 2,1 threads: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "broadcast 8 3,2 forked: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "broadcast 8 3,2 threads: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "broadcast 8 4,2 forked: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "broadcast 8 4,2 threads: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "broadcast 4096 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 4096 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 4096 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 4096 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 4096 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 4096 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 65536 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 65536 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 65536 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 65536 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 65536 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 65536 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 1048576 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 1048576 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 1048576 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 1048576 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 1048576 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 1048576 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 33554432 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 33554432 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 33554432 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 33554432 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 33554432 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "broadcast 33554432 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 8 2,1 forked: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "allgather 8 2,1 threads: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "allgather 8 3,2 forked: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "allgather 8 3,2 threads: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "allgather 8 4,2 forked: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "allgather 8 4,2 threads: pipelined/adaptive/0 pipelined/adaptive/16 "
+    "pipelined/adaptive/20 pipelined/stream/0 pipelined/temporal/0",
+    "allgather 4096 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 4096 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 4096 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 4096 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 4096 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 4096 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 65536 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 65536 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 65536 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 65536 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 65536 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 65536 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 1048576 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 1048576 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 1048576 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 1048576 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 1048576 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 1048576 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 33554432 2,1 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 33554432 2,1 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 33554432 3,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 33554432 3,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 33554432 4,2 forked: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+    "allgather 33554432 4,2 threads: pipelined/adaptive/0 "
+    "pipelined/adaptive/16 pipelined/adaptive/20 pipelined/stream/0 "
+    "pipelined/temporal/0",
+};
+
+}  // namespace
+
+TEST(PlanArms, SequenceIsPinnedForEveryKindBucketShapeAndBackend) {
+  std::vector<std::string> got;
+  for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k)
+    for (const std::size_t bytes :
+         {std::size_t{8}, std::size_t{4} << 10, std::size_t{64} << 10,
+          std::size_t{1} << 20, std::size_t{32} << 20})
+      for (const auto& [p, m] :
+           {std::pair{2, 1}, std::pair{3, 2}, std::pair{4, 2}})
+        for (const bool shared : {false, true})
+          got.push_back(
+              arm_sequence(static_cast<CollKind>(k), bytes, p, m, shared));
+  ASSERT_EQ(got.size(), std::size(kPinnedArmSequences));
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], kPinnedArmSequences[i]);
+}
+
 // ---- the capability record ---------------------------------------------------
 
 // What a team serves is the prior of its own caps, for every bucket, kind
