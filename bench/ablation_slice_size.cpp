@@ -23,14 +23,16 @@ int main() {
   std::printf("%-10s %12s %12s\n", "Imax", "flat-MA(us)", "socket-MA(us)");
   Session session("ablation_slice_size");
   for (std::size_t imax = 4u << 10; imax <= 2u << 20; imax *= 2) {
-    coll::CollOpts o;
-    o.slice_max = imax;
+    const coll::CollOpts flat_o{.algorithm = coll::Algorithm::ma_flat,
+                                .slice_max = imax};
+    const coll::CollOpts sock_o{
+        .algorithm = coll::Algorithm::ma_socket_aware, .slice_max = imax};
     const double flat =
         measure_arm(
             team, session, "allreduce", "flat-MA@" + human_size(imax), bufs,
             [&](rt::RankCtx& c, const void* s, void* r, std::size_t) {
-              coll::ma_allreduce(c, s, r, count, Datatype::f64,
-                                 ReduceOp::sum, o);
+              coll::allreduce(c, s, r, count, Datatype::f64, ReduceOp::sum,
+                              flat_o);
             },
             bytes)
             .time.median;
@@ -39,8 +41,8 @@ int main() {
             team, session, "allreduce", "socket-MA@" + human_size(imax),
             bufs,
             [&](rt::RankCtx& c, const void* s, void* r, std::size_t) {
-              coll::socket_ma_allreduce(c, s, r, count, Datatype::f64,
-                                        ReduceOp::sum, o);
+              coll::allreduce(c, s, r, count, Datatype::f64, ReduceOp::sum,
+                              sock_o);
             },
             bytes)
             .time.median;

@@ -25,13 +25,15 @@ int main() {
   std::vector<std::pair<std::string, CollArm>> arms = {
       {"Socket-MA",
        [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
-         coll::socket_ma_reduce_scatter(c, s, r, count_of(b), Datatype::f64,
-                                        ReduceOp::sum);
+         coll::reduce_scatter(c, s, r, count_of(b), Datatype::f64,
+                              ReduceOp::sum,
+                              {.algorithm = coll::Algorithm::ma_socket_aware});
        }},
       {"MA",
        [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
-         coll::ma_reduce_scatter(c, s, r, count_of(b), Datatype::f64,
-                                 ReduceOp::sum);
+         coll::reduce_scatter(c, s, r, count_of(b), Datatype::f64,
+                              ReduceOp::sum,
+                              {.algorithm = coll::Algorithm::ma_flat});
        }},
       {"DPML",
        [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {

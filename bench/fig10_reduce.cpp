@@ -20,13 +20,13 @@ int main() {
   const std::vector<std::pair<std::string, CollArm>> arms = {
       {"Socket-MA",
        [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
-         coll::socket_ma_reduce(c, s, r, count_of(b), Datatype::f64,
-                                ReduceOp::sum, 0);
+         coll::reduce(c, s, r, count_of(b), Datatype::f64, ReduceOp::sum, 0,
+                      {.algorithm = coll::Algorithm::ma_socket_aware});
        }},
       {"MA",
        [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
-         coll::ma_reduce(c, s, r, count_of(b), Datatype::f64, ReduceOp::sum,
-                         0);
+         coll::reduce(c, s, r, count_of(b), Datatype::f64, ReduceOp::sum, 0,
+                      {.algorithm = coll::Algorithm::ma_flat});
        }},
       {"DPML",
        [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {

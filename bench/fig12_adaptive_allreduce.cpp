@@ -32,19 +32,16 @@ int main() {
   auto arm = [&](copy::CopyPolicy pol) {
     return [count_of, pol](rt::RankCtx& c, const void* s, void* r,
                            std::size_t b) {
-      coll::CollOpts o;
-      o.policy = pol;
-      coll::socket_ma_allreduce(c, s, r, count_of(b), Datatype::f64,
-                                ReduceOp::sum, o);
+      coll::allreduce(c, s, r, count_of(b), Datatype::f64, ReduceOp::sum,
+                      {.policy = pol,
+                       .algorithm = coll::Algorithm::ma_socket_aware});
     };
   };
   auto direct_arm = [&](copy::CopyPolicy pol) {
     return [count_of, pol](rt::RankCtx& c, const void* s, void* r,
                            std::size_t b) {
-      coll::CollOpts o;
-      o.policy = pol;
-      coll::direct_allreduce(c, s, r, count_of(b), Datatype::f64,
-                             ReduceOp::sum, o);
+      coll::allreduce(c, s, r, count_of(b), Datatype::f64, ReduceOp::sum,
+                      {.policy = pol, .algorithm = coll::Algorithm::direct});
     };
   };
 

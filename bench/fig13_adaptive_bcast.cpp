@@ -19,9 +19,10 @@ int main() {
       (void)s;
       coll::CollOpts o;
       o.policy = pol;
+      o.algorithm = coll::Algorithm::pipelined;
       o.slice_max = 1u << 20;  // paper's Imax for the bcast experiment
-      coll::pipelined_broadcast(c, r, std::max<std::size_t>(b / 8, 1),
-                                Datatype::f64, /*root=*/0, o);
+      coll::broadcast(c, r, std::max<std::size_t>(b / 8, 1), Datatype::f64,
+                      /*root=*/0, o);
     };
   };
 

@@ -17,9 +17,10 @@ int main() {
     return [pol](rt::RankCtx& c, const void* s, void* r, std::size_t b) {
       coll::CollOpts o;
       o.policy = pol;
+      o.algorithm = coll::Algorithm::pipelined;
       o.slice_max = 1u << 20;
-      coll::pipelined_allgather(c, s, r, std::max<std::size_t>(b / 8, 1),
-                                Datatype::f64, o);
+      coll::allgather(c, s, r, std::max<std::size_t>(b / 8, 1), Datatype::f64,
+                      o);
     };
   };
 

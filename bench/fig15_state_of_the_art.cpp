@@ -178,7 +178,8 @@ int main() {
            (void)s;
            coll::CollOpts o;
            o.policy = copy::CopyPolicy::memmove_model;
-           coll::pipelined_broadcast(c, r, cnt(b), Datatype::f64, 0, o);
+           o.algorithm = coll::Algorithm::pipelined;
+           coll::broadcast(c, r, cnt(b), Datatype::f64, 0, o);
          }},
         {"XPMEM",
          [&](rt::RankCtx& c, const void* s, void* r, std::size_t b) {

@@ -26,6 +26,7 @@ int main() {
     auto& team = bench_team(p, m);
     RankBuffers bufs(p, bytes, bytes);
     coll::CollOpts yo;
+    yo.algorithm = coll::Algorithm::ma_socket_aware;
     yo.slice_max = 128u << 10;  // the paper's Fig. 16a slice
     const auto arm = [&](const char* name, const CollArm& fn) {
       return measure_arm(team, session, "allreduce", name, bufs, fn, bytes)
@@ -34,8 +35,7 @@ int main() {
 
     const double yhccl = arm(
         "YHCCL", [&](rt::RankCtx& c, const void* s, void* r, std::size_t) {
-          coll::socket_ma_allreduce(c, s, r, count, Datatype::f64,
-                                    ReduceOp::sum, yo);
+          coll::allreduce(c, s, r, count, Datatype::f64, ReduceOp::sum, yo);
         });
     const double dpml = arm(
         "DPML", [&](rt::RankCtx& c, const void* s, void* r, std::size_t) {

@@ -51,13 +51,14 @@ int main() {
   const std::size_t total = count * 8 * static_cast<std::size_t>(p);
   RankBuffers bufs(p, total, total);
   coll::CollOpts o;
+  o.algorithm = coll::Algorithm::ma_socket_aware;
   o.slice_max = 16u << 10;
   Session session("tab0123_dav_models");
   const Series s = measure_arm(
       team, session, "reduce_scatter", "Socket-MA", bufs,
       [&](rt::RankCtx& c, const void* sp, void* r, std::size_t) {
-        coll::socket_ma_reduce_scatter(c, sp, r, count, Datatype::f64,
-                                       ReduceOp::sum, o);
+        coll::reduce_scatter(c, sp, r, count, Datatype::f64, ReduceOp::sum,
+                             o);
       },
       total);
   md::impl::OpGeometry g;

@@ -8,7 +8,8 @@
 //   collective: allreduce | reduce | reduce_scatter | bcast | allgather
 //               | alltoall
 //   -m min:max  message size sweep in bytes (powers of two)
-//   -c          validate results against a reference reduction
+//   -c          validate every collective's result against its closed form
+//               (rank r sends 1 + r; the bcast root's buffer holds i + 1)
 //   -a          auto, or an arm the collective has a row for in the arm
 //               table (yhccl/coll/arm_table.hpp): e.g. ma, socket-ma,
 //               dpml-2l, fold (allreduce up to fold_max_bytes(ranks)),
@@ -87,6 +88,36 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// Every element each rank received, against the closed form for
+/// send[r] = 1 + r (the sums are exact in f64): the rank sum p(p+1)/2 for
+/// the reductions (reduce: at root 0; reduce_scatter: each rank's block),
+/// the root's pattern i + 1 for bcast, and block q = 1 + q for allgather
+/// and alltoall.  `count` is the per-rank message of the sweep.
+bool check(const std::string& coll, int p, std::size_t count,
+           const std::vector<std::vector<double>>& recv) {
+  const auto pn = static_cast<std::size_t>(p);
+  const double sum = p * (p + 1) / 2.0;
+  const std::size_t block = count / pn;
+  for (int r = 0; r < p; ++r) {
+    const std::vector<double>& v = recv[r];
+    if (coll == "allreduce" || (coll == "reduce" && r == 0)) {
+      for (std::size_t i = 0; i < count; ++i)
+        if (v[i] != sum) return false;
+    } else if (coll == "reduce_scatter") {
+      for (std::size_t i = 0; i < block; ++i)
+        if (v[i] != sum) return false;
+    } else if (coll == "bcast") {
+      for (std::size_t i = 0; i < count; ++i)
+        if (v[i] != 1.0 + i) return false;
+    } else if (coll == "allgather" || coll == "alltoall") {
+      for (std::size_t q = 0; q < pn; ++q)
+        for (std::size_t i = 0; i < block; ++i)
+          if (v[q * block + i] != 1.0 + q) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,6 +147,9 @@ int main(int argc, char** argv) {
                                   : 1),
                      0.0);
     }
+    // The bcast root broadcasts a pattern, so a copy of zeros fails -c.
+    if (a.collective == "bcast")
+      for (std::size_t i = 0; i < count; ++i) recv[0][i] = 1.0 + i;
     const int iters = bytes >= (4u << 20) ? 5 : 10;
     double sum = 0, mn = 1e30, mx = 0;
     bool ok = true;
@@ -152,11 +186,7 @@ int main(int argc, char** argv) {
       mn = std::min(mn, t);
       mx = std::max(mx, t);
     }
-    if (a.check && a.collective == "allreduce") {
-      const double expect = p * (p + 1) / 2.0;
-      for (int r = 0; r < p && ok; ++r)
-        ok = recv[r][count / 2] == expect;
-    }
+    if (a.check) ok = check(a.collective, p, count, recv);
     std::printf("%-12zu %12.2f %12.2f %12.2f%s\n", bytes, sum / iters, mn,
                 mx, a.check ? (ok ? "  [OK]" : "  [FAILED]") : "");
     if (!ok) return 1;

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   cfg.nsockets = p >= 4 ? 2 : 1;
   rt::ThreadTeam team(cfg);
 
-  // Step 1: run the application once with the recording wrapper.
+  // Step 1: run the application once, recording its collectives.
   apps::miniamr::Config acfg;
   acfg.tsteps = argc > 2 ? std::atoi(argv[2]) : 6;
   acfg.refine_metric_len = 131072;  // 1 MB control all-reduces
@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
     apps::miniamr::run_rank(
         ctx, acfg,
         [&tr](rt::RankCtx& c, const double* in, double* out, std::size_t n) {
-          allreduce(tr, c, in, out, n, Datatype::f64, ReduceOp::sum);
+          collective(tr, c, CollKind::allreduce,
+                     {in, out, n, Datatype::f64, ReduceOp::sum});
         });
   });
   const CollTrace& kernel = traces[0];

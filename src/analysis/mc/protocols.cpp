@@ -483,7 +483,7 @@ Spec ring_spec(int n) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// fold: the stage protocol of coll::fold_allreduce over the production
+// fold: the stage protocol of the fold allreduce arm over the production
 // barrier.  Back-to-back rounds of write-my-slot, one barrier, read every
 // slot — no trailing barrier.  The stage alternates on a per-rank call
 // counter, so round k+2 rewrites round k's stage only after round k+1's
@@ -537,7 +537,7 @@ Spec fold_spec(int n, int nstages) {
 }
 
 // ---------------------------------------------------------------------------
-// direct: the block ownership protocol of coll::direct_allreduce over the
+// direct: the block ownership protocol of the direct allreduce arm over the
 // production barrier, one element per block.  Each round the caller fills
 // its send buffer, every rank passes barrier 1, then rank r reduces block r
 // of every send buffer and
@@ -635,7 +635,7 @@ Spec direct_spec(int n, bool push, bool trailing_barrier) {
 
 // ---------------------------------------------------------------------------
 // direct_scatter: the block ownership protocol of
-// coll::direct_reduce_scatter over the production barrier, one element per
+// the direct reduce_scatter arm over the production barrier, one element per
 // block.  Each round the caller fills its send buffer, every rank passes
 // barrier 1, rank r reduces block r of every send buffer into its own
 // recv, then the trailing barrier.  The caller then checks its recv and

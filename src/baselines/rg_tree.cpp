@@ -101,9 +101,10 @@ void rg_allreduce(RankCtx& ctx, const void* send, void* recv,
   // attributes to the RG framework).
   rg_reduce(ctx, send, recv, count, d, op, /*root=*/0, opts);
   CollOpts bopts;
+  bopts.algorithm = coll::Algorithm::pipelined;
   bopts.policy = copy::CopyPolicy::memmove_model;
   bopts.slice_max = opts.slice;
-  coll::pipelined_broadcast(ctx, recv, count, d, /*root=*/0, bopts);
+  coll::broadcast(ctx, recv, count, d, /*root=*/0, bopts);
 }
 
 }  // namespace yhccl::base

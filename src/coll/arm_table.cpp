@@ -41,13 +41,14 @@ using A = Algorithm;
 using N = ArmNeed;
 constexpr ArmRow kRows[] = {
     {K::allreduce, A::dpml_two_level, N::none, model_of<md::dpml_allreduce_ops>,
-     run_reduction<dpml_two_level_allreduce>},
+     run_reduction<detail::dpml_two_level_allreduce>},
     {K::allreduce, A::ma_flat, N::none, model_of<md::ma_allreduce_ops>,
-     run_reduction<ma_allreduce>},
+     run_reduction<detail::ma_allreduce>},
     {K::allreduce, A::ma_socket_aware, N::socket_topology,
-     model_of<md::socket_ma_allreduce_ops>, run_reduction<socket_ma_allreduce>},
+     model_of<md::socket_ma_allreduce_ops>,
+     run_reduction<detail::socket_ma_allreduce>},
     {K::allreduce, A::fold, N::fold_stage, model_of<md::fold_allreduce_ops>,
-     run_reduction<fold_allreduce>},
+     run_reduction<detail::fold_allreduce>},
     {K::allreduce, A::direct, N::single_copy,
      [](std::size_t s, const md::OpGeometry& g, const rt::PlanCaps& caps) {
        return detail::direct_pushes(s, g.p, caps.cache())
@@ -60,19 +61,20 @@ constexpr ArmRow kRows[] = {
                                        direct_miss(o));
      }},
     {K::reduce, A::dpml_two_level, N::none, model_of<md::dpml_reduce_ops>,
-     run_rooted<dpml_two_level_reduce>},
+     run_rooted<detail::dpml_two_level_reduce>},
     {K::reduce, A::ma_flat, N::none, model_of<md::ma_reduce_ops>,
-     run_rooted<ma_reduce>},
+     run_rooted<detail::ma_reduce>},
     {K::reduce, A::ma_socket_aware, N::socket_topology,
-     model_of<md::socket_ma_reduce_ops>, run_rooted<socket_ma_reduce>},
+     model_of<md::socket_ma_reduce_ops>, run_rooted<detail::socket_ma_reduce>},
     {K::reduce_scatter, A::dpml_two_level, N::none,
      model_of<md::dpml_reduce_scatter_ops>,
-     run_reduction<dpml_two_level_reduce_scatter>},
+     run_reduction<detail::dpml_two_level_reduce_scatter>},
     {K::reduce_scatter, A::ma_flat, N::none,
-     model_of<md::ma_reduce_scatter_ops>, run_reduction<ma_reduce_scatter>},
+     model_of<md::ma_reduce_scatter_ops>,
+     run_reduction<detail::ma_reduce_scatter>},
     {K::reduce_scatter, A::ma_socket_aware, N::socket_topology,
      model_of<md::socket_ma_reduce_scatter_ops>,
-     run_reduction<socket_ma_reduce_scatter>},
+     run_reduction<detail::socket_ma_reduce_scatter>},
     {K::reduce_scatter, A::direct, N::single_copy,
      model_of<md::direct_reduce_scatter_ops>,
      [](RankCtx& ctx, const CollArgs& c, const CollOpts& o) {
@@ -81,12 +83,12 @@ constexpr ArmRow kRows[] = {
      }},
     {K::broadcast, A::pipelined, N::none, model_of<md::pipelined_broadcast_ops>,
      [](RankCtx& ctx, const CollArgs& c, const CollOpts& o) {
-       pipelined_broadcast(ctx, c.recv, c.count, c.dtype, c.root, o);
+       detail::pipelined_broadcast(ctx, c.recv, c.count, c.dtype, c.root, o);
        return true;
      }},
     {K::allgather, A::pipelined, N::none, model_of<md::pipelined_allgather_ops>,
      [](RankCtx& ctx, const CollArgs& c, const CollOpts& o) {
-       pipelined_allgather(ctx, c.send, c.recv, c.count, c.dtype, o);
+       detail::pipelined_allgather(ctx, c.send, c.recv, c.count, c.dtype, o);
        return true;
      }},
 };

@@ -58,9 +58,7 @@
 #include "yhccl/runtime/fault.hpp"
 #include "yhccl/trace/trace.hpp"
 
-namespace yhccl::coll {
-
-namespace detail {
+namespace yhccl::coll::detail {
 
 namespace {
 
@@ -118,8 +116,6 @@ bool direct_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
   const int me = ctx.rank();
   const std::size_t B = count * dtype_size(d);
   const std::size_t s = B * static_cast<std::size_t>(p);
-  trace::CollScope coll_scope(trace_coll_id(CollKind::reduce_scatter), s,
-                              trace_alg_id(Algorithm::direct));
   auto* rb = static_cast<std::byte*>(recv);
   if (p == 1) {
     copy::t_copy(rb, send, B);
@@ -166,8 +162,6 @@ bool direct_allreduce(RankCtx& ctx, const void* send, void* recv,
   const int p = ctx.nranks();
   const int me = ctx.rank();
   const std::size_t s = count * dtype_size(d);
-  trace::CollScope coll_scope(trace_coll_id(CollKind::allreduce), s,
-                              trace_alg_id(Algorithm::direct));
   auto* rb = static_cast<std::byte*>(recv);
   if (p == 1) {
     copy::t_copy(rb, send, s);
@@ -269,21 +263,4 @@ bool direct_allreduce(RankCtx& ctx, const void* send, void* recv,
   return true;
 }
 
-}  // namespace detail
-
-void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
-                      std::size_t count, Datatype d, ReduceOp op,
-                      const CollOpts& opts) {
-  detail::direct_allreduce(ctx, send, recv, count, d, op, opts,
-                           /*xpmem_baseline=*/false,
-                           detail::DirectMiss::raise);
-}
-
-void direct_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
-                           std::size_t count, Datatype d, ReduceOp op,
-                           const CollOpts& opts) {
-  detail::direct_reduce_scatter(ctx, send, recv, count, d, op, opts,
-                                detail::DirectMiss::raise);
-}
-
-}  // namespace yhccl::coll
+}  // namespace yhccl::coll::detail

@@ -24,11 +24,9 @@
 #include "yhccl/copy/reduce_kernels.hpp"
 #include "yhccl/trace/trace.hpp"
 
-namespace yhccl::coll {
+namespace yhccl::coll::detail {
 
 namespace {
-
-using detail::BlockSlicing;
 
 enum class Deliver : int { scatter, all, root_only };
 
@@ -71,7 +69,7 @@ void dpml_core(RankCtx& ctx, const std::byte* send, std::byte* recv,
   const std::size_t I = S.slice;
   const std::size_t RB = static_cast<std::size_t>(p) * I;  // staged per rank
 
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   // p staging regions of RB bytes + one node-result region.
   std::byte* staging = carve.take(static_cast<std::size_t>(p) * RB);
   std::byte* node_res = carve.take(RB);
@@ -79,7 +77,7 @@ void dpml_core(RankCtx& ctx, const std::byte* send, std::byte* recv,
 
   const std::size_t C = ctx.cache().available(p);
   const std::size_t W =
-      detail::WorkSet::allreduce(S.total, p, g.m, I);  // conservative
+      WorkSet::allreduce(S.total, p, g.m, I);  // conservative
 
   for (std::size_t t = 0; t < S.nrounds; ++t) {
     // Copy-in: my sub-slice of every block, gathered into my staging.
@@ -200,14 +198,10 @@ BlockSlicing dpml_slicing(RankCtx& ctx, std::size_t total,
 void dpml_two_level_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                                    std::size_t count, Datatype d, ReduceOp op,
                                    const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t B = count * dtype_size(d);
-  trace::CollScope coll_scope(
-      detail::trace_coll_id(CollKind::reduce_scatter),
-      B * static_cast<std::size_t>(p),
-      detail::trace_alg_id(Algorithm::dpml_two_level));
   if (p == 1) {
     copy::t_copy(recv, send, B);
     return;
@@ -222,13 +216,10 @@ void dpml_two_level_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 void dpml_two_level_allreduce(RankCtx& ctx, const void* send, void* recv,
                               std::size_t count, Datatype d, ReduceOp op,
                               const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
-  trace::CollScope coll_scope(
-      detail::trace_coll_id(CollKind::allreduce), total,
-      detail::trace_alg_id(Algorithm::dpml_two_level));
   if (p == 1) {
     copy::t_copy(recv, send, total);
     return;
@@ -243,13 +234,10 @@ void dpml_two_level_allreduce(RankCtx& ctx, const void* send, void* recv,
 void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
                            std::size_t count, Datatype d, ReduceOp op,
                            int root, const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
-  trace::CollScope coll_scope(
-      detail::trace_coll_id(CollKind::reduce), total,
-      detail::trace_alg_id(Algorithm::dpml_two_level));
   if (p == 1) {
     copy::t_copy(recv, send, total);
     return;
@@ -262,4 +250,4 @@ void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
             Deliver::root_only, root);
 }
 
-}  // namespace yhccl::coll
+}  // namespace yhccl::coll::detail

@@ -20,20 +20,18 @@
 #include "yhccl/copy/reduce_kernels.hpp"
 #include "yhccl/trace/trace.hpp"
 
-namespace yhccl::coll {
+namespace yhccl::coll::detail {
 
 void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
                     std::size_t count, Datatype d, ReduceOp op,
                     const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t s = count * dtype_size(d);
   YHCCL_REQUIRE(s <= fold_max_bytes(p),
                 "fold allreduce: message exceeds its fold-stage slot "
                 "(needs s <= fold_max_bytes(p))");
-  trace::CollScope coll_scope(detail::trace_coll_id(CollKind::allreduce), s,
-                              detail::trace_alg_id(Algorithm::fold));
   if (p == 1) {
     copy::t_copy(recv, send, s);
     return;
@@ -41,7 +39,7 @@ void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
   const std::size_t slot = round_up(s, kCacheline);
   std::byte* stage = ctx.next_fold_stage();
   const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::allreduce(s, p, 1, slot);
+  const std::size_t W = WorkSet::allreduce(s, p, 1, slot);
   {
     const bool nt = copy::use_nt_store(opts.policy, /*temporal_hint=*/true,
                                        C, W, s);
@@ -66,4 +64,4 @@ void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
   copy::reduce_out_multi(recv, srcs, p, s, d, op, nt);
 }
 
-}  // namespace yhccl::coll
+}  // namespace yhccl::coll::detail

@@ -11,7 +11,9 @@
 // team runs it when all ranks' buffers lie in shared windows and falls
 // back to the MA arm otherwise (docs/algorithms.md §3c).  Every slice
 // copy goes through the adaptive non-temporal policy (§4) unless the
-// caller forces a policy arm for experiments.
+// caller forces a policy arm for experiments.  An explicit opts.algorithm
+// names one row of the arm table (yhccl/coll/arm_table.hpp) and runs it
+// without consulting the tuner: this is the one way to run a fixed arm.
 //
 // Buffer semantics follow MPI:
 //   reduce_scatter — `send` holds nranks*count elements; rank i receives
@@ -93,69 +95,5 @@ void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
                int root, const CollOpts& opts = {});
 void allgather(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, const CollOpts& opts = {});
-
-// ---- explicit algorithm arms (benchmarks compare these directly) ----------
-
-void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
-                       std::size_t count, Datatype d, ReduceOp op,
-                       const CollOpts& opts = {});
-void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
-                  std::size_t count, Datatype d, ReduceOp op,
-                  const CollOpts& opts = {});
-void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
-               Datatype d, ReduceOp op, int root, const CollOpts& opts = {});
-
-void socket_ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
-                              std::size_t count, Datatype d, ReduceOp op,
-                              const CollOpts& opts = {});
-void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
-                         std::size_t count, Datatype d, ReduceOp op,
-                         const CollOpts& opts = {});
-void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
-                      std::size_t count, Datatype d, ReduceOp op, int root,
-                      const CollOpts& opts = {});
-
-void dpml_two_level_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
-                                   std::size_t count, Datatype d, ReduceOp op,
-                                   const CollOpts& opts = {});
-void dpml_two_level_allreduce(RankCtx& ctx, const void* send, void* recv,
-                              std::size_t count, Datatype d, ReduceOp op,
-                              const CollOpts& opts = {});
-void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
-                           std::size_t count, Datatype d, ReduceOp op,
-                           int root, const CollOpts& opts = {});
-
-/// One barrier per call: stage my s bytes, sync once, fold all p slots in
-/// rank order into `recv`.  Requires s <= fold_max_bytes(p).
-void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
-                    std::size_t count, Datatype d, ReduceOp op,
-                    const CollOpts& opts = {});
-
-/// Single-copy allreduce over peers' own buffers: rank r reduces block r
-/// of every send buffer, in rank order, into its recv, then copies the
-/// other blocks from their owners' recv buffers (pull, three barriers), or
-/// above the private-cache cut 2ps > p·c'' streams its block into every
-/// peer's recv (push, two barriers).  DAV s(3p-1) either way.  Requires
-/// ranks that share an address space, or every rank's send and recv in a
-/// shared window (rt::Team::windows()); throws yhccl::Error on every rank
-/// otherwise.
-void direct_allreduce(RankCtx& ctx, const void* send, void* recv,
-                      std::size_t count, Datatype d, ReduceOp op,
-                      const CollOpts& opts = {});
-
-/// Single-copy reduce_scatter: rank r reduces block r of every send
-/// buffer, in rank order, into its recv, slice by slice, then passes a
-/// trailing barrier.  DAV (p+1)s over the input s, two barriers.  In place
-/// when recv is block r of send.  Requires what direct_allreduce does, for
-/// the send buffers.
-void direct_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
-                           std::size_t count, Datatype d, ReduceOp op,
-                           const CollOpts& opts = {});
-
-void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
-                         Datatype d, int root, const CollOpts& opts = {});
-void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
-                         std::size_t count, Datatype d,
-                         const CollOpts& opts = {});
 
 }  // namespace yhccl::coll

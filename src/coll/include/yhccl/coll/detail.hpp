@@ -7,20 +7,8 @@
 #include "yhccl/common/error.hpp"
 #include "yhccl/common/types.hpp"
 #include "yhccl/coll/coll.hpp"
-#include "yhccl/trace/trace.hpp"
 
 namespace yhccl::coll::detail {
-
-/// Collective-kind id stamped into trace records (trace::Rec::coll):
-/// 1 + CollKind, because 0 means "outside any collective".
-constexpr std::uint8_t trace_coll_id(CollKind k) noexcept {
-  return static_cast<std::uint8_t>(1 + static_cast<int>(k));
-}
-
-/// Algorithm id for the trace's coll-span variant byte.
-constexpr std::uint8_t trace_alg_id(Algorithm a) noexcept {
-  return static_cast<std::uint8_t>(a);
-}
 
 /// Blocked slice geometry for the sliced-reduction problem (§3.1).
 ///
@@ -143,18 +131,75 @@ inline bool direct_pushes(std::size_t s, int p,
 /// every rank (the caller named direct).
 enum class DirectMiss { raise, fall_back };
 
-/// The direct allreduce (coll::direct_allreduce).  `xpmem_baseline` pins
-/// the XPMEM baseline's semantics: the pull schedule at every size and a
-/// temporal reduce store whatever opts.policy says (base::xpmem_allreduce
-/// pairs it with CopyPolicy::memmove_model).  False only on a negative
-/// verdict under DirectMiss::fall_back.
+// ---- the arm bodies ---------------------------------------------------------
+// Each runs one arm of the arm table (yhccl/coll/arm_table.hpp), which is
+// their only caller besides socket-MA's flat fallback and the XPMEM
+// baseline: user code names an arm through CollOpts::algorithm.  The
+// buffer semantics are the generic entry points' (coll.hpp).
+
+void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
+                       std::size_t count, Datatype d, ReduceOp op,
+                       const CollOpts& opts);
+void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
+                  std::size_t count, Datatype d, ReduceOp op,
+                  const CollOpts& opts);
+void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
+               Datatype d, ReduceOp op, int root, const CollOpts& opts);
+
+/// Two-level socket-aware MA; the flat arm's schedule when the sockets do
+/// not divide the ranks.
+void socket_ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
+                              std::size_t count, Datatype d, ReduceOp op,
+                              const CollOpts& opts);
+void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
+                         std::size_t count, Datatype d, ReduceOp op,
+                         const CollOpts& opts);
+void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
+                      std::size_t count, Datatype d, ReduceOp op, int root,
+                      const CollOpts& opts);
+
+void dpml_two_level_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
+                                   std::size_t count, Datatype d, ReduceOp op,
+                                   const CollOpts& opts);
+void dpml_two_level_allreduce(RankCtx& ctx, const void* send, void* recv,
+                              std::size_t count, Datatype d, ReduceOp op,
+                              const CollOpts& opts);
+void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
+                           std::size_t count, Datatype d, ReduceOp op,
+                           int root, const CollOpts& opts);
+
+/// One barrier per call: stage my s bytes, sync once, fold all p slots in
+/// rank order into `recv`.  Requires s <= fold_max_bytes(p).
+void fold_allreduce(RankCtx& ctx, const void* send, void* recv,
+                    std::size_t count, Datatype d, ReduceOp op,
+                    const CollOpts& opts);
+
+void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
+                         Datatype d, int root, const CollOpts& opts);
+void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
+                         std::size_t count, Datatype d, const CollOpts& opts);
+
+/// Single-copy allreduce over peers' own buffers: rank r reduces block r
+/// of every send buffer, in rank order, into its recv, then copies the
+/// other blocks from their owners' recv buffers (pull, three barriers), or
+/// above the private-cache cut 2ps > p·c'' streams its block into every
+/// peer's recv (push, two barriers).  DAV s(3p-1) either way.  Requires
+/// ranks that share an address space, or every rank's send and recv in a
+/// shared window (rt::Team::windows()).  `xpmem_baseline` pins the XPMEM
+/// baseline's semantics: the pull schedule at every size and a temporal
+/// reduce store whatever opts.policy says (base::xpmem_allreduce pairs it
+/// with CopyPolicy::memmove_model).  False only on a negative verdict
+/// under DirectMiss::fall_back.
 bool direct_allreduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op,
                       const CollOpts& opts, bool xpmem_baseline,
                       DirectMiss miss);
 
-/// The direct reduce_scatter (coll::direct_reduce_scatter); returns as
-/// direct_allreduce does.
+/// Single-copy reduce_scatter: rank r reduces block r of every send
+/// buffer, in rank order, into its recv, slice by slice, then passes a
+/// trailing barrier.  DAV (p+1)s over the input s, two barriers.  In place
+/// when recv is block r of send.  Requires what direct_allreduce does, for
+/// the send buffers; returns as it does.
 bool direct_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                            std::size_t count, Datatype d, ReduceOp op,
                            const CollOpts& opts, DirectMiss miss);

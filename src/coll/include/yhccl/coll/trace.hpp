@@ -48,23 +48,13 @@ class CollTrace {
   std::vector<TraceEvent> events_;
 };
 
-// ---- recording wrappers ------------------------------------------------------
-// Same shapes as yhccl::coll, with a leading trace (per rank; typically
-// only rank 0's trace is kept since all ranks record the same sequence).
+// ---- recording --------------------------------------------------------------
 
-void allreduce(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
-               std::size_t count, Datatype d, ReduceOp op,
-               const CollOpts& opts = {});
-void reduce(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
-            std::size_t count, Datatype d, ReduceOp op, int root,
-            const CollOpts& opts = {});
-void reduce_scatter(CollTrace& trace, RankCtx& ctx, const void* send,
-                    void* recv, std::size_t count, Datatype d, ReduceOp op,
-                    const CollOpts& opts = {});
-void broadcast(CollTrace& trace, RankCtx& ctx, void* buf, std::size_t count,
-               Datatype d, int root, const CollOpts& opts = {});
-void allgather(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
-               std::size_t count, Datatype d, const CollOpts& opts = {});
+/// coll::collective, recorded into `trace` with its duration (per rank;
+/// typically only rank 0's trace is kept since all ranks record the same
+/// sequence).
+void collective(CollTrace& trace, RankCtx& ctx, CollKind kind,
+                const CollArgs& args, const CollOpts& opts = {});
 
 // ---- replay --------------------------------------------------------------------
 

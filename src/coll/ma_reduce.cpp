@@ -24,11 +24,9 @@
 #include "yhccl/copy/reduce_kernels.hpp"
 #include "yhccl/trace/trace.hpp"
 
-namespace yhccl::coll {
+namespace yhccl::coll::detail {
 
 namespace {
-
-using detail::BlockSlicing;
 
 enum class FinalDest : int {
   recv_block,  ///< stream the last reduce into my receive block (scatter)
@@ -93,13 +91,10 @@ void ma_round(RankCtx& ctx, const std::byte* send, std::byte* recv_block,
 void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                        std::size_t count, Datatype d, ReduceOp op,
                        const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t B = count * dtype_size(d);
-  trace::CollScope coll_scope(detail::trace_coll_id(CollKind::reduce_scatter),
-                              B * static_cast<std::size_t>(p),
-                              detail::trace_alg_id(Algorithm::ma_flat));
   const auto* sb = static_cast<const std::byte*>(send);
   auto* rb = static_cast<std::byte*>(recv);
   if (p == 1) {
@@ -108,10 +103,10 @@ void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
   }
   const std::size_t total = B * static_cast<std::size_t>(p);
   const auto S = BlockSlicing::with_block(total, B, opts);
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   std::byte* shm = carve.take(static_cast<std::size_t>(p) * S.slice);
   const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::reduce_scatter(total, p, S.slice);
+  const std::size_t W = WorkSet::reduce_scatter(total, p, S.slice);
   const std::uint64_t seq = ctx.next_seq();
 
   for (std::size_t t = 0; t < S.nrounds; ++t)
@@ -125,13 +120,10 @@ void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
                   std::size_t count, Datatype d, ReduceOp op,
                   const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
-  trace::CollScope coll_scope(detail::trace_coll_id(CollKind::allreduce),
-                              total,
-                              detail::trace_alg_id(Algorithm::ma_flat));
   const auto* sb = static_cast<const std::byte*>(send);
   auto* rb = static_cast<std::byte*>(recv);
   if (p == 1) {
@@ -139,10 +131,10 @@ void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
     return;
   }
   const auto S = BlockSlicing::partitioned(total, p, opts);
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   std::byte* shm = carve.take(static_cast<std::size_t>(p) * S.slice);
   const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::allreduce(total, p, 1, S.slice);
+  const std::size_t W = WorkSet::allreduce(total, p, 1, S.slice);
   const std::uint64_t seq = ctx.next_seq();
 
   for (std::size_t t = 0; t < S.nrounds; ++t) {
@@ -175,12 +167,10 @@ void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
 
 void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, ReduceOp op, int root, const CollOpts& opts) {
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
-  trace::CollScope coll_scope(detail::trace_coll_id(CollKind::reduce), total,
-                              detail::trace_alg_id(Algorithm::ma_flat));
   const auto* sb = static_cast<const std::byte*>(send);
   auto* rb = static_cast<std::byte*>(recv);
   if (p == 1) {
@@ -188,10 +178,10 @@ void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
     return;
   }
   const auto S = BlockSlicing::partitioned(total, p, opts);
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   std::byte* shm = carve.take(static_cast<std::size_t>(p) * S.slice);
   const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::reduce(total, p, 1, S.slice);
+  const std::size_t W = WorkSet::reduce(total, p, 1, S.slice);
   const std::uint64_t seq = ctx.next_seq();
 
   for (std::size_t t = 0; t < S.nrounds; ++t) {
@@ -220,4 +210,4 @@ void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
   }
 }
 
-}  // namespace yhccl::coll
+}  // namespace yhccl::coll::detail

@@ -14,7 +14,7 @@
 #include "yhccl/copy/policy.hpp"
 #include "yhccl/trace/trace.hpp"
 
-namespace yhccl::coll {
+namespace yhccl::coll::detail {
 
 namespace {
 
@@ -30,19 +30,16 @@ std::size_t pipeline_slice(std::size_t total, const CollOpts& opts) {
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts) {
-  trace::CollScope coll_scope(detail::trace_coll_id(CollKind::broadcast),
-                              count * dtype_size(d),
-                              detail::trace_alg_id(Algorithm::pipelined));
   if (count == 0 || ctx.nranks() == 1) return;
   const int p = ctx.nranks();
   const std::size_t s = count * dtype_size(d);
   const std::size_t I = pipeline_slice(s, opts);
   const std::size_t nsl = ceil_div(s, I);
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   std::byte* shm = carve.take(2 * I);
   auto* b = static_cast<std::byte*>(buf);
   const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::broadcast(s, p, I);
+  const std::size_t W = WorkSet::broadcast(s, p, I);
 
   auto slice_len = [&](std::size_t k) { return std::min(I, s - k * I); };
 
@@ -87,9 +84,6 @@ void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
 void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
                          std::size_t count, Datatype d,
                          const CollOpts& opts) {
-  trace::CollScope coll_scope(detail::trace_coll_id(CollKind::allgather),
-                              count * dtype_size(d),
-                              detail::trace_alg_id(Algorithm::pipelined));
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t s = count * dtype_size(d);
@@ -101,14 +95,14 @@ void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
   }
   const std::size_t I = pipeline_slice(s, opts);
   const std::size_t nsl = ceil_div(s, I);
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   std::byte* shm =
       carve.take(2 * static_cast<std::size_t>(p) * I);  // p double buffers
   auto slot = [&](int rank, std::size_t k) {
     return shm + (static_cast<std::size_t>(rank) * 2 + k % 2) * I;
   };
   const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::allgather(s, p, I);
+  const std::size_t W = WorkSet::allgather(s, p, I);
   auto slice_len = [&](std::size_t k) { return std::min(I, s - k * I); };
 
   for (std::size_t k = 0; k < nsl; ++k) {
@@ -156,4 +150,4 @@ void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
   ctx.barrier();
 }
 
-}  // namespace yhccl::coll
+}  // namespace yhccl::coll::detail

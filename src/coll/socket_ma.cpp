@@ -24,11 +24,9 @@
 #include "yhccl/copy/reduce_kernels.hpp"
 #include "yhccl/trace/trace.hpp"
 
-namespace yhccl::coll {
+namespace yhccl::coll::detail {
 
 namespace {
-
-using detail::BlockSlicing;
 
 bool socket_layout_usable(const RankCtx& ctx) {
   auto& t = const_cast<RankCtx&>(ctx).team().topo();
@@ -121,7 +119,7 @@ void socket_ma_core(RankCtx& ctx, const std::byte* send, std::byte* recv,
                     int root /* <0: scatter/allreduce copy-out semantics */,
                     bool copy_out_all) {
   const auto pl = make_plan(ctx);
-  detail::ScratchCarver carve(ctx);
+  ScratchCarver carve(ctx);
   std::byte* scratch = carve.take(static_cast<std::size_t>(pl.m) *
                                   static_cast<std::size_t>(pl.p) * S.slice);
   std::byte* my_sock_shm = pl.sock_shm(scratch, pl.sock, S.slice);
@@ -176,15 +174,9 @@ void socket_ma_core(RankCtx& ctx, const std::byte* send, std::byte* recv,
 void socket_ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                               std::size_t count, Datatype d, ReduceOp op,
                               const CollOpts& opts) {
-  // Outermost scope: a fallback to the flat arm nests inside it, so the
-  // trace still attributes the call to the socket-aware algorithm choice.
-  trace::CollScope coll_scope(
-      detail::trace_coll_id(CollKind::reduce_scatter),
-      count * dtype_size(d) * static_cast<std::size_t>(ctx.nranks()),
-      detail::trace_alg_id(Algorithm::ma_socket_aware));
   if (!socket_layout_usable(ctx))
     return ma_reduce_scatter(ctx, send, recv, count, d, op, opts);
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t B = count * dtype_size(d);
@@ -194,7 +186,7 @@ void socket_ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
   }
   const std::size_t total = B * static_cast<std::size_t>(p);
   const auto S = BlockSlicing::with_block(total, B, opts);
-  const std::size_t W = detail::WorkSet::reduce_scatter(total, p, S.slice);
+  const std::size_t W = WorkSet::reduce_scatter(total, p, S.slice);
   socket_ma_core(ctx, static_cast<const std::byte*>(send),
                  static_cast<std::byte*>(recv), S, d, op, opts, W,
                  FinalDest::recv_block, /*root=*/-1, /*copy_out_all=*/false);
@@ -203,12 +195,9 @@ void socket_ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
                          std::size_t count, Datatype d, ReduceOp op,
                          const CollOpts& opts) {
-  trace::CollScope coll_scope(
-      detail::trace_coll_id(CollKind::allreduce), count * dtype_size(d),
-      detail::trace_alg_id(Algorithm::ma_socket_aware));
   if (!socket_layout_usable(ctx))
     return ma_allreduce(ctx, send, recv, count, d, op, opts);
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
@@ -218,7 +207,7 @@ void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
   }
   const auto S = BlockSlicing::partitioned(total, p, opts);
   const std::size_t W =
-      detail::WorkSet::allreduce(total, p, ctx.nsockets(), S.slice);
+      WorkSet::allreduce(total, p, ctx.nsockets(), S.slice);
   socket_ma_core(ctx, static_cast<const std::byte*>(send),
                  static_cast<std::byte*>(recv), S, d, op, opts, W,
                  FinalDest::shm, /*root=*/-1, /*copy_out_all=*/true);
@@ -227,12 +216,9 @@ void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
 void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op, int root,
                       const CollOpts& opts) {
-  trace::CollScope coll_scope(
-      detail::trace_coll_id(CollKind::reduce), count * dtype_size(d),
-      detail::trace_alg_id(Algorithm::ma_socket_aware));
   if (!socket_layout_usable(ctx))
     return ma_reduce(ctx, send, recv, count, d, op, root, opts);
-  detail::check_reduction_args(ctx, send, count, d, op);
+  check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
@@ -242,10 +228,10 @@ void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
   }
   const auto S = BlockSlicing::partitioned(total, p, opts);
   const std::size_t W =
-      detail::WorkSet::reduce(total, p, ctx.nsockets(), S.slice);
+      WorkSet::reduce(total, p, ctx.nsockets(), S.slice);
   socket_ma_core(ctx, static_cast<const std::byte*>(send),
                  static_cast<std::byte*>(recv), S, d, op, opts, W,
                  FinalDest::shm, root, /*copy_out_all=*/false);
 }
 
-}  // namespace yhccl::coll
+}  // namespace yhccl::coll::detail

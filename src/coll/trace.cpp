@@ -138,48 +138,12 @@ CollTrace CollTrace::from_csv(const std::string& csv) {
   return t;
 }
 
-namespace {
-
-/// Run one collective through collective() and record it with its time.
-void traced(CollTrace& trace, RankCtx& ctx, CollKind kind,
-            const CollArgs& args, const CollOpts& opts) {
+void collective(CollTrace& trace, RankCtx& ctx, CollKind kind,
+                const CollArgs& args, const CollOpts& opts) {
   const Timer timer;
   collective(ctx, kind, args, opts);
   trace.record({kind, args.count, args.dtype, args.op, args.root,
                 timer.elapsed()});
-}
-
-}  // namespace
-
-void allreduce(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
-               std::size_t count, Datatype d, ReduceOp op,
-               const CollOpts& opts) {
-  traced(trace, ctx, CollKind::allreduce, {send, recv, count, d, op, 0}, opts);
-}
-
-void reduce(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
-            std::size_t count, Datatype d, ReduceOp op, int root,
-            const CollOpts& opts) {
-  traced(trace, ctx, CollKind::reduce, {send, recv, count, d, op, root}, opts);
-}
-
-void reduce_scatter(CollTrace& trace, RankCtx& ctx, const void* send,
-                    void* recv, std::size_t count, Datatype d, ReduceOp op,
-                    const CollOpts& opts) {
-  traced(trace, ctx, CollKind::reduce_scatter, {send, recv, count, d, op, 0},
-         opts);
-}
-
-void broadcast(CollTrace& trace, RankCtx& ctx, void* buf, std::size_t count,
-               Datatype d, int root, const CollOpts& opts) {
-  traced(trace, ctx, CollKind::broadcast,
-         {buf, buf, count, d, ReduceOp::sum, root}, opts);
-}
-
-void allgather(CollTrace& trace, RankCtx& ctx, const void* send, void* recv,
-               std::size_t count, Datatype d, const CollOpts& opts) {
-  traced(trace, ctx, CollKind::allgather,
-         {send, recv, count, d, ReduceOp::sum, 0}, opts);
 }
 
 ReplayResult replay(RankCtx& ctx, const CollTrace& trace,

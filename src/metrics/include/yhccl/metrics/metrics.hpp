@@ -138,7 +138,8 @@ inline void bump(mc::atomic<std::uint64_t>& c, std::uint64_t d = 1) noexcept {
   c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
 }
 
-/// One (collective, algorithm, size-bucket) accounting cell.
+/// One (collective, algorithm, size-bucket) accounting cell; coll::collective
+/// lands one sample per call in its rank's slot.
 struct Cell {
   mc::atomic<std::uint64_t> calls{0};
   mc::atomic<std::uint64_t> bytes{0};
@@ -355,41 +356,6 @@ class BarrierScope {
   MetricsBuffer* buf_;
   std::uint64_t t0_ = 0;
   bool node_;
-};
-
-/// Whole-collective sample from the switching layer: one cell update per
-/// generic entry — calls, payload bytes, latency sum and one histogram
-/// increment (so sum(hist) == calls holds exactly on a quiesced team).
-class CollSample {
- public:
-  CollSample(int coll_id, std::uint64_t payload_bytes) noexcept
-      : buf_(detail::tl_metrics.buf), bytes_(payload_bytes), coll_(coll_id) {
-    if (buf_ == nullptr) return;
-    t0_ = trace::trace_now();
-  }
-  CollSample(const CollSample&) = delete;
-  CollSample& operator=(const CollSample&) = delete;
-  /// The dispatched algorithm (1 + coll::Algorithm), once the switch
-  /// decided; cheap enough to set unconditionally.
-  void set_alg(int alg_id) noexcept { alg_ = alg_id; }
-  ~CollSample() {
-    if (buf_ == nullptr) return;
-    auto& c = detail::tl_metrics;
-    const std::uint64_t dt = trace::trace_now() - t0_;
-    Cell& cell = buf_->cell(c.rank, coll_, alg_,
-                            size_bucket(bytes_));
-    bump(cell.hist[lat_bucket(dt)]);
-    bump(cell.ticks, dt);
-    bump(cell.bytes, bytes_);
-    bump(cell.calls);
-  }
-
- private:
-  MetricsBuffer* buf_;
-  std::uint64_t t0_ = 0;
-  std::uint64_t bytes_;
-  int coll_;
-  int alg_ = 0;
 };
 
 }  // namespace yhccl::metrics

@@ -58,7 +58,7 @@ const char* trace_dir() noexcept;
 
 /// The span taxonomy (docs/observability.md §2).  One byte in the record.
 enum class Phase : std::uint8_t {
-  coll,       ///< whole collective call (one per generic/arm entry)
+  coll,       ///< whole collective call (one per call, coll::collective)
   copy_in,    ///< slice copy into shared memory (bytes, t/nt path, ISA)
   copy_out,   ///< slice copy out of shared memory into the receive buffer
   reduce,     ///< reduce round / fused final reduce (bytes, ISA tier)
@@ -257,7 +257,6 @@ struct TraceCtx {
   TraceBuffer* buf = nullptr;
   int ring = 0;           ///< my ring index (== rank)
   std::uint8_t coll = 0;  ///< current collective-kind id (0 = none)
-  std::uint8_t depth = 0; ///< CollScope nesting (fallback arms re-enter)
 };
 inline thread_local TraceCtx tl_trace;
 }  // namespace detail
@@ -317,47 +316,6 @@ inline void stall_marker(Phase ph) noexcept {
                           c.coll, 0, kFlagMarker, 0});
 }
 
-/// Whole-collective scope; stamps the current coll-kind id into every record
-/// pushed inside it.  Re-entrant: a fallback arm (socket-MA -> flat MA)
-/// nests, and only the outermost scope emits the Phase::coll record.
-class CollScope {
- public:
-  CollScope(std::uint8_t coll_id, std::uint64_t payload,
-            std::uint8_t alg = 0) noexcept {
-    auto& c = detail::tl_trace;
-    if (c.buf == nullptr) return;
-    counted_ = true;
-    if (c.depth++ > 0) return;
-    buf_ = c.buf;
-    c.coll = coll_id;
-    arg_ = payload;
-    var_ = alg;
-    t0_ = trace_now();
-  }
-  CollScope(const CollScope&) = delete;
-  CollScope& operator=(const CollScope&) = delete;
-  /// Relabel the record's algorithm (a served arm handed the call on).
-  void set_alg(std::uint8_t alg) noexcept { var_ = alg; }
-  ~CollScope() {
-    if (!counted_) return;
-    auto& c = detail::tl_trace;
-    --c.depth;
-    if (buf_ == nullptr) return;
-    const std::uint64_t t1 = trace_now();
-    buf_->push(c.ring, Rec{t0_, t1, arg_,
-                           static_cast<std::uint8_t>(Phase::coll), c.coll,
-                           var_, 0, 0});
-    c.coll = 0;
-  }
-
- private:
-  TraceBuffer* buf_ = nullptr;
-  std::uint64_t t0_ = 0;
-  std::uint64_t arg_ = 0;
-  std::uint8_t var_ = 0;
-  bool counted_ = false;
-};
-
 /// RAII context installer used by Team::run (mirrors FaultRunScope /
 /// HbRunScope).  Null buf keeps the context empty: every hook no-ops.
 class TraceRunScope {
@@ -367,7 +325,6 @@ class TraceRunScope {
     c.buf = buf;
     c.ring = ring;
     c.coll = 0;
-    c.depth = 0;
   }
   ~TraceRunScope() { detail::tl_trace = detail::TraceCtx{}; }
   TraceRunScope(const TraceRunScope&) = delete;

@@ -418,13 +418,14 @@ md::impl::OpCounts expected_ma_allreduce(std::size_t bytes, int p, int m,
   return md::impl::ma_allreduce_ops(bytes, g);
 }
 
-RankFn ma_allreduce_fn(const coll::CollOpts& o, std::size_t count) {
+RankFn ma_allreduce_fn(coll::CollOpts o, std::size_t count) {
+  o.algorithm = coll::Algorithm::ma_flat;
   return [o, count](rt::RankCtx& ctx) {
     std::vector<double> send(count), recv(count);
     fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
                 ReduceOp::sum);
-    coll::ma_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
-                       ReduceOp::sum, o);
+    coll::allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                    ReduceOp::sum, o);
   };
 }
 

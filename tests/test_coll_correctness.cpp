@@ -280,15 +280,16 @@ TEST(CollEdge, BackToBackCollectivesReuseScratchSafely) {
   std::vector<std::vector<double>> send(4, std::vector<double>(n)),
       recv(4, std::vector<double>(n));
   for (int r = 0; r < 4; ++r) fill_buffer(send[r].data(), n, Datatype::f64, r, ReduceOp::sum);
-  CollOpts o;
-  o.slice_max = 8u << 10;
+  CollOpts ma, socket_ma;
+  ma.algorithm = Algorithm::ma_flat;
+  socket_ma.algorithm = Algorithm::ma_socket_aware;
+  ma.slice_max = socket_ma.slice_max = 8u << 10;
   team.run([&](RankCtx& ctx) {
     for (int it = 0; it < 20; ++it) {
-      ma_allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
-                   Datatype::f64, ReduceOp::sum, o);
-      socket_ma_allreduce(ctx, send[ctx.rank()].data(),
-                          recv[ctx.rank()].data(), n, Datatype::f64,
-                          ReduceOp::sum, o);
+      allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+                Datatype::f64, ReduceOp::sum, ma);
+      allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+                Datatype::f64, ReduceOp::sum, socket_ma);
     }
   });
   for (int r = 0; r < 4; ++r)
@@ -699,11 +700,11 @@ TEST(CollEdge, DpmlFlatModeMatchesReference) {
   for (int r = 0; r < 6; ++r)
     fill_buffer(send[r].data(), n, Datatype::f32, r, ReduceOp::sum);
   CollOpts o;
+  o.algorithm = Algorithm::dpml_two_level;
   o.dpml_flat = true;  // the paper's original single-level DPML baseline
   team.run([&](RankCtx& ctx) {
-    dpml_two_level_allreduce(ctx, send[ctx.rank()].data(),
-                             recv[ctx.rank()].data(), n, Datatype::f32,
-                             ReduceOp::sum, o);
+    allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+              Datatype::f32, ReduceOp::sum, o);
   });
   for (int r = 0; r < 6; ++r)
     EXPECT_TRUE(

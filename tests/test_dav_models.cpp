@@ -30,8 +30,9 @@ namespace {
 
 constexpr std::size_t kSliceMax = 16u << 10;
 
-CollOpts exact_opts() {
+CollOpts exact_opts(Algorithm arm) {
   CollOpts o;
+  o.algorithm = arm;
   o.slice_max = kSliceMax;
   return o;
 }
@@ -65,11 +66,11 @@ TEST(DavModel, MaReduceScatterIsExactlyS3pMinus1) {
   for (auto [p, m] : {std::pair{2, 1}, {4, 1}, {8, 1}}) {
     Fixture f(p, m, 8192);  // B = 64 KiB = 4 slices of 16 KiB
     auto& team = cached_team(p, m);
-    const auto o = exact_opts();
+    const auto o = exact_opts(Algorithm::ma_flat);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      ma_reduce_scatter(ctx, f.send[ctx.rank()].data(),
-                        f.recv[ctx.rank()].data(), f.count, Datatype::f64,
-                        ReduceOp::sum, o);
+      reduce_scatter(ctx, f.send[ctx.rank()].data(),
+                     f.recv[ctx.rank()].data(), f.count, Datatype::f64,
+                     ReduceOp::sum, o);
     });
     EXPECT_EQ(dav, md::impl::ma_reduce_scatter(f.total(), p)) << "p=" << p;
   }
@@ -82,11 +83,11 @@ TEST(DavModel, SocketMaReduceScatterIsExactlyS3pPlus1) {
   for (auto [p, m] : {std::pair{4, 2}, {8, 2}, {8, 4}}) {
     Fixture f(p, m, 8192);
     auto& team = cached_team(p, m);
-    const auto o = exact_opts();
+    const auto o = exact_opts(Algorithm::ma_socket_aware);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      socket_ma_reduce_scatter(ctx, f.send[ctx.rank()].data(),
-                               f.recv[ctx.rank()].data(), f.count,
-                               Datatype::f64, ReduceOp::sum, o);
+      reduce_scatter(ctx, f.send[ctx.rank()].data(),
+                     f.recv[ctx.rank()].data(), f.count, Datatype::f64,
+                     ReduceOp::sum, o);
     });
     EXPECT_EQ(dav, md::impl::socket_ma_reduce_scatter(f.total(), p, m))
         << "p=" << p << " m=" << m;
@@ -105,10 +106,10 @@ TEST(DavModel, MaAllreduceIsExactlyS5pMinus1) {
       fill_buffer(send[r].data(), count, Datatype::f64, r, ReduceOp::sum);
     }
     auto& team = cached_team(p, 1);
-    const auto o = exact_opts();
+    const auto o = exact_opts(Algorithm::ma_flat);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      ma_allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(),
-                   count, Datatype::f64, ReduceOp::sum, o);
+      allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), count,
+                Datatype::f64, ReduceOp::sum, o);
     });
     EXPECT_EQ(dav, md::impl::ma_allreduce(count * 8, p)) << "p=" << p;
   }
@@ -124,11 +125,10 @@ TEST(DavModel, SocketMaAllreduceMatchesTable2) {
       fill_buffer(send[r].data(), count, Datatype::f64, r, ReduceOp::sum);
     }
     auto& team = cached_team(p, m);
-    const auto o = exact_opts();
+    const auto o = exact_opts(Algorithm::ma_socket_aware);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      socket_ma_allreduce(ctx, send[ctx.rank()].data(),
-                          recv[ctx.rank()].data(), count, Datatype::f64,
-                          ReduceOp::sum, o);
+      allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), count,
+                Datatype::f64, ReduceOp::sum, o);
     });
     EXPECT_EQ(dav, md::impl::socket_ma_allreduce(count * 8, p, m));
     // Paper's Table 2 assumes a pairwise socket-combination chain
@@ -147,10 +147,10 @@ TEST(DavModel, MaReduceMatchesTable3) {
       fill_buffer(send[r].data(), count, Datatype::f64, r, ReduceOp::sum);
     }
     auto& team = cached_team(p, 1);
-    const auto o = exact_opts();
+    const auto o = exact_opts(Algorithm::ma_flat);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      ma_reduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), count,
-                Datatype::f64, ReduceOp::sum, /*root=*/0, o);
+      reduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), count,
+             Datatype::f64, ReduceOp::sum, /*root=*/0, o);
     });
     EXPECT_EQ(dav, md::impl::ma_reduce(count * 8, p));
     EXPECT_EQ(dav, md::paper::ma_reduce(count * 8, p));
@@ -193,8 +193,8 @@ TEST(DavModel, FoldAllreduceIsExactlyPTimesPPlus3S) {
     }
     auto& team = cached_team(p, 1);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      fold_allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(),
-                     count, Datatype::f64, ReduceOp::sum);
+      allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), count,
+                Datatype::f64, ReduceOp::sum, {.algorithm = Algorithm::fold});
     });
     const std::size_t s = count * 8;
     const auto pp = static_cast<std::uint64_t>(p);
@@ -226,12 +226,12 @@ TEST(DavModel, DirectReduceScatterIsExactlyPPlus1S) {
                   ReduceOp::sum);
     }
     CollOpts o;
+    o.algorithm = Algorithm::direct;
     o.slice_max = 16u << 10;
     auto& team = cached_team(p, 1);
     const auto dav = measure(team, [&](rt::RankCtx& ctx) {
-      direct_reduce_scatter(ctx, send[ctx.rank()].data(),
-                            recv[ctx.rank()].data(), count, Datatype::f64,
-                            ReduceOp::sum, o);
+      reduce_scatter(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(),
+                     count, Datatype::f64, ReduceOp::sum, o);
     });
     const auto pp = static_cast<std::uint64_t>(p);
     const std::size_t B = count * 8, s = B * static_cast<std::size_t>(p);
@@ -320,15 +320,14 @@ TEST(DavModel, PipelinedBroadcastAndAllgather) {
     buf[r].resize(count);
     recv[r].resize(count * p);
   }
-  const auto o = exact_opts();
+  const auto o = exact_opts(Algorithm::pipelined);
   const auto bc = measure(team, [&](rt::RankCtx& ctx) {
-    pipelined_broadcast(ctx, buf[ctx.rank()].data(), count, Datatype::f64, 0,
-                        o);
+    broadcast(ctx, buf[ctx.rank()].data(), count, Datatype::f64, 0, o);
   });
   EXPECT_EQ(bc, md::impl::pipelined_broadcast(count * 8, p));
   const auto ag = measure(team, [&](rt::RankCtx& ctx) {
-    pipelined_allgather(ctx, buf[ctx.rank()].data(), recv[ctx.rank()].data(),
-                        count, Datatype::f64, o);
+    allgather(ctx, buf[ctx.rank()].data(), recv[ctx.rank()].data(), count,
+              Datatype::f64, o);
   });
   EXPECT_EQ(ag, md::impl::pipelined_allgather(count * 8, p));
 }

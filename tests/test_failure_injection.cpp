@@ -166,9 +166,9 @@ TEST_F(FailureInjection, AbandonedCollectiveThrowsNotHangs) {
       recv(4, std::vector<double>(n));
   EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
                  if (ctx.rank() == 3) return;  // dies before the collective
-                 ma_allreduce(ctx, send[ctx.rank()].data(),
-                              recv[ctx.rank()].data(), n, Datatype::f64,
-                              ReduceOp::sum);
+                 allreduce(ctx, send[ctx.rank()].data(),
+                           recv[ctx.rank()].data(), n, Datatype::f64,
+                           ReduceOp::sum, {.algorithm = Algorithm::ma_flat});
                }),
                Error);
 }
@@ -292,8 +292,8 @@ TEST_F(FailureInjection, BoundedStallOnlyDelaysTheCollective) {
   for (int r = 0; r < 4; ++r)
     test::fill_buffer(send[r].data(), n, Datatype::f64, r, ReduceOp::sum);
   team.run([&](rt::RankCtx& ctx) {
-    ma_allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
-                 Datatype::f64, ReduceOp::sum);
+    allreduce(ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+              Datatype::f64, ReduceOp::sum, {.algorithm = Algorithm::ma_flat});
   });
   for (int r = 0; r < 4; ++r)
     EXPECT_TRUE(test::check_reduced(recv[r].data(), n, Datatype::f64, 4,

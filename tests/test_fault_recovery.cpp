@@ -76,7 +76,6 @@ void run_matrix(rt::Team& team) {
   const std::size_t n = 2048;
   const auto d = Datatype::f64;
   const auto op = ReduceOp::sum;
-  CollOpts opts;
 
   // Allreduce (socket-aware; falls back to flat when p % sockets != 0).
   std::vector<double*> sb(p), rb(p);
@@ -86,7 +85,8 @@ void run_matrix(rt::Team& team) {
     test::fill_buffer(sb[r], n, d, r, op);
   }
   team.run([&](rt::RankCtx& ctx) {
-    socket_ma_allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n, d, op, opts);
+    allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n, d, op,
+              {.algorithm = Algorithm::ma_socket_aware});
   });
   for (int r = 0; r < p; ++r)
     EXPECT_TRUE(test::check_reduced(rb[r], n, d, p, op)) << "allreduce r" << r;
@@ -99,7 +99,8 @@ void run_matrix(rt::Team& team) {
     test::fill_buffer(ssb[r], n * static_cast<std::size_t>(p), d, r, op);
   }
   team.run([&](rt::RankCtx& ctx) {
-    ma_reduce_scatter(ctx, ssb[ctx.rank()], srb[ctx.rank()], n, d, op, opts);
+    reduce_scatter(ctx, ssb[ctx.rank()], srb[ctx.rank()], n, d, op,
+                   {.algorithm = Algorithm::ma_flat});
   });
   for (int r = 0; r < p; ++r)
     EXPECT_TRUE(test::check_reduced(srb[r], n, d, p, op,
@@ -114,7 +115,8 @@ void run_matrix(rt::Team& team) {
   }
   test::fill_buffer(bb[0], n, d, /*rank=*/42, op);
   team.run([&](rt::RankCtx& ctx) {
-    pipelined_broadcast(ctx, bb[ctx.rank()], n, d, /*root=*/0, opts);
+    broadcast(ctx, bb[ctx.rank()], n, d, /*root=*/0,
+              {.algorithm = Algorithm::pipelined});
   });
   for (int r = 0; r < p; ++r)
     for (std::size_t i = 0; i < n; ++i)
@@ -129,7 +131,8 @@ void run_matrix(rt::Team& team) {
     test::fill_buffer(gs[r], n, d, r, op);
   }
   team.run([&](rt::RankCtx& ctx) {
-    pipelined_allgather(ctx, gs[ctx.rank()], gr[ctx.rank()], n, d, opts);
+    allgather(ctx, gs[ctx.rank()], gr[ctx.rank()], n, d,
+              {.algorithm = Algorithm::pipelined});
   });
   for (int r = 0; r < p; ++r)
     for (int b = 0; b < p; ++b)
@@ -187,9 +190,9 @@ TEST_P(FaultRecovery, DieMidReduceScatterSliceLoop) {
   // with peers blocked on the victim's progress flag.
   kill_and_recover(*team, "die@slice:rank=1:iter=3", 1,
                    [&](rt::RankCtx& ctx) {
-                     ma_reduce_scatter(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
-                                       Datatype::f64, ReduceOp::sum,
-                                       CollOpts{});
+                     reduce_scatter(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
+                                    Datatype::f64, ReduceOp::sum,
+                                    {.algorithm = Algorithm::ma_flat});
                    });
   expect_membership_after_recovery(*team, GetParam(), 1);
   run_matrix(*team);
@@ -199,6 +202,7 @@ TEST_P(FaultRecovery, DieMidPipelineStage) {
   auto team = make_team(GetParam(), 4, 2);
   const std::size_t n = 4096;
   CollOpts opts;
+  opts.algorithm = Algorithm::pipelined;
   opts.slice_max = 4096;  // 32 KiB of doubles -> 8 pipeline stages
   std::vector<double*> bb(4);
   for (int r = 0; r < 4; ++r) {
@@ -207,8 +211,8 @@ TEST_P(FaultRecovery, DieMidPipelineStage) {
   }
   kill_and_recover(*team, "die@pipeline:rank=1:iter=1", 1,
                    [&](rt::RankCtx& ctx) {
-                     pipelined_broadcast(ctx, bb[ctx.rank()], n, Datatype::f64,
-                                         /*root=*/0, opts);
+                     broadcast(ctx, bb[ctx.rank()], n, Datatype::f64,
+                               /*root=*/0, opts);
                    });
   expect_membership_after_recovery(*team, GetParam(), 1);
   run_matrix(*team);
@@ -572,8 +576,9 @@ TEST(FaultRecoveryHb, RecoveryEdgesKeepCheckerQuiet) {
   }
   kill_and_recover(*team, "die@slice:rank=1:iter=3", 1,
                    [&](rt::RankCtx& ctx) {
-                     ma_allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
-                                  Datatype::f64, ReduceOp::sum, CollOpts{});
+                     allreduce(ctx, sb[ctx.rank()], rb[ctx.rank()], n,
+                               Datatype::f64, ReduceOp::sum,
+                               {.algorithm = Algorithm::ma_flat});
                    });
   run_matrix(*team);
   EXPECT_EQ(team->hb_races(), 0u) << team->hb_report();

@@ -29,17 +29,19 @@ std::vector<Arm> inplace_arms() {
       {"ma_flat",
        [](rt::RankCtx& c, void* buf, std::size_t n) {
          CollOpts o;
+         o.algorithm = Algorithm::ma_flat;
          o.slice_max = 8u << 10;
-         ma_allreduce(c, buf, buf, n, Datatype::f64, ReduceOp::sum, o);
+         allreduce(c, buf, buf, n, Datatype::f64, ReduceOp::sum, o);
        }},
       {"socket_ma",
        [](rt::RankCtx& c, void* buf, std::size_t n) {
-         socket_ma_allreduce(c, buf, buf, n, Datatype::f64, ReduceOp::sum);
+         allreduce(c, buf, buf, n, Datatype::f64, ReduceOp::sum,
+                   {.algorithm = Algorithm::ma_socket_aware});
        }},
       {"dpml_2l",
        [](rt::RankCtx& c, void* buf, std::size_t n) {
-         dpml_two_level_allreduce(c, buf, buf, n, Datatype::f64,
-                                  ReduceOp::sum);
+         allreduce(c, buf, buf, n, Datatype::f64, ReduceOp::sum,
+                   {.algorithm = Algorithm::dpml_two_level});
        }},
       {"ring",
        [](rt::RankCtx& c, void* buf, std::size_t n) {

@@ -15,13 +15,18 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <new>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "yhccl/baselines/baselines.hpp"
 #include "yhccl/bench/harness.hpp"
+#include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/metrics/export.hpp"
@@ -29,6 +34,7 @@
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/shm_region.hpp"
 #include "yhccl/runtime/thread_team.hpp"
+#include "yhccl/trace/export.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -195,10 +201,6 @@ TEST(MetricsBuffer, HooksAccountIntoOwnSlot) {
     ym::note_flag_post();
     ym::note_flag_wait();
     ym::note_plan(1, ym::plan_gauge_pack(2, 0, 0, 5));
-    {
-      ym::CollSample cs(1, 4096);
-      cs.set_alg(2);
-    }
     { ym::BarrierScope bs(/*trace_scope=*/0); }
     { ym::BarrierScope bs(/*trace_scope=*/1); }  // socket: no window entry
   }
@@ -213,21 +215,12 @@ TEST(MetricsBuffer, HooksAccountIntoOwnSlot) {
   EXPECT_EQ(r0.flag_posts, 0u);
   EXPECT_EQ(r0.barriers, 0u);
   EXPECT_TRUE(r0.cells.empty());
+  EXPECT_TRUE(r1.cells.empty());  // cells land from coll::collective only
   EXPECT_EQ(r1.flag_posts, 2u);
   EXPECT_EQ(r1.flag_waits, 1u);
   EXPECT_EQ(r1.barriers, 2u);
   EXPECT_TRUE(ym::gauge_valid(r1.plan_gauge[1]));
   EXPECT_EQ(ym::gauge_alg(r1.plan_gauge[1]), 2);
-  // One collective sample: cell identity and hist/calls consistency.
-  ASSERT_EQ(r1.cells.size(), 1u);
-  EXPECT_EQ(r1.cells[0].coll, 1);
-  EXPECT_EQ(r1.cells[0].alg, 2);
-  EXPECT_EQ(r1.cells[0].size_bucket, ym::size_bucket(4096));
-  EXPECT_EQ(r1.cells[0].calls, 1u);
-  EXPECT_EQ(r1.cells[0].bytes, 4096u);
-  std::uint64_t hist_sum = 0;
-  for (std::uint64_t h : r1.cells[0].hist) hist_sum += h;
-  EXPECT_EQ(hist_sum, r1.cells[0].calls);
   // Only the node barrier lands in the straggler window; the ordinal mixes
   // the run ordinal with the per-run count.
   ASSERT_EQ(r1.window.size(), 1u);
@@ -453,6 +446,30 @@ TEST(MetricsExport, MirrorSeqlockRoundTrips) {
   EXPECT_EQ(out, payload);
 }
 
+// One generic call is one sample in its own rank's (collective, algorithm,
+// size bucket) cell: cell identity and hist/calls consistency.
+TEST(MetricsCells, GenericCallLandsOneSampleInItsCell) {
+  auto team = make_team(Backend::threads, 2, 1, ym::Mode::on);
+  team->run([&](rt::RankCtx& ctx) {
+    std::vector<double> in(512, 1.0), out(512);  // 4096 bytes
+    allreduce(ctx, in.data(), out.data(), in.size(), Datatype::f64,
+              ReduceOp::sum, {.algorithm = Algorithm::ma_flat});
+  });
+  const ym::Snapshot s = ym::Snapshot::capture(*team->metrics_buffer());
+  ASSERT_EQ(s.ranks.size(), 2u);
+  for (const ym::RankSnap& r : s.ranks) {
+    ASSERT_EQ(r.cells.size(), 1u) << "rank " << r.rank;
+    EXPECT_EQ(r.cells[0].coll, 1);
+    EXPECT_EQ(r.cells[0].alg, 2);
+    EXPECT_EQ(r.cells[0].size_bucket, ym::size_bucket(4096));
+    EXPECT_EQ(r.cells[0].calls, 1u);
+    EXPECT_EQ(r.cells[0].bytes, 4096u);
+    std::uint64_t hist_sum = 0;
+    for (std::uint64_t h : r.cells[0].hist) hist_sum += h;
+    EXPECT_EQ(hist_sum, r.cells[0].calls);
+  }
+}
+
 // 1 + Algorithm::fold must fit kAlgSlots: a clamped id would merge fold's
 // calls into pipelined's cell, and the JSON validator must know its name.
 TEST(MetricsCells, FoldAllreduceGetsItsOwnAlgorithmCell) {
@@ -499,6 +516,153 @@ TEST(MetricsCells, DirectAllreduceGetsItsOwnAlgorithmCell) {
   }
   std::string err;
   EXPECT_TRUE(ym::validate_metrics_json(s.to_json(), &err)) << err;
+}
+
+// ---- one record per call ----------------------------------------------------
+
+/// (collective id, algorithm id, size bucket) -> (calls, bytes).
+using CallTally =
+    std::map<std::tuple<int, int, int>, std::pair<std::uint64_t,
+                                                  std::uint64_t>>;
+
+/// Rank r's Phase::coll records, tallied like its metrics cells.
+CallTally coll_records(const trace::Harvest& h, int r) {
+  CallTally t;
+  for (const trace::Rec& rec : h.ring(r)) {
+    if ((rec.flags & trace::kFlagMarker) != 0 ||
+        rec.phase != static_cast<std::uint8_t>(trace::Phase::coll))
+      continue;
+    auto& v = t[{rec.coll, 1 + rec.variant, ym::size_bucket(rec.arg)}];
+    ++v.first;
+    v.second += rec.arg;
+  }
+  return t;
+}
+
+CallTally metric_cells(const ym::RankSnap& r) {
+  CallTally t;
+  for (const auto& c : r.cells)
+    t[{c.coll, c.alg, c.size_bucket}] = {c.calls, c.bytes};
+  return t;
+}
+
+/// The trace and the metrics of `team` describe the same calls: per rank
+/// and per (collective, algorithm, size bucket), as many coll records with
+/// as many bytes as the cell's calls and bytes.
+void expect_records_match_cells(const rt::Team& team, const char* what) {
+  ASSERT_NE(team.trace_buffer(), nullptr);
+  ASSERT_NE(team.metrics_buffer(), nullptr);
+  const trace::Harvest h(*team.trace_buffer());
+  const ym::Snapshot s = ym::Snapshot::capture(*team.metrics_buffer());
+  ASSERT_EQ(static_cast<int>(s.ranks.size()), h.nranks()) << what;
+  for (int r = 0; r < h.nranks(); ++r) {
+    ASSERT_EQ(team.trace_buffer()->first_kept(r), 0u)
+        << what << ": ring " << r << " wrapped";
+    const CallTally recs = coll_records(h, r);
+    EXPECT_FALSE(recs.empty()) << what << " rank " << r;
+    EXPECT_EQ(recs, metric_cells(s.ranks[r])) << what << " rank " << r;
+  }
+}
+
+/// The algorithm labels of rank r's coll records of one collective and
+/// size, in call order.
+std::vector<int> labels_of(const rt::Team& team, int r, CollKind kind,
+                           std::uint64_t bytes) {
+  const trace::Harvest h(*team.trace_buffer());
+  std::vector<int> out;
+  for (const trace::Rec& rec : h.ring(r))
+    if ((rec.flags & trace::kFlagMarker) == 0 &&
+        rec.phase == static_cast<std::uint8_t>(trace::Phase::coll) &&
+        rec.coll == 1 + static_cast<int>(kind) && rec.arg == bytes)
+      out.push_back(rec.variant);
+  return out;
+}
+
+/// Run every arm-table row once, explicitly, over team-heap buffers (the
+/// direct rows need shared windows on a forked team), two baselines built
+/// on an arm's body, then automatic calls in the fold, direct, DPML and MA
+/// regimes.
+void run_rows_and_regimes(rt::Team& team) {
+  const int p = team.nranks();
+  const auto pn = static_cast<std::size_t>(p);
+  const std::size_t n = 256;  // 2 KB: inside the fold cut at p = 4
+  auto* send = reinterpret_cast<double*>(team.shared_alloc(pn * pn * n * 8));
+  auto* recv = reinterpret_cast<double*>(team.shared_alloc(pn * pn * n * 8));
+  for (const ArmRow& row : arm_rows()) {
+    CollOpts o;
+    o.algorithm = row.algorithm;
+    team.run([&](rt::RankCtx& ctx) {
+      const auto at = static_cast<std::size_t>(ctx.rank()) * pn * n;
+      collective(ctx, row.kind,
+                 {send + at, recv + at, n, Datatype::f64, ReduceOp::sum, 0},
+                 o);
+    });
+  }
+  // DPML runs its row through the generic entry: one record and one
+  // sample.  XPMEM runs the direct body alone: neither.
+  team.run([&](rt::RankCtx& ctx) {
+    const auto at = static_cast<std::size_t>(ctx.rank()) * pn * n;
+    base::dpml_allreduce(ctx, send + at, recv + at, n, Datatype::f64,
+                         ReduceOp::sum);
+    base::xpmem_allreduce(ctx, send + at, recv + at, n, Datatype::f64,
+                          ReduceOp::sum);
+  });
+  team.run([&](rt::RankCtx& ctx) {
+    std::vector<double> in((512u << 10) / 8, 1.0), out(in.size());
+    const auto d = Datatype::f64;
+    const auto op = ReduceOp::sum;
+    allreduce(ctx, in.data(), out.data(), 32, d, op);      // fold
+    allreduce(ctx, in.data(), out.data(), 2048, d, op);    // direct | DPML
+    reduce(ctx, in.data(), out.data(), 2048, d, op, 0);    // DPML
+    reduce(ctx, in.data(), out.data(), in.size(), d, op, 0);  // MA
+    reduce_scatter(ctx, in.data(), out.data(), 2048, d, op);  // DPML
+    broadcast(ctx, out.data(), 2048, d, 1);
+    allgather(ctx, in.data(), out.data(), 2048, d);
+  });
+}
+
+// Every call the library runs is one coll record and one metrics sample,
+// and the two tools agree on every backend: every arm-table row named
+// explicitly, automatic calls across the regimes, socket-MA where the
+// socket layout is unusable, and (forked) the served direct allreduce over
+// private buffers, which hands the call to the staged arm.  Each fallback
+// is one record, labelled with the arm that finished it.
+TEST(MetricsCells, EveryCallIsOneTraceRecordAndOneSampleOnBothBackends) {
+  for (const Backend b : {Backend::threads, Backend::procs}) {
+    const char* what = b == Backend::threads ? "threads" : "procs";
+    auto team = make_team(b, 4, 2, ym::Mode::on, trace::Mode::spans);
+    run_rows_and_regimes(*team);
+    // 512 KB over private buffers: above the DPML threshold, so the prior
+    // serves direct; a forked team's window verdict sends it to socket-MA.
+    const std::uint64_t big = 512u << 10;
+    team->run([&](rt::RankCtx& ctx) {
+      std::vector<double> in(big / 8, 1.0), out(in.size());
+      allreduce(ctx, in.data(), out.data(), in.size(), Datatype::f64,
+                ReduceOp::sum);
+    });
+    expect_records_match_cells(*team, what);
+    const int finished_by = static_cast<int>(
+        b == Backend::threads ? Algorithm::direct : Algorithm::ma_socket_aware);
+    for (int r = 0; r < team->nranks(); ++r)
+      EXPECT_EQ(labels_of(*team, r, CollKind::allreduce, big),
+                std::vector<int>{finished_by})
+          << what << " rank " << r;
+
+    // {3, 2}: the sockets do not divide the ranks, so socket-MA runs the
+    // flat schedule inside its own row: one record, labelled socket-ma.
+    auto odd = make_team(b, 3, 2, ym::Mode::on, trace::Mode::spans);
+    const std::uint64_t s = 3u * 8192;
+    odd->run([&](rt::RankCtx& ctx) {
+      std::vector<double> in(3 * 8192 / 8, 1.0), out(in.size());
+      allreduce(ctx, in.data(), out.data(), in.size(), Datatype::f64,
+                ReduceOp::sum, {.algorithm = Algorithm::ma_socket_aware});
+    });
+    expect_records_match_cells(*odd, what);
+    for (int r = 0; r < odd->nranks(); ++r)
+      EXPECT_EQ(labels_of(*odd, r, CollKind::allreduce, s),
+                std::vector<int>{static_cast<int>(Algorithm::ma_socket_aware)})
+          << what << " rank " << r;
+  }
 }
 
 // ---- straggler detection ----------------------------------------------------

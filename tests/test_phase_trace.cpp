@@ -20,7 +20,6 @@
 #include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/arm_table.hpp"
 #include "yhccl/coll/coll.hpp"
-#include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/metrics/export.hpp"
 #include "yhccl/runtime/process_team.hpp"
@@ -75,7 +74,7 @@ TEST(PhaseTrace, CollIdNamesMirrorCollKinds) {
   EXPECT_STREQ(trace::coll_id_name(0), "");  // outside any collective
   for (int k = 0; k < static_cast<int>(CollKind::kCount_); ++k) {
     const auto kind = static_cast<CollKind>(k);
-    EXPECT_STREQ(trace::coll_id_name(coll::detail::trace_coll_id(kind)),
+    EXPECT_STREQ(trace::coll_id_name(static_cast<std::uint8_t>(1 + k)),
                  coll_kind_name(kind));
   }
 }
@@ -258,7 +257,7 @@ TEST(PhaseTrace, DirectArmSpansCarryItsAlgIdAndExport) {
     for (const trace::Rec& rec : h.ring(r)) {
       const auto ph = static_cast<trace::Phase>(rec.phase);
       if (ph == trace::Phase::coll &&
-          rec.variant == coll::detail::trace_alg_id(Algorithm::direct))
+          rec.variant == static_cast<std::uint8_t>(Algorithm::direct))
         ++direct;
       reduce += ph == trace::Phase::reduce;
       copy_out += ph == trace::Phase::copy_out;

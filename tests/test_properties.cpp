@@ -162,15 +162,18 @@ TEST_P(PropertySweep, AllArmsAgreeBitForBit) {
   std::vector<std::pair<const char*, Arm>> arms = {
       {"ma", [](RankCtx& c, const std::int64_t* i, std::int64_t* o,
                 std::size_t n) {
-         ma_allreduce(c, i, o, n, Datatype::i64, ReduceOp::sum);
+         allreduce(c, i, o, n, Datatype::i64, ReduceOp::sum,
+                   {.algorithm = Algorithm::ma_flat});
        }},
       {"socket",
        [](RankCtx& c, const std::int64_t* i, std::int64_t* o, std::size_t n) {
-         socket_ma_allreduce(c, i, o, n, Datatype::i64, ReduceOp::sum);
+         allreduce(c, i, o, n, Datatype::i64, ReduceOp::sum,
+                   {.algorithm = Algorithm::ma_socket_aware});
        }},
       {"dpml2l",
        [](RankCtx& c, const std::int64_t* i, std::int64_t* o, std::size_t n) {
-         dpml_two_level_allreduce(c, i, o, n, Datatype::i64, ReduceOp::sum);
+         allreduce(c, i, o, n, Datatype::i64, ReduceOp::sum,
+                   {.algorithm = Algorithm::dpml_two_level});
        }},
       {"ring",
        [](RankCtx& c, const std::int64_t* i, std::int64_t* o, std::size_t n) {

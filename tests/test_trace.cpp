@@ -24,11 +24,15 @@ TEST(Trace, RecordsSequenceInOrderWithDurations) {
       recv(p, std::vector<double>(n * p));
   team.run([&](rt::RankCtx& ctx) {
     auto& tr = traces[ctx.rank()];
-    allreduce(tr, ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
-              Datatype::f64, ReduceOp::sum);
-    broadcast(tr, ctx, recv[ctx.rank()].data(), n / 2, Datatype::f64, 1);
-    allgather(tr, ctx, send[ctx.rank()].data(), recv[ctx.rank()].data(),
-              n / 4, Datatype::f64);
+    collective(tr, ctx, CollKind::allreduce,
+               {send[ctx.rank()].data(), recv[ctx.rank()].data(), n,
+                Datatype::f64, ReduceOp::sum});
+    collective(tr, ctx, CollKind::broadcast,
+               {recv[ctx.rank()].data(), recv[ctx.rank()].data(), n / 2,
+                Datatype::f64, ReduceOp::sum, 1});
+    collective(tr, ctx, CollKind::allgather,
+               {send[ctx.rank()].data(), recv[ctx.rank()].data(), n / 4,
+                Datatype::f64});
   });
   for (int r = 0; r < p; ++r) {
     ASSERT_EQ(traces[r].size(), 3u);
@@ -149,7 +153,8 @@ TEST(Trace, MiniAmrKernelExtractionWorkflow) {
     apps::miniamr::run_rank(
         ctx, cfg,
         [&tr](rt::RankCtx& c, const double* in, double* out, std::size_t n) {
-          allreduce(tr, c, in, out, n, Datatype::f64, ReduceOp::sum);
+          collective(tr, c, CollKind::allreduce,
+                     {in, out, n, Datatype::f64, ReduceOp::sum});
         });
   });
   // 3 steps x small all-reduce + refinement episodes' big all-reduces.
