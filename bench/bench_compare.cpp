@@ -9,10 +9,6 @@
 //   bench_compare diff <baseline.json> <candidate.json> [--verbose]
 //       statistical + counter comparison; exit 1 unless the gate is clean
 //       (no regressions, no counter drift).
-//   bench_compare tuned <report.json> [--verbose]
-//       auto-tuner gate: pair "switch-static" vs "switch-tuned" series
-//       within one report (bench/ablation_tuner emits them); exit 1 when
-//       any tuned cell is significantly slower than its static partner.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,8 +25,7 @@ int usage() {
                "usage: bench_compare check <report.json>\n"
                "       bench_compare merge <out.json> <in.json...>\n"
                "       bench_compare diff <base.json> <cand.json> "
-               "[--verbose]\n"
-               "       bench_compare tuned <report.json> [--verbose]\n");
+               "[--verbose]\n");
   return 2;
 }
 
@@ -117,28 +112,6 @@ int do_diff(const std::string& base, const std::string& cand,
   return r.clean() ? 0 : 1;
 }
 
-int do_tuned(const std::string& path, bool verbose) {
-  bool ok = true;
-  const yb::Json j = load_or_die(path, &ok);
-  if (!ok) return 1;
-  std::vector<std::string> errors;
-  if (!yb::validate_report(j, errors)) {
-    for (const auto& e : errors)
-      std::fprintf(stderr, "%s: %s\n", path.c_str(), e.c_str());
-    return 1;
-  }
-  const yb::CompareResult r = yb::compare_tuned(j);
-  if (r.diffs.empty()) {
-    std::fprintf(stderr,
-                 "bench_compare tuned: %s has no switch-static/"
-                 "switch-tuned series pairs\n",
-                 path.c_str());
-    return 1;
-  }
-  std::fputs(r.report(verbose).c_str(), stdout);
-  return r.clean() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -152,11 +125,6 @@ int main(int argc, char** argv) {
     const bool verbose = args.size() == 4 && args[3] == "--verbose";
     if (args.size() == 4 && !verbose) return usage();
     return do_diff(args[1], args[2], verbose);
-  }
-  if (mode == "tuned" && (args.size() == 2 || args.size() == 3)) {
-    const bool verbose = args.size() == 3 && args[2] == "--verbose";
-    if (args.size() == 3 && !verbose) return usage();
-    return do_tuned(args[1], verbose);
   }
   return usage();
 }

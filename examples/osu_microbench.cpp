@@ -7,7 +7,11 @@
 //
 //   collective: allreduce | reduce | reduce_scatter | bcast | allgather
 //               | alltoall
-//   -m min:max  message size sweep in bytes (powers of two)
+//   -m min:max  message size sweep in bytes, doubling from min; min must
+//               be at least 1 and at most max (else exit 2).  The sweep
+//               starts at the first size that holds one f64 element per
+//               block: 8 bytes, or 8·ranks for the block collectives
+//               (reduce_scatter, allgather, alltoall).
 //   -c          validate every collective's result against its closed form
 //               (rank r sends 1 + r; the bcast root's buffer holds i + 1)
 //   -a          auto, or an arm the collective has a row for in the arm
@@ -65,6 +69,12 @@ Args parse(int argc, char** argv) {
                         ? a.min_bytes
                         : std::strtoull(range.c_str() + colon + 1, nullptr,
                                         10);
+      if (a.min_bytes == 0 || a.min_bytes > a.max_bytes) {
+        std::fprintf(stderr,
+                     "osu_microbench: -m %s: need 1 <= min <= max bytes\n",
+                     range.c_str());
+        std::exit(2);
+      }
     } else if (s == "-a") {
       algo = next();
     }
@@ -134,8 +144,17 @@ int main(int argc, char** argv) {
   std::printf("%-12s %12s %12s %12s\n", "# Size", "Avg(us)", "Min(us)",
               "Max(us)");
 
-  for (std::size_t bytes = a.min_bytes; bytes <= a.max_bytes; bytes *= 2) {
-    const std::size_t count = std::max<std::size_t>(bytes / 8, 1);
+  // A block collective splits the message into p blocks of count / p
+  // elements; below 8·p bytes every block would be empty.
+  const bool blocked = a.collective == "reduce_scatter" ||
+                       a.collective == "allgather" ||
+                       a.collective == "alltoall";
+  const std::size_t min_count = blocked ? static_cast<std::size_t>(p) : 1;
+  std::size_t first = a.min_bytes;
+  while (first / 8 < min_count) first *= 2;
+
+  for (std::size_t bytes = first; bytes <= a.max_bytes; bytes *= 2) {
+    const std::size_t count = bytes / 8;
     coll::CollOpts opts;
     opts.algorithm = a.algo;
     std::vector<std::vector<double>> send(p), recv(p);
@@ -190,6 +209,7 @@ int main(int argc, char** argv) {
     std::printf("%-12zu %12.2f %12.2f %12.2f%s\n", bytes, sum / iters, mn,
                 mx, a.check ? (ok ? "  [OK]" : "  [FAILED]") : "");
     if (!ok) return 1;
+    if (bytes > a.max_bytes / 2) break;  // the next doubling would wrap
   }
   return 0;
 }

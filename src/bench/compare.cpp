@@ -296,57 +296,6 @@ CompareResult compare_reports(const Json& baseline, const Json& candidate) {
   return result;
 }
 
-CompareResult compare_tuned(const Json& report, const std::string& static_arm,
-                            const std::string& tuned_arm) {
-  CompareResult result;
-  // Pair key: the series join key minus the algorithm column.
-  const auto cell_key = [](const Series& s) {
-    return s.bench + '|' + s.collective + '|' + std::to_string(s.ranks) +
-           'r' + std::to_string(s.sockets) + 's' + std::to_string(s.bytes) +
-           'B';
-  };
-  std::map<std::string, Series> statics, tuned;
-  const Json& arr = report["series"];
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    Series s = Series::from_json(arr.at(i));
-    if (s.algorithm == static_arm)
-      statics.emplace(cell_key(s), std::move(s));
-    else if (s.algorithm == tuned_arm)
-      tuned.emplace(cell_key(s), std::move(s));
-  }
-  for (const auto& [key, b] : statics) {
-    SeriesDiff d;
-    d.key = key;
-    d.base_median = b.time.median;
-    const auto it = tuned.find(key);
-    if (it == tuned.end()) {
-      d.verdict = Verdict::removed;  // static cell with no tuned partner
-    } else {
-      const Series& c = it->second;
-      d.cand_median = c.time.median;
-      d.ratio = b.time.median > 0 ? c.time.median / b.time.median : 0;
-      if (c.time.ci_high < b.time.ci_low)
-        d.verdict = Verdict::improved;
-      else if (c.time.ci_low > b.time.ci_high)
-        d.verdict = Verdict::regressed;
-      else
-        d.verdict = Verdict::unchanged;
-    }
-    count_verdict(result, d.verdict);
-    result.diffs.push_back(std::move(d));
-  }
-  for (const auto& [key, c] : tuned) {
-    if (statics.count(key)) continue;
-    SeriesDiff d;
-    d.key = key;
-    d.verdict = Verdict::added;
-    d.cand_median = c.time.median;
-    count_verdict(result, d.verdict);
-    result.diffs.push_back(std::move(d));
-  }
-  return result;
-}
-
 std::string CompareResult::report(bool verbose) const {
   std::string out;
   char line[256];

@@ -76,16 +76,6 @@ bool validate_trajectory(const Json& doc, std::vector<std::string>& errors);
 /// Join two reports on Series::key() and classify every series.
 CompareResult compare_reports(const Json& baseline, const Json& candidate);
 
-/// The auto-tuner gate (docs/tuning.md): within ONE report, pair every
-/// `static_arm` series with the `tuned_arm` series of the same (bench,
-/// collective, ranks, sockets, bytes) cell and classify the pair by CI
-/// overlap alone — a tuned plan may legitimately dispatch a different
-/// algorithm, so counters are not compared.  clean() ⇔ the tuned schedule
-/// is never significantly slower than the static §5.1 rules.
-CompareResult compare_tuned(const Json& report,
-                            const std::string& static_arm = "switch-static",
-                            const std::string& tuned_arm = "switch-tuned");
-
 /// Concatenate the series of several reports into one named report
 /// (machine/policy metadata from the first part).  Duplicate series keys
 /// are recorded in `err` (first offender) and the duplicate is dropped.

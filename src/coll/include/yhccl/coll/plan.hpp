@@ -7,17 +7,16 @@
 // threshold with cached *plans*: a PlanKey (collective, dtype/op, size
 // bucket, rank/socket shape), hashed with the team's rt::PlanCaps, maps to
 // an immutable Plan holding the algorithm choice, the slice/pipeline
-// schedule and the NT-store decision.  Plans live in the team's shared
-// PlanRegistry (runtime/plan_registry.hpp), so all ranks — thread- and
-// fork-backed alike — deterministically agree, and a warm repeat call is a
-// single lock-free lookup with no per-call allocation.
+// schedule and the NT-store decision.  Online-refined plans live in the
+// team's shared PlanRegistry (runtime/plan_registry.hpp), so all ranks —
+// thread- and fork-backed alike — deterministically agree, and no call
+// allocates.
 //
-// Plans are seeded from three layered sources:
+// Plans are seeded from two layers:
 //   prior   — the paper's rules evaluated analytically: §5.1 switching for
 //             the algorithm, the §5.4 work-set model for the NT advisory.
-//   bench   — offline warming from yhccl-bench/1 reports (PR-4 campaign),
-//             persisted in the exact-JSON "yhccl-plan/1" format and loaded
-//             via $YHCCL_PLAN_FILE.
+//             A prior-mode call (the default) serves these rules directly
+//             and never touches the registry.
 //   online  — epsilon-greedy exploration refined from measured call times
 //             and straggler feedback ($YHCCL_TUNE=online).
 //
@@ -28,21 +27,17 @@
 // word is rewritten only by rank 0 after the collective's trailing
 // barrier, then read by every rank after the next call's leading barrier,
 // so the barrier's release/acquire edge orders every write against every
-// read (both barriers exist only in online mode; prior mode's registry is
-// read-only after warming and needs no synchronization at all).
+// read (both barriers exist only in online mode; prior mode reads no
+// shared state at all).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
-#include "yhccl/bench/json.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/runtime/plan_registry.hpp"
 
 namespace yhccl::coll::plan {
-
-inline constexpr const char* kPlanSchema = "yhccl-plan/1";
 
 /// NT-store stance of a plan: keep the per-slice adaptive policy (§4.2
 /// Algorithm 1), or pin the whole collective temporal / streaming.
@@ -56,15 +51,7 @@ constexpr const char* nt_choice_name(NtChoice n) noexcept {
   return "?";
 }
 
-enum class PlanSource : std::uint8_t { prior, bench, online };
-constexpr const char* plan_source_name(PlanSource s) noexcept {
-  switch (s) {
-    case PlanSource::prior: return "prior";
-    case PlanSource::bench: return "bench";
-    case PlanSource::online: return "online";
-  }
-  return "?";
-}
+enum class PlanSource : std::uint8_t { prior, online };
 
 /// Identity of one cached decision.  `bucket` is a power-of-two size class
 /// over the switching-rule message size — bucket b covers (2^(b-1), 2^b]
@@ -80,7 +67,6 @@ struct PlanKey {
   int sockets = 1;
 
   std::uint64_t packed_fields() const noexcept;
-  static PlanKey from_fields(std::uint64_t fields) noexcept;
   /// Probe hash: mixes the fields with a PlanCaps signature and the
   /// tuning-relevant option fingerprint.  Never zero.
   std::uint64_t hash(std::uint64_t team_sig,
@@ -88,8 +74,7 @@ struct PlanKey {
 };
 
 /// Tuning-relevant CollOpts fingerprint.  Calls with non-default slicing,
-/// thresholds or copy policy tune in their own key space; persisted plans
-/// are stored for (and only ever served to) default-option calls.
+/// thresholds or copy policy tune in their own key space.
 std::uint64_t opts_signature(const CollOpts& opts) noexcept;
 
 /// Size bucket + representative size of the switching-rule message size
@@ -197,11 +182,12 @@ ArmTable arms(const PlanKey& key, const CollOpts& opts,
 ///   ... dispatch on tc.plan().algorithm with tc.opts() ...
 ///   tc.finish(ctx);   // success path only: never from unwinding
 ///
-/// An explicit opts.algorithm or an empty payload never touches the
-/// registry: the plan then carries the caller's arm (pipelined for
-/// broadcast/allgather) and opts() the caller's options verbatim.
-/// finish() is deliberately not run by the destructor: it arrives at a
-/// barrier, which must not happen while peers are aborting.
+/// Only online mode touches the registry.  A prior-mode call serves
+/// prior_plan() for its key.  An explicit opts.algorithm or an empty
+/// payload serves the caller's arm (pipelined for broadcast/allgather) and
+/// opts() the caller's options verbatim.  finish() is deliberately not run
+/// by the destructor: it arrives at a barrier, which must not happen while
+/// peers are aborting.
 class TunedCall {
  public:
   TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
@@ -214,6 +200,10 @@ class TunedCall {
   void finish(rt::RankCtx& ctx);
 
  private:
+  /// Online mode: the registry lookup, resilience gates and exploration
+  /// that pick plan_ and arm finish()'s refinement.
+  void resolve_online(rt::RankCtx& ctx);
+
   CollOpts opts_;       ///< caller's options with the plan applied
   CollOpts base_opts_;  ///< caller's options verbatim (arm tables key on it)
   Plan plan_;
@@ -221,7 +211,6 @@ class TunedCall {
   rt::PlanSlot* slot_ = nullptr;
   double t0_ = 0;
   int narms_ = 1;  ///< arm-table size; set only for online refinement
-  bool online_ = false;
   bool finished_ = true;  ///< also set for calls that bypass the registry
   bool degraded_ = false;     ///< retry engine pinned the conservative lane
   bool quarantined_ = false;  ///< this key is pinned out of rotation
@@ -240,35 +229,5 @@ Plan query(const rt::Team& team, CollKind kind, std::size_t msg_bytes,
            Datatype d, ReduceOp op, const CollOpts& opts = {});
 
 rt::PlanRegistryStats tune_stats(const rt::Team& team);
-
-// ---- persistence (yhccl-plan/1) ---------------------------------------------
-
-/// Serialize every plan cached for this team's signature and default
-/// options into a "yhccl-plan/1" document.  Save -> load round-trips to
-/// identical decisions (and identical JSON).
-bench::Json save_plans(const rt::Team& team);
-void save_plans_file(const rt::Team& team, const std::string& path);
-
-/// Install plans whose signature/shape match `team`; returns the number
-/// installed.  Parent-side only (team quiesced).  Marks the registry warm,
-/// so a later $YHCCL_PLAN_FILE does not overwrite the installed plans.
-int load_plans(rt::Team& team, const bench::Json& doc);
-int load_plans_file(rt::Team& team, const std::string& path);
-
-/// Run the lazy $YHCCL_PLAN_FILE warm-up now, from the parent (the same
-/// handshake the first in-run resolve would perform).
-void warm_now(rt::Team& team);
-
-/// Throws yhccl::Error unless `doc` is a well-formed yhccl-plan/1 file.
-void validate_plan_json(const bench::Json& doc);
-
-/// Offline warming: pick the fastest measured algorithm arm per
-/// (collective, shape, size bucket) from a merged yhccl-bench/1 report and
-/// emit a plan document (source "bench").  Series whose arm name does not
-/// map to a schedulable algorithm (baselines, "auto") are skipped.  Each
-/// cell is emitted once per backend, signed with that backend's
-/// PlanCaps::signature(), so one file warms thread and process teams
-/// alike; the process entries never name direct.
-bench::Json warm_from_bench(const bench::Json& bench_report);
 
 }  // namespace yhccl::coll::plan

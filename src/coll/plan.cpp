@@ -32,17 +32,6 @@ std::uint64_t PlanKey::packed_fields() const noexcept {
   return f;
 }
 
-PlanKey PlanKey::from_fields(std::uint64_t f) noexcept {
-  PlanKey k;
-  k.kind = static_cast<CollKind>(f & 0xf);
-  k.dtype = static_cast<Datatype>((f >> 4) & 0xf);
-  k.op = static_cast<ReduceOp>((f >> 8) & 0xf);
-  k.bucket = static_cast<std::uint8_t>((f >> 12) & 0xff);
-  k.ranks = static_cast<int>((f >> 20) & 0xfff);
-  k.sockets = static_cast<int>((f >> 32) & 0xff);
-  return k;
-}
-
 std::uint64_t PlanKey::hash(std::uint64_t team_sig,
                             std::uint64_t opts_sig) const noexcept {
   std::uint64_t h = rt::plan_mix64(packed_fields());

@@ -1,10 +1,11 @@
 // The per-call tuner engine: resolve a plan at collective entry, feed the
 // measured time back at exit (docs/tuning.md).
 //
-// Hot path (warm cache, prior mode): one hash, one bounded probe, one
-// acquire load, zero allocation, zero barriers.  Online mode adds exactly
-// two barriers per call (leading in resolve, trailing in finish); their
-// release/acquire edges are what make rank 0's refinement race-free.
+// Prior mode (the default) computes the key and the analytic prior: no
+// registry access, zero allocation, zero barriers.  Online mode hashes the
+// key into the registry and adds exactly two barriers per call (leading in
+// resolve, trailing in finish); their release/acquire edges are what make
+// rank 0's refinement race-free.
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/common/time.hpp"
 #include "yhccl/metrics/metrics.hpp"
@@ -34,28 +35,38 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
                           : Algorithm::pipelined;
     return;
   }
-  auto* reg = team.plan_registry();
-
-  // One-time $YHCCL_PLAN_FILE handshake; a warm registry costs one load.
-  warm_now(team);
-
   key_ = make_key(kind, msg_bytes, d, op, team.topo(), opts);
-  const std::uint64_t osig = opts_signature(opts);
-  const std::uint64_t hash = key_.hash(caps.signature(), osig);
-  online_ = team.tune_mode() == rt::TuneMode::online;
+  // Prior mode: nothing ever writes the registry, so the §5.1/§5.4 rules
+  // are served straight, with no hash, probe or shared-state access.
+  if (team.tune_mode() == rt::TuneMode::online)
+    resolve_online(ctx);
+  else
+    plan_ = prior_plan(key_, base_opts_, caps);
 
-  rt::PlanSlot* slot = nullptr;
-  if (online_) {
-    // Leading barrier: rank 0 publishes refined plan words strictly after
-    // the previous call's trailing barrier, so arriving here guarantees
-    // every rank reads the same committed word below.
-    ctx.barrier();
-    slot = reg->acquire(hash, key_.packed_fields());
-  } else {
-    // prior mode: the registry is read-only (analytic prior + loaded
-    // plans); no insertions, no barriers, no cross-rank protocol needed.
-    slot = reg->find(hash);
-  }
+  plan_.apply(opts_);
+  tl_last_plan = plan_.pack();
+  // Serving gauge: what the tuner handed this collective kind last (the
+  // yhccl_top "plan" column); ids follow the trace name-table convention.
+  metrics::note_plan(
+      1 + static_cast<int>(key_.kind),
+      metrics::plan_gauge_pack(1 + static_cast<int>(plan_.algorithm),
+                               plan_.arm, static_cast<int>(plan_.source),
+                               key_.bucket));
+  if (!finished_) t0_ = wall_seconds();
+}
+
+void TunedCall::resolve_online(rt::RankCtx& ctx) {
+  rt::Team& team = ctx.team();
+  const rt::PlanCaps& caps = team.caps();
+  auto* reg = team.plan_registry();
+  const std::uint64_t osig = opts_signature(base_opts_);
+  const std::uint64_t hash = key_.hash(caps.signature(), osig);
+
+  // Leading barrier: rank 0 publishes refined plan words strictly after
+  // the previous call's trailing barrier, so arriving here guarantees
+  // every rank reads the same committed word below.
+  ctx.barrier();
+  rt::PlanSlot* slot = reg->acquire(hash, key_.packed_fields());
 
   // Resilience gates (docs/robustness.md §resume).  Both flags are set
   // parent-side before run_ranks, so every rank — thread- or fork-backed —
@@ -79,8 +90,7 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
   if (degraded_ || quarantined_) word = 0;
   plan_ = word != 0 ? Plan::unpack(word) : prior_plan(key_, base_opts_, caps);
 
-  if (online_ && slot != nullptr && !degraded_ && !quarantined_) {
-    // Only online mode reads the arm table (here and in finish()).
+  if (slot != nullptr && !degraded_ && !quarantined_) {
     const ArmTable table = arms(key_, base_opts_, caps);
     narms_ = table.n;
     // Epsilon-greedy exploration.  The schedule is a pure function of
@@ -93,7 +103,7 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     if (narms_ > 1) {
       const std::uint64_t seq = ctx.next_tune_seq();
       std::uint32_t eps = reg->eps_mille();
-      if (reg->wait_bound(static_cast<int>(kind)))
+      if (reg->wait_bound(static_cast<int>(key_.kind)))
         eps = eps * 2 > 1000 ? 1000 : eps * 2;
       const std::uint64_t coin = key_.hash(caps.machine_signature(), osig);
       const std::uint64_t mix =
@@ -117,18 +127,8 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     reg->note_lookup(hit);
   }
 
-  plan_.apply(opts_);
   slot_ = slot;
   finished_ = false;
-  if (online_) t0_ = wall_seconds();
-  tl_last_plan = plan_.pack();
-  // Serving gauge: what the tuner handed this collective kind last (the
-  // yhccl_top "plan" column); ids follow the trace name-table convention.
-  metrics::note_plan(
-      1 + static_cast<int>(key_.kind),
-      metrics::plan_gauge_pack(1 + static_cast<int>(plan_.algorithm),
-                               plan_.arm, static_cast<int>(plan_.source),
-                               key_.bucket));
 }
 
 void TunedCall::finish(rt::RankCtx& ctx) {
@@ -137,7 +137,6 @@ void TunedCall::finish(rt::RankCtx& ctx) {
   // Success path: clear the in-flight attribution the retry engine would
   // have charged this key with had the collective aborted.
   if (ctx.rank() == 0) ctx.team().plan_registry()->note_inflight(0);
-  if (!online_) return;
   const double dt = wall_seconds() - t0_;
   // Trailing barrier: every rank's plan-word read for *this* call happened
   // before this point, so rank 0 may rewrite the word without racing a

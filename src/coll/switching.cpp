@@ -2,8 +2,8 @@
 // plan for (collective, size bucket, shape) through the plan cache
 // (docs/tuning.md) and runs the served row of the arm table
 // (yhccl/coll/arm_table.hpp).  At the tuner's default (prior mode) the
-// plans are the §5.1 rules coll.hpp describes, bit for bit; warmed or
-// online-refined plans can override them per size class.  Callers forcing
+// plans are the §5.1 rules coll.hpp describes, bit for bit; online-refined
+// plans can override them per size class.  Callers forcing
 // an explicit opts.algorithm bypass the plan cache entirely.  Every call,
 // served or explicit, is accounted here once: one Phase::coll trace record
 // and one metrics sample (docs/observability.md).

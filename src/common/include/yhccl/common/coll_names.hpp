@@ -1,6 +1,6 @@
 // The collective kinds and algorithm arms, and their one name table.  It
 // sits below every library that labels a collective (tracer, metrics,
-// plan files, CLIs), so all of them print and parse one spelling.  What
+// bench reports, CLIs), so all of them print and parse one spelling.  What
 // each (kind, algorithm) arm needs, models and runs is the arm table of
 // yhccl/coll/arm_table.hpp.
 #pragma once

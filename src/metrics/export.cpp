@@ -90,7 +90,6 @@ Snapshot Snapshot::capture(const MetricsBuffer& buf) {
   s.team.plan_inserts = rd(g.plan_inserts);
   s.team.plan_explores = rd(g.plan_explores);
   s.team.plan_commits = rd(g.plan_commits);
-  s.team.plan_loaded = rd(g.plan_loaded);
   s.team.plan_entries = rd(g.plan_entries);
   s.team.plan_quarantines = rd(g.plan_quarantines);
 
@@ -182,7 +181,6 @@ bench::Json Snapshot::to_json() const {
   pl.set("inserts", team.plan_inserts);
   pl.set("explores", team.plan_explores);
   pl.set("commits", team.plan_commits);
-  pl.set("loaded", team.plan_loaded);
   pl.set("entries", team.plan_entries);
   pl.set("quarantines", team.plan_quarantines);
   t.set("plans", std::move(pl));
@@ -284,7 +282,6 @@ Snapshot Snapshot::from_json(const bench::Json& j) {
   s.team.plan_inserts = plj["inserts"].as_uint();
   s.team.plan_explores = plj["explores"].as_uint();
   s.team.plan_commits = plj["commits"].as_uint();
-  s.team.plan_loaded = plj["loaded"].as_uint();
   s.team.plan_entries = plj["entries"].as_uint();
   s.team.plan_quarantines = plj["quarantines"].as_uint();
 
@@ -507,10 +504,6 @@ std::string Snapshot::prometheus() const {
   emit_meta(out, "yhccl_plan_entries", "Live plan registry entries.", "gauge");
   appendf(out, "yhccl_plan_entries %llu\n",
           static_cast<unsigned long long>(team.plan_entries));
-  emit_meta(out, "yhccl_plan_loaded", "Plans loaded from the cache file.",
-            "gauge");
-  appendf(out, "yhccl_plan_loaded %llu\n",
-          static_cast<unsigned long long>(team.plan_loaded));
 
   if (!stragglers.empty()) {
     emit_meta(out, "yhccl_straggler_flagged",
@@ -551,7 +544,6 @@ void Snapshot::merge(const Snapshot& o) {
   team.plan_explores += o.team.plan_explores;
   team.plan_commits += o.team.plan_commits;
   team.plan_quarantines += o.team.plan_quarantines;
-  team.plan_loaded = std::max(team.plan_loaded, o.team.plan_loaded);
   team.plan_entries = std::max(team.plan_entries, o.team.plan_entries);
 
   for (const RankSnap& orr : o.ranks) {
@@ -636,8 +628,8 @@ bool validate_metrics_json(const bench::Json& j, std::string* err) {
       "faults",      "retries",     "recoveries", "degrades",
       "quarantines", "corruptions", "giveups",    "heals"};
   static const char* const plan_keys[] = {
-      "lookups", "hits",   "misses",  "inserts",    "explores",
-      "commits", "loaded", "entries", "quarantines"};
+      "lookups", "hits",    "misses",     "inserts", "explores",
+      "commits", "entries", "quarantines"};
   if (!check_uint_members(j["team"], team_keys, std::size(team_keys), "team",
                           err) ||
       !check_uint_members(j["team"]["resilience"], rs_keys,

@@ -63,7 +63,7 @@ struct TeamSnap {
                 rs_giveups = 0, rs_heals = 0;
   std::uint64_t plan_lookups = 0, plan_hits = 0, plan_misses = 0,
                 plan_inserts = 0, plan_explores = 0, plan_commits = 0,
-                plan_loaded = 0, plan_entries = 0, plan_quarantines = 0;
+                plan_entries = 0, plan_quarantines = 0;
 };
 
 struct Snapshot {

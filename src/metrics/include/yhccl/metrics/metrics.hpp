@@ -199,7 +199,6 @@ struct alignas(kCacheline) TeamGauges {
   mc::atomic<std::uint64_t> plan_inserts{0};
   mc::atomic<std::uint64_t> plan_explores{0};
   mc::atomic<std::uint64_t> plan_commits{0};
-  mc::atomic<std::uint64_t> plan_loaded{0};
   mc::atomic<std::uint64_t> plan_entries{0};
   mc::atomic<std::uint64_t> plan_quarantines{0};
 };

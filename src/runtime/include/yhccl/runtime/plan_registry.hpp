@@ -29,7 +29,7 @@ namespace yhccl::rt {
 /// Auto-tuner activation (TeamConfig::tune; docs/tuning.md).
 enum class TuneMode : std::uint8_t {
   env,     ///< defer to $YHCCL_TUNE at construction (default: prior)
-  prior,   ///< serve cached plans (analytic prior + warmed files), no updates
+  prior,   ///< serve the analytic prior; the registry is never touched
   online,  ///< prior + epsilon-greedy exploration and rank-0 refinement
 };
 
@@ -60,7 +60,7 @@ constexpr std::uint64_t plan_mix64(std::uint64_t x) noexcept {
 /// cache-capacity model (§4.2) the NT prior reads, and whether the ranks
 /// share an address space (only then may a plan run the single-copy direct
 /// arm).  Immutable.  Every plan decision — the prior, the arm tables,
-/// plan-file filters, warming, the direct arm's guard — reads this record.
+/// the direct arm's guard — reads this record.
 class PlanCaps {
  public:
   PlanCaps(const Topology& topo, const copy::CacheConfig& cache,
@@ -69,8 +69,8 @@ class PlanCaps {
   const copy::CacheConfig& cache() const noexcept { return cache_; }
   bool shared_address_space() const noexcept { return shared_; }
 
-  /// Identity cached and persisted plans are valid for: the machine
-  /// signature plus the backend bit.  Forked teams — the paper's process
+  /// Identity cached plans are valid for: the machine signature plus the
+  /// backend bit.  Forked teams — the paper's process
   /// setting — get the bare machine signature.
   std::uint64_t signature() const noexcept { return sig_; }
   /// Layout + cache model only: the online explore coin hashes it, so both
@@ -118,7 +118,7 @@ constexpr bool plan_fields_sane(std::uint64_t f) noexcept {
 }
 
 /// One cached plan.  `hash` is the probe identity (0 = empty); `fields`
-/// holds the unhashed key bits so persistence can reconstruct the key;
+/// holds the unhashed key bits, published with the claim;
 /// `plan` is the committed packed plan (0 = none committed yet: every rank
 /// recomputes the deterministic prior instead).  Arm statistics are
 /// written by rank 0 only (single-writer; stored as double bit patterns).
@@ -147,7 +147,6 @@ struct PlanRegistryStats {
   std::uint64_t inserts = 0;   ///< slots claimed (any rank's CAS win)
   std::uint64_t explores = 0;  ///< online exploration steps taken
   std::uint64_t commits = 0;   ///< plan-word rewrites from refinement
-  std::uint64_t loaded = 0;    ///< plans installed from files/warming
   std::uint64_t entries = 0;   ///< live slots right now
   std::uint64_t quarantines = 0;  ///< keys pinned out of rotation
 };
@@ -176,14 +175,11 @@ class PlanRegistry {
   PlanSlot* acquire(std::uint64_t hash, std::uint64_t fields,
                     bool* inserted = nullptr) noexcept;
 
-  /// Slot iteration for persistence/diagnostics (includes empty slots).
+  /// Slot iteration for diagnostics (includes empty slots).
   PlanSlot& slot(std::uint32_t i) noexcept { return slots_begin()[i]; }
   const PlanSlot& slot(std::uint32_t i) const noexcept {
     return const_cast<PlanRegistry*>(this)->slots_begin()[i];
   }
-
-  /// Lazy file-warm handshake: 0 = cold, 1 = one rank is loading, 2 = warm.
-  mc::atomic<std::uint32_t>& warm_word() noexcept { return warm_state_; }
 
   // ---- resilience (docs/robustness.md §resume) -----------------------------
   /// Pin `hash`'s cached plan out of rotation until `until_epoch`: the
@@ -220,9 +216,6 @@ class PlanRegistry {
   void note_commit() noexcept {
     commits_.fetch_add(1, std::memory_order_relaxed);
   }
-  void note_loaded() noexcept {
-    loaded_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   PlanRegistryStats stats() const noexcept;
 
@@ -249,14 +242,12 @@ class PlanRegistry {
 
   std::uint32_t slots_;
   std::uint32_t eps_mille_;
-  mc::atomic<std::uint32_t> warm_state_{0};
   mc::atomic<std::uint64_t> lookups_{0};
   mc::atomic<std::uint64_t> hits_{0};
   mc::atomic<std::uint64_t> misses_{0};
   mc::atomic<std::uint64_t> inserts_{0};
   mc::atomic<std::uint64_t> explores_{0};
   mc::atomic<std::uint64_t> commits_{0};
-  mc::atomic<std::uint64_t> loaded_{0};
   mc::atomic<std::uint64_t> quarantines_{0};
   mc::atomic<std::uint64_t> inflight_{0};
   /// A word per class, not a packed mask: the header keeps its size, so

@@ -151,7 +151,6 @@ PlanRegistryStats PlanRegistry::stats() const noexcept {
   st.inserts = inserts_.load(std::memory_order_relaxed);
   st.explores = explores_.load(std::memory_order_relaxed);
   st.commits = commits_.load(std::memory_order_relaxed);
-  st.loaded = loaded_.load(std::memory_order_relaxed);
   st.quarantines = quarantines_.load(std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < slots_; ++i)
     if (slot(i).hash.load(std::memory_order_relaxed) != 0) ++st.entries;

@@ -581,7 +581,6 @@ void Team::metrics_fold_team() {
   st(tg.plan_inserts, ps.inserts);
   st(tg.plan_explores, ps.explores);
   st(tg.plan_commits, ps.commits);
-  st(tg.plan_loaded, ps.loaded);
   st(tg.plan_entries, ps.entries);
   st(tg.plan_quarantines, ps.quarantines);
 }

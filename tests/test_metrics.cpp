@@ -79,12 +79,14 @@ std::unique_ptr<rt::Team> make_team(Backend b, int p, int m, ym::Mode mode,
   return std::make_unique<rt::ThreadTeam>(cfg);
 }
 
-/// Deterministic mixed schedule (one call per collective kind).
-void run_schedule(rt::RankCtx& ctx) {
+/// Deterministic mixed schedule (one call per collective kind), with an
+/// allreduce of `ar_count` doubles.
+void schedule(rt::RankCtx& ctx, std::size_t ar_count) {
   const std::size_t n = 2048;
   std::vector<double> send(n), recv(n * static_cast<std::size_t>(4));
   fill_buffer(send.data(), n, Datatype::f64, ctx.rank(), ReduceOp::sum);
-  allreduce(ctx, send.data(), recv.data(), n, Datatype::f64, ReduceOp::sum);
+  allreduce(ctx, send.data(), recv.data(), ar_count, Datatype::f64,
+            ReduceOp::sum);
   reduce_scatter(ctx, send.data(), recv.data(),
                  n / static_cast<std::size_t>(ctx.nranks()), Datatype::f64,
                  ReduceOp::sum);
@@ -92,6 +94,8 @@ void run_schedule(rt::RankCtx& ctx) {
   broadcast(ctx, recv.data(), n, Datatype::f64, 0);
   allgather(ctx, send.data(), recv.data(), n / 4, Datatype::f64);
 }
+
+void run_schedule(rt::RankCtx& ctx) { schedule(ctx, 2048); }
 
 struct ScopedEnv {
   ScopedEnv(const char* k, const char* v) : key(k) {
@@ -285,60 +289,34 @@ TEST(MetricsOffMode, NoSectionExactCountersNoExtraAllocations) {
     team.run(run_schedule);
     return g_allocs.load(std::memory_order_relaxed) - before;
   };
-  run_allocs(*off);  // warm both teams once (lazy statics, plan warm-up)
+  run_allocs(*off);  // warm both teams once (lazy statics)
   run_allocs(*on);
   EXPECT_EQ(run_allocs(*off), run_allocs(*on));
 }
 
 // ---- thread vs fork parity --------------------------------------------------
 
-/// Make `team`'s tuner serve `alg` for f64-sum allreduces of `bytes`: load
-/// a one-entry yhccl-plan/1 document signed for the team.
-void pin_allreduce_plan(rt::Team& team, std::size_t bytes, Algorithm alg) {
-  char sig[17];
-  std::snprintf(sig, sizeof sig, "%016llx",
-                static_cast<unsigned long long>(team.plan_signature()));
-  bench::Json e = bench::Json::object();
-  e.set("signature", std::string(sig));
-  e.set("collective", coll_kind_name(CollKind::allreduce));
-  e.set("dtype", std::string(dtype_name(Datatype::f64)));
-  e.set("op", std::string(op_name(ReduceOp::sum)));
-  e.set("ranks", team.nranks());
-  e.set("sockets", team.topo().nsockets());
-  e.set("bucket", static_cast<int>(plan::bucket_of(CollKind::allreduce,
-                                                   bytes, CollOpts{})));
-  e.set("algorithm", algorithm_name(alg));
-  e.set("nt", plan::nt_choice_name(plan::NtChoice::adaptive));
-  e.set("slice_max", 0);
-  e.set("dpml_chunk", 0);
-  e.set("nt_prior", false);
-  e.set("arm", 0);
-  e.set("source", plan::plan_source_name(plan::PlanSource::bench));
-  bench::Json plans = bench::Json::array();
-  plans.push_back(e);
-  bench::Json doc = bench::Json::object();
-  doc.set("schema", plan::kPlanSchema);
-  doc.set("plans", plans);
-  ASSERT_EQ(plan::load_plans(team, doc), 1);
-}
-
 TEST(MetricsParity, ThreadAndProcessBackendsAgree) {
   auto tt = make_team(Backend::threads, 4, 2, ym::Mode::on);
   auto pt = make_team(Backend::procs, 4, 2, ym::Mode::on);
-  // The schedule's allreduce is above the fold cut, where the thread team
-  // serves the single-copy direct arm, which forked ranks cannot run.  Pin
-  // the thread team's plan to the arm the process team serves.
-  const std::size_t ar_bytes = 2048 * sizeof(double);
-  EXPECT_EQ(plan::query(*tt, CollKind::allreduce, ar_bytes, Datatype::f64,
-                        ReduceOp::sum)
+  // Above the fold cut the thread team serves the single-copy direct arm,
+  // which forked ranks cannot run.  So the schedule's allreduce runs at
+  // the cut, where both backends' priors serve fold.
+  EXPECT_EQ(plan::query(*tt, CollKind::allreduce, 2048 * sizeof(double),
+                        Datatype::f64, ReduceOp::sum)
                 .algorithm,
             Algorithm::direct);
-  pin_allreduce_plan(*tt, ar_bytes,
-                     plan::query(*pt, CollKind::allreduce, ar_bytes,
-                                 Datatype::f64, ReduceOp::sum)
-                         .algorithm);
-  tt->run(run_schedule);
-  pt->run(run_schedule);
+  const std::size_t ar_bytes = fold_max_bytes(4);
+  for (const rt::Team* team : {tt.get(), pt.get()})
+    EXPECT_EQ(plan::query(*team, CollKind::allreduce, ar_bytes,
+                          Datatype::f64, ReduceOp::sum)
+                  .algorithm,
+              Algorithm::fold);
+  const auto parity_schedule = [ar_bytes](rt::RankCtx& ctx) {
+    schedule(ctx, ar_bytes / sizeof(double));
+  };
+  tt->run(parity_schedule);
+  pt->run(parity_schedule);
   ASSERT_NE(tt->metrics_buffer(), nullptr);
   ASSERT_NE(pt->metrics_buffer(), nullptr);
   const ym::Snapshot a = ym::Snapshot::capture(*tt->metrics_buffer());

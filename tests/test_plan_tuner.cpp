@@ -1,7 +1,7 @@
 // Auto-tuner plan cache (docs/tuning.md): prior fidelity to the §5.1/§5.4
 // static rules, cache hit/miss accounting, cross-rank agreement under
-// online exploration on both backends, persistence round-trips, warming
-// from bench reports, and the zero-allocation warm path.
+// online exploration on both backends, prior-mode calls that never touch
+// the registry, and the zero-allocation warm path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "test_util.hpp"
-#include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
@@ -318,8 +317,8 @@ TEST(PlanArms, DirectIsOnlyEverThePriorsOwnArm) {
   }
 }
 
-// Plan files and the per-slot arm statistics index arms by position, so
-// the candidate sequence is pinned: algorithm/nt/slice_log2 per index for
+// Committed plan words and the per-slot arm statistics index arms by
+// position, so the candidate sequence is pinned: algorithm/nt/slice_log2 per index for
 // every kind × bucket × shape, on the caps of both backends (default
 // cache and options).
 namespace {
@@ -765,13 +764,22 @@ TEST(PlanKeyPacking, FieldsAndPlanWordsRoundTrip) {
   key.bucket = 0x40 | 21;
   key.ranks = 255;
   key.sockets = 15;
-  const auto k2 = plan::PlanKey::from_fields(key.packed_fields());
-  EXPECT_EQ(k2.kind, key.kind);
-  EXPECT_EQ(k2.dtype, key.dtype);
-  EXPECT_EQ(k2.op, key.op);
-  EXPECT_EQ(k2.bucket, key.bucket);
-  EXPECT_EQ(k2.ranks, key.ranks);
-  EXPECT_EQ(k2.sockets, key.sockets);
+  // Every field reaches the packed word, and no packing sets a reserved bit.
+  const std::uint64_t f = key.packed_fields();
+  EXPECT_TRUE(rt::plan_fields_sane(f));
+  for (int field = 0; field < 6; ++field) {
+    plan::PlanKey k = key;
+    switch (field) {
+      case 0: k.kind = CollKind::allreduce; break;
+      case 1: k.dtype = Datatype::f64; break;
+      case 2: k.op = ReduceOp::sum; break;
+      case 3: k.bucket = 21; break;
+      case 4: k.ranks = 254; break;
+      default: k.sockets = 14; break;
+    }
+    EXPECT_NE(k.packed_fields(), f) << "field " << field;
+    EXPECT_TRUE(rt::plan_fields_sane(k.packed_fields())) << "field " << field;
+  }
 
   plan::Plan p;
   p.algorithm = Algorithm::ma_socket_aware;
@@ -791,6 +799,16 @@ TEST(PlanKeyPacking, FieldsAndPlanWordsRoundTrip) {
   EXPECT_EQ(p2.nt_prior, p.nt_prior);
   EXPECT_EQ(p2.source, p.source);
   EXPECT_EQ(p2.arm, p.arm);
+
+  // A stored word with an arm past PlanSlot's arm arrays is structurally
+  // corrupt, so online refinement can never index past them.
+  plan::Plan word;
+  word.arm = rt::kPlanMaxArms - 1;
+  EXPECT_TRUE(rt::plan_word_sane(word.pack()));
+  for (const int arm : {rt::kPlanMaxArms, 9, 15}) {
+    word.arm = static_cast<std::uint8_t>(arm);
+    EXPECT_FALSE(rt::plan_word_sane(word.pack())) << "arm " << arm;
+  }
 }
 
 // ---- cache behavior ----------------------------------------------------------
@@ -1068,455 +1086,108 @@ TEST(PlanBypass, ExplicitAlgorithmsBypassTheTunerAndAreHonored) {
                Error);
 }
 
-// ---- persistence -------------------------------------------------------------
+// ---- prior mode never touches the registry ----------------------------------
 
 namespace {
 
-struct FakeCell {
-  const char* alg;
-  std::size_t bytes;
-  double median;
-};
-
-/// A minimal bench report: one allreduce series per cell.
-bench::Json bench_report(int ranks, int sockets,
-                         const copy::CacheConfig& cache,
-                         const std::vector<FakeCell>& cells) {
-  bench::Json doc = bench::Json::object();
-  doc.set("schema", "yhccl-bench/1");
-  bench::Json machine = bench::Json::object();
-  machine.set("llc_bytes", cache.llc_bytes);
-  machine.set("l2_per_core", cache.l2_per_core);
-  machine.set("llc_inclusive", cache.llc_inclusive);
-  doc.set("machine", machine);
-  bench::Json series = bench::Json::array();
-  const auto cell = [&](const char* alg, std::size_t bytes, double median) {
-    bench::Json s = bench::Json::object();
-    s.set("bench", "fake");
-    s.set("collective", "allreduce");
-    s.set("algorithm", alg);
-    s.set("ranks", ranks);
-    s.set("sockets", sockets);
-    s.set("bytes", bytes);
-    bench::Json t = bench::Json::object();
-    t.set("median_s", median);
-    s.set("time", t);
-    series.push_back(s);
+bool slot_is_zero(const rt::PlanSlot& s) {
+  const auto z = [](const auto& a) {
+    return a.load(std::memory_order_relaxed) == 0;
   };
-  for (const auto& c : cells) cell(c.alg, c.bytes, c.median);
-  doc.set("series", series);
-  return doc;
+  bool zero = z(s.hash) && z(s.fields) && z(s.plan) && z(s.quar) &&
+              z(s.hits);
+  for (int a = 0; a < rt::kPlanMaxArms; ++a)
+    zero = zero && z(s.arm_ewma[a]) && z(s.arm_n[a]);
+  return zero;
 }
 
-/// Two arms per size for allreduce: flat MA "wins" on the large size, dpml
-/// on the small one.
-bench::Json fake_bench_report(int ranks, int sockets,
-                              const copy::CacheConfig& cache) {
-  return bench_report(ranks, sockets, cache,
-                      {{"flat-MA", 4u << 20, 1e-3},  // beats socket-aware
-                       {"socket-MA", 4u << 20, 2e-3},
-                       {"dpml-2l", 4u << 10, 1e-5},
-                       {"flat-MA", 4u << 10, 9e-5},
-                       // unknown arm: must be skipped
-                       {"mpi-baseline", 4u << 20, 1e-9}});
+/// Automatic calls in the fold, DPML, direct and MA regimes plus a
+/// broadcast and an allgather on a prior-mode team: each serves the prior
+/// of its key, and the registry stays as construction left it.
+template <typename TeamT>
+void prior_mode_leaves_registry_untouched() {
+  struct Call {
+    CollKind kind;
+    std::size_t count;  // doubles per rank
+  };
+  const Call calls[] = {
+      {CollKind::allreduce, 256},    // 2 KB: fold
+      {CollKind::allreduce, 2048},   // 16 KB: DPML (forked), direct (threads)
+      {CollKind::reduce, 2048},      // 16 KB: DPML
+      {CollKind::allreduce, 65536},  // 512 KB: direct (forked ranks fall
+                                     // back to MA over private buffers)
+      {CollKind::reduce, 65536},     // 512 KB: socket-aware MA
+      {CollKind::broadcast, 8192},
+      {CollKind::allgather, 1024},
+  };
+  constexpr int n = static_cast<int>(std::size(calls));
+  const int p = 4;
+  TeamT team(tuned_cfg(p, 2, rt::TuneMode::prior));
+  auto* words = reinterpret_cast<std::uint64_t*>(
+      team.shared_alloc(sizeof(std::uint64_t) * p * n));
+  team.run([&](rt::RankCtx& ctx) {
+    const std::size_t most = 65536;
+    std::vector<double> in(most * p), out(most * p);
+    test::fill_buffer(in.data(), most, Datatype::f64, ctx.rank(),
+                      ReduceOp::sum);
+    for (int c = 0; c < n; ++c) {
+      const std::size_t k = calls[c].count;
+      switch (calls[c].kind) {
+        case CollKind::allreduce:
+          coll::allreduce(ctx, in.data(), out.data(), k, Datatype::f64,
+                          ReduceOp::sum);
+          break;
+        case CollKind::reduce:
+          coll::reduce(ctx, in.data(), out.data(), k, Datatype::f64,
+                       ReduceOp::sum, 0);
+          break;
+        case CollKind::broadcast:
+          coll::broadcast(ctx, out.data(), k, Datatype::f64, 0);
+          break;
+        default:
+          coll::allgather(ctx, in.data(), out.data(), k, Datatype::f64);
+          break;
+      }
+      words[c * p + ctx.rank()] = plan::last_plan_word();
+    }
+  });
+
+  const auto st = plan::tune_stats(team);
+  EXPECT_EQ(st.lookups, 0u);
+  EXPECT_EQ(st.inserts, 0u);
+  EXPECT_EQ(st.entries, 0u);
+  const rt::PlanRegistry& reg = *team.plan_registry();
+  EXPECT_EQ(reg.inflight(), 0u);
+  for (std::uint32_t i = 0; i < reg.capacity(); ++i)
+    ASSERT_TRUE(slot_is_zero(reg.slot(i))) << "slot " << i;
+
+  std::vector<Algorithm> served;
+  for (int c = 0; c < n; ++c) {
+    const std::size_t bytes = calls[c].count * sizeof(double);
+    const auto key = plan::make_key(calls[c].kind, bytes, Datatype::f64,
+                                    ReduceOp::sum, team.topo(), CollOpts{});
+    const plan::Plan prior = plan::prior_plan(key, CollOpts{}, team.caps());
+    served.push_back(prior.algorithm);
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(words[c * p + r], prior.pack())
+          << coll::coll_kind_name(calls[c].kind) << " " << bytes
+          << " B, rank " << r;
+  }
+  for (const Algorithm a : {Algorithm::fold, Algorithm::dpml_two_level,
+                            Algorithm::direct, Algorithm::ma_socket_aware,
+                            Algorithm::pipelined})
+    EXPECT_NE(std::ranges::find(served, a), served.end())
+        << coll::algorithm_name(a);
 }
 
 }  // namespace
 
-/// Every team maps the plan table, so a bench-warmed plan always has a
-/// registry to land in and is what query() serves afterwards.
-template <typename TeamT>
-static void default_team_loads_warmed_plans() {
-  const int p = 4, m = 2;
-  TeamT team(tuned_cfg(p, m, rt::TuneMode::env));  // the default mode
-  ASSERT_NE(team.plan_registry(), nullptr);
-  const auto plans = plan::warm_from_bench(bench_report(
-      p, m, team.config().cache,
-      {{"flat-MA", 4u << 20, 1e-3}, {"socket-MA", 4u << 20, 2e-3}}));
-  ASSERT_EQ(plan::load_plans(team, plans), 1);
-  EXPECT_EQ(plan::tune_stats(team).loaded, 1u);
-  const auto served = plan::query(team, CollKind::allreduce, 4u << 20,
-                                  Datatype::f64, ReduceOp::sum);
-  EXPECT_EQ(served.algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(served.source, plan::PlanSource::bench);
+TEST(PlanPriorMode, CallsTouchNoRegistry_Threads) {
+  prior_mode_leaves_registry_untouched<rt::ThreadTeam>();
 }
 
-TEST(PlanPersistence, DefaultTeamHasARegistryAndLoadsWarmedPlans_Threads) {
-  default_team_loads_warmed_plans<rt::ThreadTeam>();
-}
-
-TEST(PlanPersistence, DefaultTeamHasARegistryAndLoadsWarmedPlans_Processes) {
-  default_team_loads_warmed_plans<rt::ProcessTeam>();
-}
-
-TEST(PlanPersistence, WarmFromBenchThenLoadOverridesThePrior) {
-  const int p = 8, m = 2;
-  rt::ThreadTeam team(tuned_cfg(p, m, rt::TuneMode::prior));
-  const auto plans =
-      plan::warm_from_bench(fake_bench_report(p, m, team.config().cache));
-  plan::validate_plan_json(plans);
-  ASSERT_EQ(plans["plans"].size(), 4u);  // two cells, once per backend
-
-  ASSERT_EQ(plan::load_plans(team, plans), 2);
-  // 4 MB allreduce: prior says socket-MA, the bench data says flat MA.
-  const auto tuned = plan::query(team, CollKind::allreduce, 4u << 20,
-                                 Datatype::f64, ReduceOp::sum);
-  EXPECT_EQ(tuned.algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(tuned.source, plan::PlanSource::bench);
-  // 4 KB allreduce: bench agrees with the prior (dpml).
-  EXPECT_EQ(plan::query(team, CollKind::allreduce, 4u << 10, Datatype::f64,
-                        ReduceOp::sum)
-                .algorithm,
-            Algorithm::dpml_two_level);
-  // Unrelated keys still serve the prior.
-  EXPECT_EQ(plan::query(team, CollKind::reduce, 4u << 20, Datatype::f64,
-                        ReduceOp::sum)
-                .source,
-            plan::PlanSource::prior);
-
-  // The tuned decision is what actually runs.
-  auto* words =
-      reinterpret_cast<std::uint64_t*>(team.shared_alloc(sizeof(std::uint64_t) * p));
-  team.run([&](rt::RankCtx& ctx) {
-    const std::size_t count = (4u << 20) / sizeof(double);
-    std::vector<double> a(count), b(count);
-    test::fill_buffer(a.data(), count, Datatype::f64, ctx.rank(),
-                      ReduceOp::sum);
-    coll::allreduce(ctx, a.data(), b.data(), count, Datatype::f64,
-                    ReduceOp::sum);
-    words[ctx.rank()] = plan::last_plan_word();
-  });
-  EXPECT_EQ(plan::Plan::unpack(words[0]).algorithm, Algorithm::ma_flat);
-}
-
-TEST(PlanPersistence, FoldPlansLandOnlyWhereTheStageFits) {
-  const int p = 8, m = 2;  // fold_max_bytes(8) = 2 KB
-  rt::ThreadTeam team(tuned_cfg(p, m, rt::TuneMode::prior));
-  // The bench data "prefers" fold on both sizes; past the cut it cannot run.
-  const auto plans = plan::warm_from_bench(
-      bench_report(p, m, team.config().cache,
-                   {{"fold", 1u << 10, 1e-6},
-                    {"dpml-2l", 1u << 10, 2e-6},
-                    {"fold", 4u << 10, 1e-7},
-                    {"dpml-2l", 4u << 10, 1e-5}}));
-  plan::validate_plan_json(plans);
-  ASSERT_EQ(plan::load_plans(team, plans), 2);
-  const auto at = [&](std::size_t bytes) {
-    return plan::query(team, CollKind::allreduce, bytes, Datatype::f64,
-                       ReduceOp::sum);
-  };
-  EXPECT_EQ(at(1u << 10).algorithm, Algorithm::fold);
-  EXPECT_EQ(at(1u << 10).source, plan::PlanSource::bench);
-  EXPECT_EQ(at(4u << 10).algorithm, Algorithm::dpml_two_level);
-
-  // A hand-edited file naming fold past the cut loads nothing for that
-  // entry, and fold on a non-allreduce fails validation outright.
-  bench::Json doc = plan::save_plans(team);
-  bench::Json edited = bench::Json::array();
-  for (const auto& e : doc["plans"].items()) {
-    bench::Json f = e;
-    f.set("algorithm", "fold");
-    edited.push_back(f);
-  }
-  doc.set("plans", edited);
-  rt::ThreadTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
-  EXPECT_EQ(plan::load_plans(fresh, doc), 1);
-  bench::Json bad = doc;
-  bench::Json entry = doc["plans"].items().front();
-  entry.set("collective", "reduce");
-  bench::Json arr = bench::Json::array();
-  arr.push_back(entry);
-  bad.set("plans", arr);
-  EXPECT_THROW(plan::validate_plan_json(bad), Error);
-}
-
-TEST(PlanPersistence, ThreadWarmedPlansNeverLandOnProcessTeams) {
-  const int p = 4, m = 2;
-  rt::ThreadTeam threads(tuned_cfg(p, m, rt::TuneMode::prior));
-  rt::ProcessTeam procs(tuned_cfg(p, m, rt::TuneMode::prior));
-  // One machine, two key spaces: the backend bit is part of the signature,
-  // and the paper's process setting keeps the bare machine signature.
-  const auto& cache = threads.config().cache;
-  EXPECT_EQ(procs.plan_signature(),
-            rt::PlanCaps(procs.topo(), cache, false).signature());
-  EXPECT_EQ(threads.plan_signature(),
-            rt::PlanCaps(threads.topo(), cache, true).signature());
-  EXPECT_NE(threads.plan_signature(), procs.plan_signature());
-
-  // A bench report warms both backends from one file: direct wins the
-  // 64 KB cell on thread teams, DPML (the best arm forked ranks can run)
-  // on process teams.
-  const auto report = bench_report(p, m, cache,
-                                   {{"direct", 64u << 10, 1e-6},
-                                    {"dpml-2l", 64u << 10, 2e-6},
-                                    {"flat-MA", 4u << 20, 1e-3},
-                                    {"socket-MA", 4u << 20, 2e-3}});
-  const auto plans = plan::warm_from_bench(report);
-  plan::validate_plan_json(plans);
-  const std::string thread_sig =
-      plan::save_plans(threads)["machine"]["signature"].as_string();
-  bench::Json thread_only = plans;
-  bench::Json thread_entries = bench::Json::array();
-  for (const auto& e : plans["plans"].items()) {
-    const bool for_threads = e["signature"].as_string() == thread_sig;
-    if (e["algorithm"].as_string() == "direct") {
-      EXPECT_TRUE(for_threads) << "direct is never warmed for forked teams";
-    }
-    if (for_threads) thread_entries.push_back(e);
-  }
-  ASSERT_EQ(plans["plans"].size(), 4u);
-  ASSERT_EQ(thread_entries.size(), 2u);
-  thread_only.set("plans", thread_entries);
-  // Entries warmed for thread teams are skipped on a process team as a
-  // signature mismatch.
-  EXPECT_EQ(plan::load_plans(procs, thread_only), 0);
-
-  ASSERT_EQ(plan::load_plans(threads, plans), 2);
-  rt::ProcessTeam warmed(tuned_cfg(p, m, rt::TuneMode::prior));
-  ASSERT_EQ(plan::load_plans(warmed, plans), 2);
-  const auto served = [](const rt::Team& team, std::size_t bytes) {
-    return plan::query(team, CollKind::allreduce, bytes, Datatype::f64,
-                       ReduceOp::sum);
-  };
-  EXPECT_EQ(served(threads, 64u << 10).algorithm, Algorithm::direct);
-  EXPECT_EQ(served(threads, 64u << 10).source, plan::PlanSource::bench);
-  EXPECT_EQ(served(threads, 4u << 20).algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(served(warmed, 64u << 10).algorithm, Algorithm::dpml_two_level);
-  EXPECT_EQ(served(warmed, 64u << 10).source, plan::PlanSource::bench);
-  EXPECT_EQ(served(warmed, 4u << 20).algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(served(procs, 4u << 20).algorithm, Algorithm::direct);
-  EXPECT_EQ(served(procs, 4u << 20).source, plan::PlanSource::prior);
-
-  // A hand-edited process-signed file naming direct loads only the entry in
-  // the MA regime, where the prior serves direct too, and direct on a
-  // reduce fails validation outright.
-  bench::Json doc = plan::save_plans(warmed);
-  ASSERT_EQ(doc["plans"].size(), 2u);
-  bench::Json edited = bench::Json::array();
-  for (const auto& e : doc["plans"].items()) {
-    bench::Json f = e;
-    f.set("algorithm", "direct");
-    edited.push_back(f);
-  }
-  doc.set("plans", edited);
-  rt::ProcessTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
-  EXPECT_EQ(plan::load_plans(fresh, doc), 1);
-  EXPECT_EQ(served(fresh, 64u << 10).algorithm, Algorithm::dpml_two_level);
-  EXPECT_EQ(served(fresh, 4u << 20).algorithm, Algorithm::direct);
-  bench::Json bad = doc;
-  bench::Json entry = doc["plans"].items().front();
-  entry.set("collective", "reduce");
-  bench::Json arr = bench::Json::array();
-  arr.push_back(entry);
-  bad.set("plans", arr);
-  EXPECT_THROW(plan::validate_plan_json(bad), Error);
-}
-
-// A plan-file arm index selects the arm statistics online refinement
-// updates (PlanSlot::arm_ewma / arm_n, kPlanMaxArms entries each).  An
-// index past those arrays is rejected by validation; one inside them but
-// past the key's own arm table is dropped at load; and a stored word whose
-// arm field is out of range fails the structural check, so no path lets an
-// online call write past the arrays into the neighbouring registry slot.
-TEST(PlanPersistence, OutOfRangeArmNeverReachesTheArmArrays) {
-  const int p = 4, m = 2;
-  const std::size_t count = (1u << 20) / sizeof(float);
-  rt::ThreadTeam team(tuned_cfg(p, m, rt::TuneMode::online));
-  const auto warmed = plan::warm_from_bench(
-      bench_report(p, m, team.config().cache,
-                   {{"direct", 1u << 20, 1e-6}, {"dpml-2l", 1u << 20, 2e-6}}));
-  const std::string sig = plan::save_plans(team)["machine"]["signature"]
-                              .as_string();
-  bench::Json entry;
-  for (const auto& e : warmed["plans"].items())
-    if (e["signature"].as_string() == sig) entry = e;
-  ASSERT_EQ(entry["algorithm"].as_string(), "direct");
-  entry.set("dtype", "f32");
-  const auto doc_with = [&warmed](const bench::Json& e) {
-    bench::Json doc = warmed;
-    bench::Json arr = bench::Json::array();
-    arr.push_back(e);
-    doc.set("plans", arr);
-    return doc;
-  };
-
-  // In range for this key's six-arm table: loads.
-  bench::Json ok = entry;
-  ok.set("arm", 5);
-  {
-    rt::ThreadTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
-    EXPECT_EQ(plan::load_plans(fresh, doc_with(ok)), 1);
-  }
-  // Inside the arrays but past a broadcast key's five-arm table: dropped.
-  bench::Json bcast = ok;
-  bcast.set("collective", "broadcast");
-  bcast.set("algorithm", "pipelined");
-  bcast.set("bucket", 20);
-  {
-    rt::ThreadTeam fresh(tuned_cfg(p, m, rt::TuneMode::prior));
-    plan::validate_plan_json(doc_with(bcast));
-    EXPECT_EQ(plan::load_plans(fresh, doc_with(bcast)), 0);
-  }
-
-  // Past the arrays: invalid, and never installed.
-  bench::Json bad = entry;
-  bad.set("arm", 9);
-  EXPECT_THROW(plan::validate_plan_json(doc_with(bad)), Error);
-  int installed = 0;
-  try {
-    installed = plan::load_plans(team, doc_with(bad));
-  } catch (const Error&) {
-  }
-  EXPECT_EQ(installed, 0);
-  // Online calls on that key touch its own slot only.
-  team.run([&](rt::RankCtx& ctx) {
-    std::vector<float> in(count, 1.0f), out(count);
-    for (int c = 0; c < 20; ++c)
-      coll::allreduce(ctx, in.data(), out.data(), count, Datatype::f32,
-                      ReduceOp::sum);
-  });
-  EXPECT_EQ(plan::tune_stats(team).entries, 1u);
-  EXPECT_TRUE(team.verify_integrity().ok());
-
-  // A stored word with an out-of-range arm is structurally corrupt.
-  plan::Plan word;
-  word.arm = rt::kPlanMaxArms - 1;
-  EXPECT_TRUE(rt::plan_word_sane(word.pack()));
-  for (const int arm : {rt::kPlanMaxArms, 9, 15}) {
-    word.arm = static_cast<std::uint8_t>(arm);
-    EXPECT_FALSE(rt::plan_word_sane(word.pack())) << "arm " << arm;
-  }
-}
-
-TEST(PlanPersistence, BenchWarmedPlanFileWarmsBothBackends) {
-  // The plan_check route: warm_from_bench written to disk and loaded via
-  // $YHCCL_PLAN_FILE warms process teams as well as thread teams.
-  const int p = 4, m = 2;
-  const std::string path =
-      ::testing::TempDir() + "yhccl_plans_bench_warmed_test.json";
-  {
-    rt::ThreadTeam probe(tuned_cfg(p, m, rt::TuneMode::prior));
-    std::string err;
-    ASSERT_TRUE(bench::write_json_file(
-        path,
-        plan::warm_from_bench(fake_bench_report(p, m, probe.config().cache)),
-        &err))
-        << err;
-  }
-  EnvGuard g("YHCCL_PLAN_FILE", path.c_str());
-  const std::size_t count = (4u << 20) / sizeof(double);
-  for (int which = 0; which < 2; ++which) {
-    std::unique_ptr<rt::Team> team;
-    if (which == 0)
-      team = std::make_unique<rt::ThreadTeam>(
-          tuned_cfg(p, m, rt::TuneMode::prior));
-    else
-      team = std::make_unique<rt::ProcessTeam>(
-          tuned_cfg(p, m, rt::TuneMode::prior));
-    auto* words = reinterpret_cast<std::uint64_t*>(
-        team->shared_alloc(sizeof(std::uint64_t) * p));
-    run_logged_allreduce(*team, 1, count, words);
-    EXPECT_EQ(plan::tune_stats(*team).loaded, 2u) << "backend " << which;
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(plan::Plan::unpack(words[r]).algorithm, Algorithm::ma_flat)
-          << "backend " << which;
-      EXPECT_EQ(plan::Plan::unpack(words[r]).source,
-                plan::PlanSource::bench)
-          << "backend " << which;
-    }
-  }
-}
-
-TEST(PlanPersistence, ThreadPlanFileIsSkippedOnProcessTeams) {
-  // The $YHCCL_PLAN_FILE route: a file saved from a warmed thread team
-  // warms thread teams and is skipped, entry by entry, on process teams.
-  const int p = 4, m = 2;
-  const std::string path =
-      ::testing::TempDir() + "yhccl_plans_backend_test.json";
-  {
-    rt::ThreadTeam staging(tuned_cfg(p, m, rt::TuneMode::prior));
-    ASSERT_GT(plan::load_plans(staging,
-                               plan::warm_from_bench(fake_bench_report(
-                                   p, m, staging.config().cache))),
-              0);
-    plan::save_plans_file(staging, path);
-  }
-  EnvGuard g("YHCCL_PLAN_FILE", path.c_str());
-  const std::size_t count = (4u << 20) / sizeof(double);
-
-  rt::ProcessTeam procs(tuned_cfg(p, m, rt::TuneMode::prior));
-  auto* pw = reinterpret_cast<std::uint64_t*>(
-      procs.shared_alloc(sizeof(std::uint64_t) * p));
-  run_logged_allreduce(procs, 1, count, pw);
-  EXPECT_EQ(plan::tune_stats(procs).loaded, 0u);
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(plan::Plan::unpack(pw[r]).algorithm, Algorithm::direct);
-    EXPECT_EQ(plan::Plan::unpack(pw[r]).source, plan::PlanSource::prior);
-  }
-
-  rt::ThreadTeam threads(tuned_cfg(p, m, rt::TuneMode::prior));
-  auto* tw = reinterpret_cast<std::uint64_t*>(
-      threads.shared_alloc(sizeof(std::uint64_t) * p));
-  run_logged_allreduce(threads, 1, count, tw);
-  EXPECT_GT(plan::tune_stats(threads).loaded, 0u);
-  EXPECT_EQ(plan::Plan::unpack(tw[0]).algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(plan::Plan::unpack(tw[0]).source, plan::PlanSource::bench);
-}
-
-TEST(PlanPersistence, SaveLoadSaveIsAFixpointWithIdenticalDecisions) {
-  const int p = 8, m = 2;
-  rt::ThreadTeam a(tuned_cfg(p, m, rt::TuneMode::prior));
-  const auto warmed =
-      plan::warm_from_bench(fake_bench_report(p, m, a.config().cache));
-  ASSERT_GT(plan::load_plans(a, warmed), 0);
-  const auto saved = plan::save_plans(a);
-  plan::validate_plan_json(saved);
-
-  rt::ThreadTeam b(tuned_cfg(p, m, rt::TuneMode::prior));
-  ASSERT_EQ(plan::load_plans(b, saved),
-            static_cast<int>(saved["plans"].size()));
-  const auto saved2 = plan::save_plans(b);
-  EXPECT_EQ(saved.dump(2), saved2.dump(2));
-
-  for (const std::size_t bytes : {4u << 10, 64u << 10, 1u << 20, 4u << 20}) {
-    const auto pa = plan::query(a, CollKind::allreduce, bytes, Datatype::f64,
-                                ReduceOp::sum);
-    const auto pb = plan::query(b, CollKind::allreduce, bytes, Datatype::f64,
-                                ReduceOp::sum);
-    EXPECT_EQ(pa.pack(), pb.pack()) << "bytes=" << bytes;
-  }
-
-  // Plans from a different shape or machine never load.
-  rt::ThreadTeam other(tuned_cfg(4, 1, rt::TuneMode::prior));
-  EXPECT_EQ(plan::load_plans(other, saved), 0);
-}
-
-TEST(PlanPersistence, PlanFileEnvWarmsTheRegistryOnFirstUse) {
-  const int p = 8, m = 2;
-  const std::string path = ::testing::TempDir() + "yhccl_plans_test.json";
-  {
-    rt::ThreadTeam staging(tuned_cfg(p, m, rt::TuneMode::prior));
-    const auto warmed = plan::warm_from_bench(
-        fake_bench_report(p, m, staging.config().cache));
-    ASSERT_GT(plan::load_plans(staging, warmed), 0);
-    plan::save_plans_file(staging, path);
-  }
-  EnvGuard g("YHCCL_PLAN_FILE", path.c_str());
-  rt::ThreadTeam team(tuned_cfg(p, m, rt::TuneMode::prior));
-  auto* words =
-      reinterpret_cast<std::uint64_t*>(team.shared_alloc(sizeof(std::uint64_t) * p));
-  run_logged_allreduce(team, 1, (4u << 20) / sizeof(double), words);
-  EXPECT_EQ(plan::Plan::unpack(words[0]).algorithm, Algorithm::ma_flat);
-  EXPECT_EQ(plan::Plan::unpack(words[0]).source, plan::PlanSource::bench);
-  EXPECT_GT(plan::tune_stats(team).loaded, 0u);
-
-  // A missing file warns but serves the prior; a malformed one throws.
-  EnvGuard g2("YHCCL_PLAN_FILE", "/nonexistent/plans.json");
-  rt::ThreadTeam cold(tuned_cfg(p, m, rt::TuneMode::prior));
-  plan::warm_now(cold);
-  EXPECT_EQ(plan::tune_stats(cold).loaded, 0u);
-  const auto bad = bench::Json::parse("{\"schema\": \"nope\"}");
-  EXPECT_THROW(plan::validate_plan_json(bad), Error);
+TEST(PlanPriorMode, CallsTouchNoRegistry_Processes) {
+  prior_mode_leaves_registry_untouched<rt::ProcessTeam>();
 }
 
 // ---- straggler feedback ------------------------------------------------------
@@ -1577,32 +1248,36 @@ TEST(PlanFeedback, StragglerMarksTheKindsThatRanWaitBound) {
 
 TEST(PlanHotPath, WarmRepeatCallDoesNotAllocate) {
   EnvGuard g("YHCCL_TUNE_EPS", "0");
-  rt::ThreadTeam team(tuned_cfg(4, 2, rt::TuneMode::online));
-  const std::size_t count = 16384;
-  auto* in = reinterpret_cast<double*>(
-      team.shared_alloc(sizeof(double) * count * 4));
-  auto* out = reinterpret_cast<double*>(
-      team.shared_alloc(sizeof(double) * count * 4));
-  auto* delta = reinterpret_cast<std::uint64_t*>(
-      team.shared_alloc(sizeof(std::uint64_t)));
-  team.run([&](rt::RankCtx& ctx) {
-    double* my_in = in + count * ctx.rank();
-    double* my_out = out + count * ctx.rank();
-    test::fill_buffer(my_in, count, Datatype::f64, ctx.rank(),
-                      ReduceOp::sum);
-    // Warm the slot (plus the registry's file handshake) first.
-    for (int c = 0; c < 2; ++c)
-      coll::allreduce(ctx, my_in, my_out, count, Datatype::f64,
-                      ReduceOp::sum);
-    ctx.barrier();
-    const std::uint64_t before = g_allocs.load();
-    for (int c = 0; c < 8; ++c)
-      coll::allreduce(ctx, my_in, my_out, count, Datatype::f64,
-                      ReduceOp::sum);
-    ctx.barrier();
-    if (ctx.rank() == 0) *delta = g_allocs.load() - before;
-  });
-  EXPECT_EQ(*delta, 0u) << "warm-path collective calls allocated";
+  for (const rt::TuneMode mode : {rt::TuneMode::online, rt::TuneMode::prior}) {
+    rt::ThreadTeam team(tuned_cfg(4, 2, mode));
+    const std::size_t count = 16384;
+    auto* in = reinterpret_cast<double*>(
+        team.shared_alloc(sizeof(double) * count * 4));
+    auto* out = reinterpret_cast<double*>(
+        team.shared_alloc(sizeof(double) * count * 4));
+    auto* delta = reinterpret_cast<std::uint64_t*>(
+        team.shared_alloc(sizeof(std::uint64_t)));
+    team.run([&](rt::RankCtx& ctx) {
+      double* my_in = in + count * ctx.rank();
+      double* my_out = out + count * ctx.rank();
+      test::fill_buffer(my_in, count, Datatype::f64, ctx.rank(),
+                        ReduceOp::sum);
+      // Warm the slot (online mode) and the arm's lazy state first.
+      for (int c = 0; c < 2; ++c)
+        coll::allreduce(ctx, my_in, my_out, count, Datatype::f64,
+                        ReduceOp::sum);
+      ctx.barrier();
+      const std::uint64_t before = g_allocs.load();
+      for (int c = 0; c < 8; ++c)
+        coll::allreduce(ctx, my_in, my_out, count, Datatype::f64,
+                        ReduceOp::sum);
+      ctx.barrier();
+      if (ctx.rank() == 0) *delta = g_allocs.load() - before;
+    });
+    EXPECT_EQ(*delta, 0u)
+        << "warm-path collective calls allocated, mode "
+        << (mode == rt::TuneMode::online ? "online" : "prior");
+  }
 }
 
 // ---- recovery ----------------------------------------------------------------
